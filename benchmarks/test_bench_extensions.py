@@ -15,7 +15,7 @@ from repro.collectives import (WrhtParameters, generate_hierarchical_ring,
 from repro.collectives.hierarchical_ring import hierarchical_ring_step_count
 from repro.config import OpticalRingSystem, Workload
 from repro.core.cost_model import wrht_time_from_schedule
-from repro.core.executor import execute_on_optical_ring
+from repro.core.substrates import OpticalRingSubstrate
 from repro.models.catalog import paper_workload
 from repro.optical.power import energy_of_execution
 from repro.simulation.fluid import FluidNetworkSimulator
@@ -31,13 +31,13 @@ def test_energy_per_allreduce(once):
         wl = paper_workload("vgg16")
         rows = []
         oring = generate_ring_allreduce(n)
-        rep = execute_on_optical_ring(oring, system, wl, striping="off")
+        rep = OpticalRingSubstrate(system, striping="off").execute(oring, wl)
         rows.append(("o-ring", rep.total_time,
                      energy_of_execution(oring, rep, wl)))
         wrht, _ = generate_wrht(WrhtParameters(
             num_nodes=n, group_size=3, num_wavelengths=64,
             alltoall_threshold=3))
-        rep = execute_on_optical_ring(wrht, system, wl)
+        rep = OpticalRingSubstrate(system).execute(wrht, wl)
         rows.append(("wrht", rep.total_time,
                      energy_of_execution(wrht, rep, wl)))
         return rows
@@ -93,12 +93,12 @@ def test_hierarchical_ring_baseline(once):
             out[f"hier-ring g={g}"] = (detail.total_time,
                                        sched.num_steps)
         oring = generate_ring_allreduce(n)
-        rep = execute_on_optical_ring(oring, system, wl, striping="off")
+        rep = OpticalRingSubstrate(system, striping="off").execute(oring, wl)
         out["o-ring"] = (rep.total_time, oring.num_steps)
         wrht, _ = generate_wrht(WrhtParameters(
             num_nodes=n, group_size=3, num_wavelengths=64,
             alltoall_threshold=3))
-        repw = execute_on_optical_ring(wrht, system, wl)
+        repw = OpticalRingSubstrate(system).execute(wrht, wl)
         out["wrht"] = (repw.total_time, wrht.num_steps)
         return out
 

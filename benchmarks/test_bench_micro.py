@@ -12,8 +12,7 @@ from repro import units
 from repro.collectives import (WrhtParameters, generate_ring_allreduce,
                                generate_wrht, verify_allreduce)
 from repro.config import ElectricalSystem, OpticalRingSystem, Workload
-from repro.core.executor import (execute_on_electrical,
-                                 execute_on_optical_ring)
+from repro.core.substrates import ElectricalSubstrate, OpticalRingSubstrate
 from repro.core.planner import plan_wrht
 from repro.models.catalog import paper_workload
 from repro.simulation.flows import Flow, max_min_fair_rates
@@ -39,7 +38,8 @@ def test_optical_executor_wrht_1024(benchmark):
     params = WrhtParameters(num_nodes=1024, group_size=3,
                             num_wavelengths=64, alltoall_threshold=3)
     sched, _ = generate_wrht(params)
-    report = benchmark(execute_on_optical_ring, sched, system, WL)
+    report = benchmark(
+        lambda: OpticalRingSubstrate(system).execute(sched, WL))
     assert report.num_steps == 13
     assert report.peak_wavelength_demand() <= 64
 
@@ -48,7 +48,8 @@ def test_electrical_executor_rd_256(benchmark):
     from repro.collectives import generate_recursive_doubling
     system = ElectricalSystem(num_nodes=256)
     sched = generate_recursive_doubling(256)
-    report = benchmark(execute_on_electrical, sched, system, WL)
+    report = benchmark(
+        lambda: ElectricalSubstrate(system).execute(sched, WL))
     assert report.num_steps == 8
 
 

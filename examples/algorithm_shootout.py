@@ -15,8 +15,7 @@ from repro.collectives import (WrhtParameters, generate_hierarchical_ring,
                                generate_recursive_doubling,
                                generate_ring_allreduce, generate_wrht,
                                generate_wrht_pipelined)
-from repro.core.executor import (execute_on_electrical,
-                                 execute_on_optical_ring)
+from repro.core.substrates import ElectricalSubstrate, OpticalRingSubstrate
 
 N = 64
 WAVELENGTHS = 32
@@ -34,16 +33,16 @@ def main() -> None:
     wrht_piped, _ = generate_wrht_pipelined(params, num_chunks=4)
 
     reports = [
-        execute_on_optical_ring(wrht, optical, PAYLOAD),
-        execute_on_optical_ring(wrht_piped, optical, PAYLOAD),
-        execute_on_optical_ring(generate_ring_allreduce(N), optical,
-                                PAYLOAD, striping="off"),
-        execute_on_optical_ring(generate_hierarchical_ring(N, 8),
-                                optical, PAYLOAD, striping="off"),
-        execute_on_electrical(generate_ring_allreduce(N),
-                              electrical.with_(topology="ring"), PAYLOAD),
-        execute_on_electrical(generate_recursive_doubling(N), electrical,
-                              PAYLOAD),
+        OpticalRingSubstrate(optical).execute(wrht, PAYLOAD),
+        OpticalRingSubstrate(optical).execute(wrht_piped, PAYLOAD),
+        OpticalRingSubstrate(optical, striping="off").execute(
+            generate_ring_allreduce(N), PAYLOAD),
+        OpticalRingSubstrate(optical, striping="off").execute(
+            generate_hierarchical_ring(N, 8), PAYLOAD),
+        ElectricalSubstrate(electrical.with_(topology="ring")).execute(
+            generate_ring_allreduce(N), PAYLOAD),
+        ElectricalSubstrate(electrical).execute(
+            generate_recursive_doubling(N), PAYLOAD),
     ]
 
     print(f"All-reduce shoot-out: {units.fmt_bytes(PAYLOAD.data_bytes)} "

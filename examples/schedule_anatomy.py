@@ -15,7 +15,7 @@ from repro.collectives import WrhtParameters, generate_wrht, \
     verify_allreduce
 from repro.collectives.analysis import (describe_schedule,
                                         schedule_wavelength_demand)
-from repro.core.executor import execute_on_optical_ring
+from repro.core.substrates import OpticalRingSubstrate
 from repro.optical import (AssignmentPolicy, OpticalRingNetwork,
                            TransferRequest, assign_wavelengths)
 from repro.topology.ring import RingTopology
@@ -64,8 +64,8 @@ def main() -> None:
     print("Semantic verification: PASS (every node ends with the exact "
           "element-wise sum)")
 
-    report = execute_on_optical_ring(
-        schedule, system, Workload(data_bytes=100 * units.MB))
+    report = OpticalRingSubstrate(system).execute(
+        schedule, Workload(data_bytes=100 * units.MB))
     print(f"\nSimulated execution of 100 MB gradients: "
           f"{units.fmt_time(report.total_time)}")
     for s in report.steps:

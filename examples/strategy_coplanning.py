@@ -15,7 +15,8 @@ Three demos on the strategy demand IR:
    program installing the strided circuits once) converts the byte
    reduction into wall-clock.
 3. **Parity** — the uniform data-parallel strategy is the legacy
-   single-workload model, bit for bit, through ``plan_topology``.
+   single-workload model: its ``strategy_plan_table`` cells equal
+   ``plan_topology``'s, bit for bit.
 
 Run:  python examples/strategy_coplanning.py
 """
@@ -23,7 +24,7 @@ Run:  python examples/strategy_coplanning.py
 from repro import units
 from repro.config import default_ocs
 from repro.core.topoplan import (plan_strategy, plan_topology,
-                                 plan_topology_profile, strategy_plan_table)
+                                 strategy_plan_table)
 from repro.models.catalog import get_model
 from repro.models.strategies import ParallelStrategy, enumerate_strategies
 
@@ -66,13 +67,17 @@ def main() -> None:
 
     # 3. Parity: pure DP with one fused bucket IS the legacy model.
     dp = ParallelStrategy(data_parallel=NODES)
-    prof = dp.lower(model, bucket_bytes=float("inf"))
-    sys = default_ocs(NODES)
-    legacy = plan_topology(sys, prof.to_workload())
-    viaprof = plan_topology_profile(sys, prof)
+    cells = strategy_plan_table(NODES, MODEL, strategies=[dp],
+                                rack_sizes=(), fidelity="simulate",
+                                bucket_bytes=float("inf"))
+    wl = dp.lower(model, bucket_bytes=float("inf")).to_workload()
+    legacy = plan_topology(default_ocs(NODES), wl)
+    viaprof = next(p for p in cells
+                   if (p.algorithm, p.policy)
+                   == (legacy.algorithm, legacy.policy))
     assert viaprof.predicted_time == legacy.predicted_time
     assert viaprof.report == legacy.report
-    print(f"uniform-DP parity: profile path == legacy path "
+    print(f"uniform-DP parity: strategy table == plan_topology "
           f"({legacy.algorithm}/{legacy.policy}, "
           f"{units.fmt_time(legacy.predicted_time)}) — bit for bit")
 

@@ -20,9 +20,9 @@ The library is layered so that "what to run", "where to run it" and
   and reports per-step timings.  Built-ins: the conflict-exact WDM ring
   (with an RWA memoization cache), two electrical fluid models, and a
   2-D optical torus; third-party fabrics plug in via
-  :func:`~repro.core.substrates.register_substrate`.  The historical
-  function API (:func:`repro.core.executor.execute_on_optical_ring` /
-  ``execute_on_electrical``) remains as thin wrappers;
+  :func:`~repro.core.substrates.register_substrate`.  Substrate
+  classes can also be built directly, e.g.
+  ``OpticalRingSubstrate(system).execute(schedule, workload)``;
 * **Planning & analysis** (:mod:`repro.core`, :mod:`repro.analysis`) —
   :func:`~repro.core.planner.plan_wrht` picks the group size
   (analytically or by simulating candidates on a substrate),

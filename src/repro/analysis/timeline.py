@@ -1,6 +1,6 @@
 """Execution timelines: Gantt rendering and JSON export.
 
-Turns an :class:`~repro.core.executor.ExecutionReport` into artifacts a
+Turns an :class:`~repro.core.substrates.base.ExecutionReport` into artifacts a
 user can inspect or feed to tooling:
 
 * :func:`render_timeline` — per-step Gantt bars with the time
@@ -15,7 +15,7 @@ import json
 from typing import Dict, List
 
 from .. import units
-from ..core.executor import ExecutionReport
+from ..core.substrates.base import ExecutionReport
 
 _GANTT_WIDTH = 50
 

@@ -36,7 +36,7 @@ from .collectives.analysis import describe_schedule
 from .config import Workload, default_optical
 from .core.planner import plan_wrht
 from .core.substrates import available_substrates, get_substrate
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ReproError
 from .models.catalog import paper_workload
 
 
@@ -580,9 +580,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    A library error (:class:`~repro.errors.ReproError`: bad
+    configuration, infeasible plan, ...) prints one line to stderr —
+    ``repro <command>: <message>`` — and returns exit code 2.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        message = " ".join(str(exc).split())
+        print(f"repro {args.command}: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

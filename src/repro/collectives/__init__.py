@@ -19,6 +19,11 @@ semantics at the receiver.  Generators:
 * :func:`~repro.collectives.wrht.generate_wrht` — **the paper's
   contribution**.
 
+The name-addressable families (ring, recursive doubling,
+halving-doubling, binomial tree) are registered once in
+:mod:`~repro.collectives.registry` (:data:`COLLECTIVES`,
+:data:`STEP_COUNTS`, :func:`generate_collective`).
+
 Every generated schedule can be proven correct with
 :func:`~repro.collectives.verifier.verify_allreduce`.
 """
@@ -29,6 +34,7 @@ from .binomial_tree import generate_binomial_tree
 from .halving_doubling import generate_halving_doubling
 from .hierarchical_ring import generate_hierarchical_ring
 from .recursive_doubling import generate_recursive_doubling
+from .registry import COLLECTIVES, STEP_COUNTS, generate_collective
 from .ring_allreduce import generate_ring_allreduce
 from .schedule import Schedule, Step, Transfer, TransferOp
 from .verifier import verify_allreduce
@@ -53,5 +59,8 @@ __all__ = [
     "generate_wrht_pipelined",
     "WrhtParameters",
     "WrhtScheduleInfo",
+    "COLLECTIVES",
+    "STEP_COUNTS",
+    "generate_collective",
     "analysis",
 ]

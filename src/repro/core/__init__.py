@@ -7,8 +7,6 @@
   string-keyed registry of :class:`~repro.core.substrates.Substrate`
   implementations (WDM ring with memoized RWA, electrical fluid models,
   2-D optical torus) that keep network state warm across calls;
-* :mod:`~repro.core.executor` — the original function API, now thin
-  wrappers over the substrates (kept for backward compatibility);
 * :mod:`~repro.core.cache_store` — the disk-backed cross-process cache
   store substrates spill their memoization caches (RWA, OCS
   decomposition, fluid patterns) to and warm from;
@@ -28,11 +26,10 @@ from .comparison import (ALGORITHMS, EXTENDED_ALGORITHMS, AlgorithmResult,
 from .cost_model import (ering_time, oring_time, rd_time,
                          ring_allreduce_time_optical, wrht_time,
                          wrht_time_from_schedule)
-from .executor import (ExecutionReport, StepReport, execute_on_electrical,
-                       execute_on_optical_ring)
 from .planner import WrhtPlan, plan_wrht
-from .substrates import (ElectricalSubstrate, OpticalRingSubstrate,
-                         OpticalTorusSubstrate, Substrate, SubstrateInfo,
+from .substrates import (ElectricalSubstrate, ExecutionReport,
+                         OpticalRingSubstrate, OpticalTorusSubstrate,
+                         StepReport, Substrate, SubstrateInfo,
                          available_substrates, get_substrate,
                          pooled_substrate, register_substrate)
 
@@ -46,8 +43,6 @@ __all__ = [
     "CacheStore",
     "ExecutionReport",
     "StepReport",
-    "execute_on_optical_ring",
-    "execute_on_electrical",
     "WrhtPlan",
     "plan_wrht",
     "ALGORITHMS",

@@ -53,12 +53,10 @@ from ..config import (ElectricalSystem, OpticalRingSystem, Workload,
                       default_ocs, default_optical, default_torus,
                       hier_group_candidates)
 from ..errors import ConfigurationError
-from ..models.strategies import DemandProfile
 from . import cost_model
-from .planner import plan_wrht, plan_wrht_profile
+from .planner import plan_wrht
 from .substrates import pooled_substrate
-from .topoplan import (default_leader_indices, plan_topology,
-                       plan_topology_profile)
+from .topoplan import plan_topology
 
 ALGORITHMS: Tuple[str, ...] = ("e-ring", "rd", "o-ring", "wrht")
 #: The paper's four plus the torus, reconfigurable-OCS, and multi-rack
@@ -113,20 +111,8 @@ def compare_algorithms(
     electrical: Optional[ElectricalSystem] = None,
     algorithms: Iterable[str] = ALGORITHMS,
     fidelity: str = "analytic",
-    profile: Optional[DemandProfile] = None,
 ) -> ComparisonResult:
-    """Evaluate ``algorithms`` at ``num_nodes`` on ``workload``.
-
-    ``profile`` is the strategy arm: a
-    :class:`~repro.models.strategies.DemandProfile` whose ordered
-    phases replace the single flat ``workload`` (which then only labels
-    the result).  Flat algorithms price each phase at its group width
-    — full-width phases on the original systems (a single-full-width
-    profile reproduces the legacy comparison bit for bit), subset
-    phases on width-``m`` projections with disjoint concurrent groups
-    assumed non-interfering — and the planner arms (``wrht``, ``ocs``,
-    ``hier``) run their profile-aware planners.
-    """
+    """Evaluate ``algorithms`` at ``num_nodes`` on ``workload``."""
     if fidelity not in ("analytic", "simulate"):
         raise ConfigurationError(
             f"fidelity must be 'analytic' or 'simulate', got {fidelity!r}")
@@ -136,19 +122,11 @@ def compare_algorithms(
     if opt.num_nodes != num_nodes or ele.num_nodes != num_nodes:
         raise ConfigurationError(
             "system num_nodes must match the requested scale")
-    if profile is not None and profile.world != num_nodes:
-        raise ConfigurationError(
-            f"profile spans {profile.world} ranks; comparing at "
-            f"{num_nodes}")
 
     out = ComparisonResult(num_nodes=num_nodes, workload=workload)
     for algo in algorithms:
-        if profile is None:
-            out.results[algo] = _evaluate(algo, num_nodes, workload, opt,
-                                          ele, fidelity)
-        else:
-            out.results[algo] = _evaluate_profile(algo, num_nodes, profile,
-                                                  opt, ele, fidelity)
+        out.results[algo] = _evaluate(algo, num_nodes, workload, opt, ele,
+                                      fidelity)
     return out
 
 
@@ -231,79 +209,6 @@ def _evaluate(algo: str, n: int, workload: Workload,
         # analytic fidelity also executes on the substrate.
         plan = plan_topology(default_ocs(n), workload)
         detail = {"algorithm": plan.algorithm, "policy": plan.policy,
-                  "reconfigurations": plan.num_reconfigurations}
-        return AlgorithmResult(algo, plan.predicted_time, plan.num_steps,
-                               "ocs-reconfig", detail)
-    raise ConfigurationError(f"unknown algorithm {algo!r}")
-
-
-def _evaluate_profile(algo: str, n: int, profile: DemandProfile,
-                      opt: OpticalRingSystem, ele: ElectricalSystem,
-                      fidelity: str) -> AlgorithmResult:
-    """One algorithm priced over a whole demand profile (see
-    :func:`compare_algorithms`)."""
-    if algo in ("e-ring", "rd", "o-ring", "o-torus"):
-        # Per-phase evaluation at the phase's group width; full-width
-        # phases reuse the original systems so a single-full-width
-        # profile reproduces the flat comparison exactly.
-        total, steps = 0.0, 0
-        substrate = ""
-        for phase in profile.phases:
-            m = phase.group_size
-            opt_m = opt if m == n else opt.with_(num_nodes=m)
-            ele_m = ele if m == n else ele.with_(num_nodes=m)
-            res = _evaluate(algo, m, phase.workload(), opt_m, ele_m,
-                            fidelity)
-            total += phase.count * res.time_seconds
-            steps += phase.count * res.num_steps
-            substrate = res.substrate
-        return AlgorithmResult(algo, total, steps, substrate,
-                               {"profile": profile.name,
-                                "phases": profile.num_phases})
-    if algo == "wrht":
-        plan = plan_wrht_profile(opt, profile)
-        detail = {"profile": profile.name,
-                  "group_sizes": {pp.phase_name: pp.plan.group_size
-                                  for pp in plan.phase_plans}}
-        if fidelity == "simulate":
-            total = 0.0
-            for phase, pp in zip(profile.phases, plan.phase_plans):
-                m = pp.width
-                opt_m = opt if m == n else opt.with_(num_nodes=m)
-                rep = pooled_substrate("optical-ring", opt_m).execute(
-                    pp.plan.schedule, phase.workload())
-                total += phase.count * rep.total_time
-            return AlgorithmResult(algo, total, plan.num_steps,
-                                   "optical-ring", detail)
-        return AlgorithmResult(algo, plan.predicted_time, plan.num_steps,
-                               "optical-ring", detail)
-    if algo == "hier":
-        best = None
-        for g in hier_group_candidates(n):
-            for ell in default_leader_indices(g):
-                hs = default_hierarchical(n, group_size=g,
-                                          leader_index=ell)
-                t = cost_model.profile_hier_time(hs, profile)
-                if t is not None and (best is None or t < best[0]):
-                    best = (t, hs)
-        if best is None:
-            raise ConfigurationError(
-                f"profile {profile.name!r} has no rack-alignable "
-                f"(rack size, leader) cell on the hierarchical fabric")
-        t, hs = best
-        steps = sum(
-            ph.count * (hierarchical_ring_step_count(
-                n, hs.group_size, hs.resolved_leader_index)
-                if ph.is_full_width(n) else 2 * (ph.group_size - 1))
-            for ph in profile.phases)
-        detail = {"profile": profile.name, "group_size": hs.group_size,
-                  "leader_index": hs.resolved_leader_index,
-                  "num_groups": hs.num_groups}
-        return AlgorithmResult(algo, t, steps, "hier-rack", detail)
-    if algo == "ocs":
-        plan = plan_topology_profile(default_ocs(n), profile)
-        detail = {"profile": profile.name, "algorithm": plan.algorithm,
-                  "policy": plan.policy,
                   "reconfigurations": plan.num_reconfigurations}
         return AlgorithmResult(algo, plan.predicted_time, plan.num_steps,
                                "ocs-reconfig", detail)

@@ -1,14 +1,14 @@
 """Closed-form communication-time models (α–β–WDM).
 
-These reproduce, in closed form, exactly what the executors compute step
-by step — the test suite cross-validates them against full simulation.
+These reproduce, in closed form, exactly what the substrates compute
+step by step — the test suite cross-validates them against full simulation.
 They exist because the planner sweeps hundreds of candidate
 configurations and the Fig. 2 grid sweeps four models × four scales,
 where generating + simulating every 2(N−1)-step ring schedule would be
 wasteful (the HPC guide's "find a better algorithm before optimizing
 code" applies: the closed form *is* the better algorithm).
 
-Conventions (matching the executors):
+Conventions (matching the substrates):
 
 * a step's duration = per-step overhead + slowest transfer, where a
   transfer of ``b`` bytes on ``k`` wavelengths (optical) or a ``B``-rate
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..collectives import analysis as can
+from ..collectives.registry import STEP_COUNTS
 from ..collectives.schedule import Schedule
 from ..collectives.wrht import (WrhtParameters, WrhtScheduleInfo,
                                 generate_wrht)
@@ -267,9 +268,11 @@ def profile_hier_time(system: HierarchicalSystem,
     return total
 
 
-#: Collective families the OCS serialization bound understands (the
-#: same names the topology planner's candidate generators use).
-OCS_BOUND_ALGORITHMS: Tuple[str, ...] = (
+#: The co-planner's candidate collectives: the families the OCS
+#: serialization bound prices (:mod:`repro.core.topoplan` searches
+#: exactly these; generators and step counts come from
+#: :mod:`repro.collectives.registry`).
+CANDIDATE_ALGORITHMS: Tuple[str, ...] = (
     "ring", "recursive-doubling", "halving-doubling")
 
 
@@ -287,19 +290,14 @@ def phase_ocs_bound(system: ReconfigurableOCSSystem,
     the survivors, mirroring how ``plan_wrht`` prunes with its analytic
     model.
     """
+    if algorithm not in CANDIDATE_ALGORITHMS:
+        raise ConfigurationError(
+            f"no OCS bound for algorithm {algorithm!r}; choose from "
+            f"{CANDIDATE_ALGORITHMS}")
     m = phase.group_size
     s = phase.message_bytes
     per = system.step_overhead + system.circuit_latency
-    if algorithm == "ring":
-        steps = 2 * (m - 1)
-        t = steps * (s / m / system.circuit_rate + per)
-    elif algorithm == "recursive-doubling":
-        pow2 = 1 << (m.bit_length() - 1)
-        steps = pow2.bit_length() - 1
-        if m != pow2:
-            steps += 2
-        t = steps * (s / system.circuit_rate + per)
-    elif algorithm == "halving-doubling":
+    if algorithm == "halving-doubling":
         pow2 = 1 << (m.bit_length() - 1)
         log_m = pow2.bit_length() - 1
         t = 0.0
@@ -309,9 +307,10 @@ def phase_ocs_bound(system: ReconfigurableOCSSystem,
         if m != pow2:
             t += 2 * (s / system.circuit_rate + per)
     else:
-        raise ConfigurationError(
-            f"no OCS bound for algorithm {algorithm!r}; choose from "
-            f"{OCS_BOUND_ALGORITHMS}")
+        # Ring steps move S/m, recursive-doubling steps the full vector.
+        step_bytes = s / m if algorithm == "ring" else s
+        t = STEP_COUNTS[algorithm](m) * (step_bytes / system.circuit_rate
+                                         + per)
     return phase.count * t
 
 
@@ -342,10 +341,11 @@ def wrht_time_from_schedule(schedule: Schedule,
                             workload: Workload) -> WrhtCostDetail:
     """Analytic time of a generated Wrht schedule (no RWA, exact demand).
 
-    Mirrors :func:`repro.core.executor.execute_on_optical_ring` with
-    ``striping='auto'``, charging tuning on every step (hierarchical
-    steps always retune; the executor agrees except on degenerate
-    repeated steps).
+    Mirrors
+    :class:`~repro.core.substrates.optical_ring.OpticalRingSubstrate`
+    with ``striping='auto'``, charging tuning on every step
+    (hierarchical steps always retune; the substrate agrees except on
+    degenerate repeated steps).
     """
     ring = RingTopology(system.num_nodes, capacity=1.0,
                         bidirectional=system.bidirectional)

@@ -31,7 +31,6 @@ from ..collectives.schedule import Schedule
 from ..collectives.wrht import WrhtParameters, WrhtScheduleInfo
 from ..config import OpticalRingSystem, Workload
 from ..errors import PlanningError
-from ..models.strategies import DemandProfile
 from .cost_model import wrht_time
 from .substrates.optical_ring import OpticalRingSubstrate
 
@@ -181,77 +180,6 @@ def plan_wrht(system: OpticalRingSystem, workload: Workload,
 
 def _plan_key(plan: WrhtPlan) -> Tuple[float, int, int]:
     return (plan.predicted_time, plan.num_steps, plan.group_size)
-
-
-@dataclass(frozen=True)
-class PhaseWrhtPlan:
-    """One phase's Wrht plan inside a profile-level plan."""
-
-    phase_name: str
-    width: int
-    count: int
-    plan: WrhtPlan
-    time: float
-
-    @property
-    def num_steps(self) -> int:
-        """Steps this phase contributes across all occurrences."""
-        return self.count * self.plan.num_steps
-
-
-@dataclass(frozen=True)
-class ProfileWrhtPlan:
-    """A Wrht plan for every phase of a demand profile."""
-
-    profile: DemandProfile
-    phase_plans: Tuple[PhaseWrhtPlan, ...]
-    predicted_time: float
-
-    @property
-    def num_steps(self) -> int:
-        """Total steps across phases and occurrences."""
-        return sum(pp.num_steps for pp in self.phase_plans)
-
-
-def plan_wrht_profile(system: OpticalRingSystem, profile: DemandProfile,
-                      **plan_kwargs) -> ProfileWrhtPlan:
-    """The Wrht planner lifted to a strategy demand profile.
-
-    Each phase is planned independently: a full-width phase plans on
-    ``system`` itself — for a single-full-width profile (uniform data
-    parallelism) this is *exactly* the legacy ``plan_wrht`` call,
-    bit for bit — and a subset phase plans each group on a
-    ``group_size``-node projection of the ring, treating the disjoint
-    concurrent groups as non-interfering (exact for rack-style
-    contiguous arcs, optimistic for strided placements whose arcs
-    overlap on shared ring segments).  Phase times sum, scaled by each
-    phase's occurrence ``count``; ``plan_kwargs`` pass through to
-    :func:`plan_wrht` (fidelity, variants, ``top_k``, ...).
-
-    Raises :class:`PlanningError` when a phase is too narrow to group
-    (``group_size < 2`` cannot happen by IR validation) or the ring is
-    unidirectional — same contract as :func:`plan_wrht`.
-    """
-    phase_plans = []
-    total = 0.0
-    memo: dict = {}
-    for phase in profile.phases:
-        m = phase.group_size
-        key = (m, phase.message_bytes)
-        plan = memo.get(key)
-        if plan is None:
-            sub_system = (system if m == system.num_nodes
-                          else system.with_(num_nodes=m))
-            plan = plan_wrht(sub_system, phase.workload(), **plan_kwargs)
-            memo[key] = plan
-        time = phase.count * plan.predicted_time
-        total += time
-        phase_plans.append(PhaseWrhtPlan(
-            phase_name=phase.name, width=m, count=phase.count,
-            plan=plan, time=time))
-    return ProfileWrhtPlan(profile=profile,
-                           phase_plans=tuple(phase_plans),
-                           predicted_time=total)
 
 
 def plan_table(system: OpticalRingSystem, workload: Workload,

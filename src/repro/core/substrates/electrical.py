@@ -1,9 +1,9 @@
 """The electrical substrate (SimGrid-style fluid model).
 
-Port of the original ``execute_on_electrical`` function: each step
-becomes a batch of fluid flows on the electrical topology (switched
-star or point-to-point ring) with max-min fair sharing; a per-step
-software latency is added (the alpha of SimGrid's model).  The topology
+Each step of a schedule becomes a batch of fluid flows on the electrical
+topology (switched star or point-to-point ring) with max-min fair
+sharing; a per-step software latency is added (the alpha of SimGrid's
+model).  The topology
 and :class:`~repro.simulation.fluid.FluidNetworkSimulator` are built
 once per system and reused across ``execute`` calls.
 """

@@ -1,14 +1,13 @@
 """The WDM optical ring substrate (conflict-exact RWA, memoized).
 
-Port of the original ``execute_on_optical_ring`` function into a
-stateful :class:`~repro.core.substrates.base.Substrate`: each step
+A stateful :class:`~repro.core.substrates.base.Substrate`: each step
 performs *real* routing and wavelength assignment on the ring (raises
 if the step is infeasible with the system's wavelength budget), charges
 MRR tuning whenever a node's channel selection changes, propagation per
 hop, and serialization at ``k x wavelength_rate`` for a striping factor
 ``k`` derived from the step's true segment congestion.
 
-What the class adds over the function:
+What the substrate keeps across calls:
 
 * the :class:`~repro.optical.ring_network.OpticalRingNetwork` is built
   once per system and kept alive across ``execute`` calls (it is

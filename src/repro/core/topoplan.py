@@ -28,15 +28,12 @@ cannot be generated for a node count are skipped, not fatal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..collectives.halving_doubling import generate_halving_doubling
 from ..collectives.hierarchical_ring import hierarchical_ring_step_count
 from ..collectives.placement import phase_schedule
 from ..collectives.primitives import transfer_bytes
-from ..collectives.recursive_doubling import generate_recursive_doubling
-from ..collectives.ring_allreduce import generate_ring_allreduce
+from ..collectives.registry import COLLECTIVES, STEP_COUNTS
 from ..collectives.schedule import Schedule
 from ..config import (HierarchicalSystem, ReconfigurableOCSSystem, Workload,
                       default_hierarchical, default_ocs,
@@ -46,19 +43,11 @@ from ..models.catalog import get_model
 from ..models.strategies import (DemandProfile, ParallelStrategy,
                                  enumerate_strategies)
 from ..topology.program import CircuitPair, TopologyProgram
-from .cost_model import profile_hier_time, profile_ocs_bound
+from .cost_model import (CANDIDATE_ALGORITHMS, profile_hier_time,
+                         profile_ocs_bound)
 from .substrates.base import ExecutionReport
 from .substrates.reconfigurable import OCSReconfigurableSubstrate
 from .substrates.registry import pooled_substrate
-
-#: Algorithm name -> schedule generator.
-CANDIDATE_GENERATORS: Dict[str, Callable[[int], Schedule]] = {
-    "ring": generate_ring_allreduce,
-    "recursive-doubling": generate_recursive_doubling,
-    "halving-doubling": generate_halving_doubling,
-}
-
-CANDIDATE_ALGORITHMS: Tuple[str, ...] = tuple(CANDIDATE_GENERATORS)
 
 #: ``"static"`` — never reconfigure (boot topology only);
 #: ``"reconfigure"`` — per-step stay-vs-switch under the real delay;
@@ -91,14 +80,16 @@ class TopologyPlan:
 
 def candidate_schedule(algorithm: str, num_nodes: int) -> Schedule:
     """The candidate schedule for ``algorithm`` at ``num_nodes``."""
-    try:
-        generator = CANDIDATE_GENERATORS[algorithm]
-    except KeyError:
+    _check_candidate(algorithm)
+    return COLLECTIVES[algorithm](num_nodes)
+
+
+def _check_candidate(algorithm: str) -> None:
+    if algorithm not in CANDIDATE_ALGORITHMS:
         known = ", ".join(CANDIDATE_ALGORITHMS)
         raise PlanningError(
             f"unknown co-planner algorithm {algorithm!r}; "
-            f"candidates: {known}") from None
-    return generator(num_nodes)
+            f"candidates: {known}")
 
 
 def plan_topology(system: ReconfigurableOCSSystem, workload: Workload,
@@ -140,28 +131,7 @@ def topology_plan_table(system: ReconfigurableOCSSystem,
     plan against the best static plan at each reconfiguration delay.
     """
     policies = tuple(policies)
-    for policy in policies:
-        if policy not in POLICIES:
-            raise PlanningError(
-                f"unknown policy {policy!r}; policies: "
-                f"{', '.join(POLICIES)}")
-    substrates: Dict[str, OCSReconfigurableSubstrate] = {}
-    for policy in policies:
-        sys_p = (system.with_(reconfiguration_delay=float("inf"))
-                 if policy == "static" else system)
-        # Pooled per (system, decomposition[, lookahead]): repeated
-        # co-planning on one fabric — the comparison harness, the delay
-        # ablation — reuses warm instances and their decomposition step
-        # caches.
-        if policy == "lookahead":
-            sub = pooled_substrate("ocs-reconfig", sys_p,
-                                   decomposition=decomposition,
-                                   lookahead=True)
-        else:
-            sub = pooled_substrate("ocs-reconfig", sys_p,
-                                   decomposition=decomposition)
-        assert isinstance(sub, OCSReconfigurableSubstrate)
-        substrates[policy] = sub
+    substrates = _policy_substrates(system, policies, decomposition)
     plans: List[TopologyPlan] = []
     for algorithm in algorithms:
         try:
@@ -210,12 +180,8 @@ def profile_demands(profile: DemandProfile, algorithm: str,
     name, so the synthesized program is named exactly as the legacy
     schedule path names it — part of the bit-for-bit parity story.
     """
-    if algorithm not in CANDIDATE_GENERATORS:
-        known = ", ".join(CANDIDATE_ALGORITHMS)
-        raise PlanningError(
-            f"unknown co-planner algorithm {algorithm!r}; "
-            f"candidates: {known}")
-    generator = CANDIDATE_GENERATORS[algorithm]
+    _check_candidate(algorithm)
+    generator = COLLECTIVES[algorithm]
     if profile.world > num_nodes:
         raise PlanningError(
             f"profile spans {profile.world} ranks; fabric has {num_nodes}")
@@ -244,85 +210,6 @@ def profile_demands(profile: DemandProfile, algorithm: str,
     return demands, counts, name, tuple(schedules)
 
 
-@dataclass(frozen=True)
-class ProfileTopologyPlan:
-    """One (algorithm, policy) outcome for a whole demand profile."""
-
-    profile: DemandProfile
-    algorithm: str
-    policy: str
-    schedules: Tuple[Schedule, ...]
-    program: TopologyProgram
-    predicted_time: float
-    report: ExecutionReport
-
-    @property
-    def num_steps(self) -> int:
-        """Concatenated steps of the executed demand program."""
-        return len(self.report.steps)
-
-    @property
-    def num_reconfigurations(self) -> int:
-        """Circuit switches the realised program performs."""
-        return self.program.num_reconfigurations
-
-
-def topology_profile_table(system: ReconfigurableOCSSystem,
-                           profile: DemandProfile,
-                           algorithms: Iterable[str] = CANDIDATE_ALGORITHMS,
-                           policies: Iterable[str] = POLICIES,
-                           decomposition: str = "auto",
-                           ) -> List[ProfileTopologyPlan]:
-    """:func:`topology_plan_table` lifted to a demand profile.
-
-    Identical substrate pooling and policy grid; each candidate runs
-    the *concatenated* per-phase demand matrices through
-    ``execute_demands`` — for a single-full-width profile this is the
-    same demand sequence ``execute`` lowers the legacy schedule into,
-    so the reports, programs, and floats match the legacy table
-    bit for bit (pinned by the parity tests).
-    """
-    policies = tuple(policies)
-    substrates = _policy_substrates(system, policies, decomposition)
-    plans: List[ProfileTopologyPlan] = []
-    for algorithm in algorithms:
-        try:
-            demands, counts, name, schedules = profile_demands(
-                profile, algorithm, system.num_nodes)
-        except ScheduleError:
-            continue
-        if not demands:
-            continue
-        for policy in policies:
-            sub = substrates[policy]
-            report = sub.execute_demands(demands, name=name,
-                                         transfer_counts=counts)
-            program = sub.last_program
-            assert program is not None
-            plans.append(ProfileTopologyPlan(
-                profile=profile, algorithm=algorithm, policy=policy,
-                schedules=schedules, program=program,
-                predicted_time=report.total_time, report=report))
-    return plans
-
-
-def plan_topology_profile(system: ReconfigurableOCSSystem,
-                          profile: DemandProfile,
-                          algorithms: Iterable[str] = CANDIDATE_ALGORITHMS,
-                          policies: Iterable[str] = POLICIES,
-                          decomposition: str = "auto",
-                          ) -> ProfileTopologyPlan:
-    """Pick the fastest (algorithm, policy) pair for a demand profile."""
-    plans = topology_profile_table(system, profile, algorithms=algorithms,
-                                   policies=policies,
-                                   decomposition=decomposition)
-    if not plans:
-        raise PlanningError(
-            f"no feasible (algorithm, policy) candidate for profile "
-            f"{profile.name!r} on the OCS fabric")
-    return min(plans, key=_profile_plan_key)
-
-
 def _policy_substrates(system: ReconfigurableOCSSystem,
                        policies: Tuple[str, ...], decomposition: str,
                        ) -> Dict[str, OCSReconfigurableSubstrate]:
@@ -335,6 +222,10 @@ def _policy_substrates(system: ReconfigurableOCSSystem,
     for policy in policies:
         sys_p = (system.with_(reconfiguration_delay=float("inf"))
                  if policy == "static" else system)
+        # Pooled per (system, decomposition[, lookahead]): repeated
+        # co-planning on one fabric — the comparison harness, the delay
+        # ablation — reuses warm instances and their decomposition step
+        # caches.
         if policy == "lookahead":
             sub = pooled_substrate("ocs-reconfig", sys_p,
                                    decomposition=decomposition,
@@ -345,12 +236,6 @@ def _policy_substrates(system: ReconfigurableOCSSystem,
         assert isinstance(sub, OCSReconfigurableSubstrate)
         substrates[policy] = sub
     return substrates
-
-
-def _profile_plan_key(plan: ProfileTopologyPlan) -> Tuple[float, int, int,
-                                                          str]:
-    return (plan.predicted_time, plan.num_steps,
-            POLICIES.index(plan.policy), plan.algorithm)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +407,7 @@ def strategy_plan_table(num_nodes: int, model: Union[str, object],
     if fidelity == "analytic":
         for bound, strat, profile, algorithm in candidates:
             demands_len = sum(
-                ph.count * _algorithm_steps(algorithm, ph.group_size)
+                ph.count * STEP_COUNTS[algorithm](ph.group_size)
                 for ph in profile.phases)
             plans.append(StrategyPlan(
                 strategy=strat, profile=profile, fabric="ocs-reconfig",
@@ -566,20 +451,6 @@ def plan_strategy(num_nodes: int, model: Union[str, object],
         raise PlanningError(
             f"no feasible strategy plan for N={num_nodes}")
     return min(plans, key=_strategy_key)
-
-
-def _algorithm_steps(algorithm: str, m: int) -> int:
-    if m <= 1:
-        return 0
-    if algorithm == "ring":
-        return 2 * (m - 1)
-    pow2 = 1 << (m.bit_length() - 1)
-    log_m = pow2.bit_length() - 1
-    if algorithm == "recursive-doubling":
-        return log_m + (2 if m != pow2 else 0)
-    if algorithm == "halving-doubling":
-        return 2 * log_m + (2 if m != pow2 else 0)
-    raise PlanningError(f"unknown co-planner algorithm {algorithm!r}")
 
 
 def _strategy_key(plan: StrategyPlan) -> Tuple[float, int, str, int, str,

@@ -394,6 +394,9 @@ class ParallelStrategy:
             raise ConfigurationError("microbatches must be >= 1")
         d, t, p = (self.data_parallel, self.tensor_parallel,
                    self.pipeline_parallel)
+        # Validate the pipeline depth before building rank groups: they
+        # hold d*t*p ranks, so a bogus depth must fail first.
+        stages = self._stage_layers(model) if p > 1 else []
         phases: List[CollectivePhase] = []
         if t > 1:
             widths: Dict[int, int] = {}
@@ -410,7 +413,6 @@ class ParallelStrategy:
                     cadence=CADENCE_PER_LAYER,
                     count=2 * layers_at))
         if p > 1:
-            stages = self._stage_layers(model)
             chains = self.pipeline_chains
             for s in range(p - 1):
                 w = activation_width(stages[s][-1])

@@ -30,9 +30,8 @@ fabric:
 """
 
 from .contention import ContentionModel, contention_topology
-from .dispatch import (COLLECTIVE_GENERATORS, DEFAULT_SWITCH_BYTES,
-                       PLANNED_COLLECTIVES, CollectivePolicy,
-                       adaptive_policy, fixed_policy, generate_collective,
+from .dispatch import (DEFAULT_SWITCH_BYTES, PLANNED_COLLECTIVES,
+                       CollectivePolicy, adaptive_policy, fixed_policy,
                        place_schedule)
 from .engine import JobRecord, RetryPolicy, ServingEngine, ServingReport
 from .jobs import JobSpec, inference_message_sizes, strategy_jobs
@@ -55,9 +54,7 @@ __all__ = [
     "CollectivePolicy",
     "adaptive_policy",
     "fixed_policy",
-    "generate_collective",
     "place_schedule",
-    "COLLECTIVE_GENERATORS",
     "PLANNED_COLLECTIVES",
     "DEFAULT_SWITCH_BYTES",
     "ContentionModel",

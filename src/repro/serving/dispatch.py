@@ -23,49 +23,25 @@ re-exported here for the serving call sites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Tuple
 
 from .. import units
-from ..collectives.binomial_tree import generate_binomial_tree
-from ..collectives.halving_doubling import generate_halving_doubling
 from ..collectives.placement import place_schedule
-from ..collectives.recursive_doubling import generate_recursive_doubling
-from ..collectives.ring_allreduce import generate_ring_allreduce
-from ..collectives.schedule import Schedule
+from ..collectives.registry import COLLECTIVES
 from ..errors import ConfigurationError
 
 __all__ = ["CollectivePolicy", "adaptive_policy", "fixed_policy",
-           "generate_collective", "place_schedule",
-           "DEFAULT_SWITCH_BYTES", "COLLECTIVE_GENERATORS",
-           "PLANNED_COLLECTIVES"]
+           "place_schedule", "DEFAULT_SWITCH_BYTES", "PLANNED_COLLECTIVES"]
 
 #: Below this size a message is latency-bound (the 1-stage/2-stage
 #: split of the MAX allreduce kernel, scaled to fabric-level payloads).
 DEFAULT_SWITCH_BYTES = 1 * units.MB
 
-#: Registered collective generators by algorithm name.
-COLLECTIVE_GENERATORS: Dict[str, Callable[[int], Schedule]] = {
-    "ring": generate_ring_allreduce,
-    "recursive-doubling": generate_recursive_doubling,
-    "halving-doubling": generate_halving_doubling,
-    "binomial-tree": generate_binomial_tree,
-}
-
 #: Algorithms that need a system + payload to plan (the serving engine
 #: resolves these through :func:`repro.core.planner.plan_wrht`), so
-#: they are valid policy arms but have no system-free generator here.
+#: they are valid policy arms but have no system-free generator in
+#: :data:`repro.collectives.registry.COLLECTIVES`.
 PLANNED_COLLECTIVES: Tuple[str, ...] = ("wrht",)
-
-
-def generate_collective(algorithm: str, num_nodes: int) -> Schedule:
-    """Generate the ``algorithm`` all-reduce over ``num_nodes`` ranks."""
-    try:
-        gen = COLLECTIVE_GENERATORS[algorithm]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown collective {algorithm!r}; choose from "
-            f"{tuple(sorted(COLLECTIVE_GENERATORS))}") from None
-    return gen(num_nodes)
 
 
 @dataclass(frozen=True)
@@ -82,7 +58,7 @@ class CollectivePolicy:
     switch_bytes: float = DEFAULT_SWITCH_BYTES
 
     def __post_init__(self) -> None:
-        known = tuple(sorted(COLLECTIVE_GENERATORS)) + PLANNED_COLLECTIVES
+        known = tuple(sorted(COLLECTIVES)) + PLANNED_COLLECTIVES
         for algo in (self.small_algorithm, self.large_algorithm):
             if algo not in known:
                 raise ConfigurationError(

@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..collectives.primitives import transfer_bytes
+from ..collectives.registry import generate_collective
 from ..collectives.schedule import Schedule
 from ..config import (OpticalRingSystem, ReconfigurableOCSSystem, Workload,
                       default_electrical, default_hierarchical, default_ocs,
@@ -47,8 +48,7 @@ from ..core.substrates.registry import cache_stats
 from ..errors import ConfigurationError, ScheduleError
 from ..faults import FaultPlan
 from .contention import ContentionModel, contention_topology
-from .dispatch import (CollectivePolicy, adaptive_policy, generate_collective,
-                       place_schedule)
+from .dispatch import CollectivePolicy, adaptive_policy, place_schedule
 from .jobs import JobSpec
 from .scheduler import OnlineScheduler, Placement
 

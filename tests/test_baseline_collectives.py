@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.collectives import (alltoall_wavelength_requirement,
+from repro.collectives import (COLLECTIVES, STEP_COUNTS,
+                               alltoall_wavelength_requirement,
                                generate_alltoall_reduce,
-                               generate_binomial_tree,
+                               generate_binomial_tree, generate_collective,
                                generate_halving_doubling,
                                generate_recursive_doubling,
                                generate_ring_allreduce, verify_allreduce)
@@ -17,6 +18,7 @@ from repro.collectives.recursive_doubling import (
 from repro.collectives.ring_allreduce import (ring_bytes_per_node,
                                               ring_step_count)
 from repro.collectives.schedule import TransferOp
+from repro.errors import ConfigurationError
 
 
 class TestRingAllreduce:
@@ -169,3 +171,28 @@ class TestPropertyAllBaselines:
     @settings(max_examples=30, deadline=None)
     def test_tree_any_n(self, n):
         verify_allreduce(generate_binomial_tree(n))
+
+
+class TestRegistry:
+    def test_step_counts_match_generated_schedules(self):
+        assert set(STEP_COUNTS) == set(COLLECTIVES)
+        for name, generate in COLLECTIVES.items():
+            for n in range(1, 40):
+                assert generate(n).num_steps == STEP_COUNTS[name](n), \
+                    (name, n)
+
+    def test_values_are_the_module_generators(self):
+        # Code that swaps a module-level generator (tests, tracers) must
+        # also catch calls made through the registry.
+        assert COLLECTIVES == {
+            "ring": generate_ring_allreduce,
+            "recursive-doubling": generate_recursive_doubling,
+            "halving-doubling": generate_halving_doubling,
+            "binomial-tree": generate_binomial_tree,
+        }
+
+    def test_generate_collective(self):
+        assert generate_collective("ring", 6).name \
+            == generate_ring_allreduce(6).name
+        with pytest.raises(ConfigurationError, match="binomial-tree"):
+            generate_collective("quantum-mesh", 4)

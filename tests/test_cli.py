@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 
 class TestParser:
@@ -196,3 +204,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "per-job records" in out
         assert "sjf" in out and "scatter" in out
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("argv", [
+        ["plan", "--nodes", "1"],
+        ["plan", "--nodes", "16", "--wavelengths", "0"],
+        ["fig2", "--model", "alexnet", "--scales", "1"],
+    ])
+    def test_library_error_is_one_line_exit_2(self, argv):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-m", "repro", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {argv[0]}: ")
+        assert "Traceback" not in proc.stderr + proc.stdout

@@ -8,8 +8,7 @@ from repro.collectives import (WrhtParameters, generate_recursive_doubling,
                                generate_ring_allreduce, generate_wrht)
 from repro.config import ElectricalSystem, OpticalRingSystem, Workload
 from repro.core import cost_model as cm
-from repro.core.executor import (execute_on_electrical,
-                                 execute_on_optical_ring)
+from repro.core.substrates import ElectricalSubstrate, OpticalRingSubstrate
 
 
 def opt(n, w=16, **kw):
@@ -29,16 +28,16 @@ class TestElectricalClosedForms:
     def test_ering_matches_simulation(self, n):
         system = ele(n)
         analytic = cm.ering_time(system, WL)
-        sim = execute_on_electrical(generate_ring_allreduce(n), system,
-                                    WL).total_time
+        sim = ElectricalSubstrate(system).execute(
+            generate_ring_allreduce(n), WL).total_time
         assert analytic == pytest.approx(sim, rel=1e-9)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 5, 12])
     def test_rd_matches_simulation(self, n):
         system = ElectricalSystem(num_nodes=n)  # switch
         analytic = cm.rd_time(system, WL)
-        sim = execute_on_electrical(generate_recursive_doubling(n), system,
-                                    WL).total_time
+        sim = ElectricalSubstrate(system).execute(
+            generate_recursive_doubling(n), WL).total_time
         assert analytic == pytest.approx(sim, rel=1e-9)
 
     def test_rd_grows_with_log_n(self):
@@ -60,16 +59,16 @@ class TestOpticalClosedForms:
     def test_oring_matches_simulation(self, n):
         system = opt(n)
         analytic = cm.oring_time(system, WL)
-        sim = execute_on_optical_ring(generate_ring_allreduce(n), system,
-                                      WL, striping="off").total_time
+        sim = OpticalRingSubstrate(system, striping="off").execute(
+            generate_ring_allreduce(n), WL).total_time
         assert analytic == pytest.approx(sim, rel=1e-9)
 
     def test_striped_ring_matches_simulation(self):
         n, w = 8, 16
         system = opt(n, w)
         analytic = cm.ring_allreduce_time_optical(system, WL, striping=w)
-        sim = execute_on_optical_ring(generate_ring_allreduce(n), system,
-                                      WL, striping="auto").total_time
+        sim = OpticalRingSubstrate(system, striping="auto").execute(
+            generate_ring_allreduce(n), WL).total_time
         assert analytic == pytest.approx(sim, rel=1e-9)
 
     def test_striping_bounds_checked(self):
@@ -85,7 +84,7 @@ class TestWrhtModel:
         params = WrhtParameters(num_nodes=n, group_size=m,
                                 num_wavelengths=w, alltoall_threshold=m)
         analytic, sched, _ = cm.wrht_time(system, WL, params)
-        sim = execute_on_optical_ring(sched, system, WL).total_time
+        sim = OpticalRingSubstrate(system).execute(sched, WL).total_time
         assert analytic == pytest.approx(sim, rel=1e-6)
 
     @pytest.mark.parametrize("n,m,w", [(27, 3, 16), (100, 7, 32)])
@@ -94,7 +93,7 @@ class TestWrhtModel:
         params = WrhtParameters(num_nodes=n, group_size=m,
                                 num_wavelengths=w)
         analytic, sched, _ = cm.wrht_time(system, WL, params)
-        sim = execute_on_optical_ring(sched, system, WL).total_time
+        sim = OpticalRingSubstrate(system).execute(sched, WL).total_time
         assert analytic == pytest.approx(sim, rel=1e-6)
 
     def test_striping_disabled_slows_wrht(self):

@@ -6,7 +6,7 @@ from repro import units
 from repro.collectives.schedule import Schedule, Transfer, TransferOp
 from repro.collectives import generate_ring_allreduce
 from repro.config import OpticalRingSystem, Workload
-from repro.core.executor import execute_on_optical_ring
+from repro.core.substrates import OpticalRingSubstrate
 from repro.errors import WavelengthAllocationError
 from repro.optical.rwa import AssignmentPolicy
 
@@ -16,18 +16,18 @@ WL = Workload(data_bytes=1 * units.MB)
 class TestPolicies:
     def test_best_fit_policy_runs(self):
         system = OpticalRingSystem(num_nodes=8, num_wavelengths=8)
-        rep = execute_on_optical_ring(
-            generate_ring_allreduce(8), system, WL,
-            policy=AssignmentPolicy.BEST_FIT)
+        rep = OpticalRingSubstrate(
+            system, policy=AssignmentPolicy.BEST_FIT).execute(
+                generate_ring_allreduce(8), WL)
         assert rep.total_time > 0
 
     def test_policies_agree_on_simple_schedules(self):
         system = OpticalRingSystem(num_nodes=8, num_wavelengths=8)
         sched = generate_ring_allreduce(8)
-        ff = execute_on_optical_ring(sched, system, WL,
-                                     policy=AssignmentPolicy.FIRST_FIT)
-        bf = execute_on_optical_ring(sched, system, WL,
-                                     policy=AssignmentPolicy.BEST_FIT)
+        ff = OpticalRingSubstrate(
+            system, policy=AssignmentPolicy.FIRST_FIT).execute(sched, WL)
+        bf = OpticalRingSubstrate(
+            system, policy=AssignmentPolicy.BEST_FIT).execute(sched, WL)
         assert ff.total_time == pytest.approx(bf.total_time, rel=1e-12)
 
 
@@ -48,7 +48,7 @@ class TestStripingRetry:
             Transfer(1, 0, range(1), TransferOp.REDUCE, "cw"),  # 5 hops
         ])
         system = OpticalRingSystem(num_nodes=6, num_wavelengths=4)
-        rep = execute_on_optical_ring(sched, system, WL)
+        rep = OpticalRingSubstrate(system).execute(sched, WL)
         # must succeed (possibly with k < k0) within budget
         assert rep.steps[0].spectrum_span <= 4
         assert rep.steps[0].striping >= 1
@@ -62,15 +62,15 @@ class TestStripingRetry:
         ])  # middle links carry 3 flows
         system = OpticalRingSystem(num_nodes=6, num_wavelengths=2)
         with pytest.raises(WavelengthAllocationError):
-            execute_on_optical_ring(sched, system, WL, striping="off")
+            OpticalRingSubstrate(system, striping="off").execute(sched, WL)
 
 
 class TestUnidirectional:
     def test_oring_on_unidirectional_ring(self):
         system = OpticalRingSystem(num_nodes=8, num_wavelengths=4,
                                    bidirectional=False)
-        rep = execute_on_optical_ring(generate_ring_allreduce(8), system,
-                                      WL, striping="off")
+        rep = OpticalRingSubstrate(system, striping="off").execute(
+            generate_ring_allreduce(8), WL)
         assert rep.num_steps == 14
 
     def test_ccw_hint_on_unidirectional_fails(self):
@@ -80,7 +80,7 @@ class TestUnidirectional:
                                  "ccw")])
         system = OpticalRingSystem(num_nodes=4, bidirectional=False)
         with pytest.raises(TopologyError):
-            execute_on_optical_ring(sched, system, WL)
+            OpticalRingSubstrate(system).execute(sched, WL)
 
 
 class TestTuningAccounting:
@@ -92,7 +92,7 @@ class TestTuningAccounting:
             sched.add_step(a)
             sched.add_step(b)
         system = OpticalRingSystem(num_nodes=4, tuning_time=10e-6)
-        rep = execute_on_optical_ring(sched, system, WL, striping="off")
+        rep = OpticalRingSubstrate(system, striping="off").execute(sched, WL)
         assert all(s.tuning_time == pytest.approx(10e-6)
                    for s in rep.steps)
 
@@ -102,7 +102,7 @@ class TestTuningAccounting:
         for _ in range(3):
             sched.add_step(step)
         system = OpticalRingSystem(num_nodes=4, tuning_time=10e-6)
-        rep = execute_on_optical_ring(sched, system, WL, striping="off")
+        rep = OpticalRingSubstrate(system, striping="off").execute(sched, WL)
         assert rep.steps[0].tuning_time == pytest.approx(10e-6)
         assert rep.steps[1].tuning_time == 0.0
         assert rep.steps[2].tuning_time == 0.0

@@ -10,8 +10,8 @@ from repro.collectives import (WrhtParameters, generate_wrht,
 from repro.config import OpticalRingSystem, Workload
 from repro.core.comparison import compare_algorithms
 from repro.core.communicator import Communicator
-from repro.core.executor import execute_on_optical_ring
 from repro.core.planner import plan_wrht
+from repro.core.substrates import OpticalRingSubstrate
 from repro.models.catalog import get_model, paper_workload
 from repro.models.gradients import bucketize_gradients, gradient_workload
 from repro.optical.impairments import validate_schedule_reach
@@ -30,7 +30,7 @@ class TestFullPipeline:
         # schedule is a provable all-reduce
         verify_allreduce(plan.schedule, elements_per_chunk=1)
         # executes within the wavelength budget, matching the prediction
-        report = execute_on_optical_ring(plan.schedule, system, wl)
+        report = OpticalRingSubstrate(system).execute(plan.schedule, wl)
         assert report.peak_wavelength_demand() <= w
         assert report.total_time == pytest.approx(plan.predicted_time,
                                                   rel=1e-6)
@@ -52,7 +52,7 @@ class TestFullPipeline:
         wl = Workload(data_bytes=1 * units.MB)
         plan = plan_wrht(system, wl)
         assert plan.group_size in (2, 3)
-        report = execute_on_optical_ring(plan.schedule, system, wl)
+        report = OpticalRingSubstrate(system).execute(plan.schedule, wl)
         assert report.peak_wavelength_demand() <= 1
 
 
@@ -131,6 +131,6 @@ class TestPipeliningIntegration:
         params = WrhtParameters(num_nodes=27, group_size=3,
                                 num_wavelengths=16, alltoall_threshold=3)
         sched, _ = generate_wrht_pipelined(params, 4)
-        report = execute_on_optical_ring(sched, system, wl)
+        report = OpticalRingSubstrate(system).execute(sched, wl)
         assert report.peak_wavelength_demand() <= 16
         verify_allreduce(sched, elements_per_chunk=1)

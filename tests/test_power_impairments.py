@@ -6,7 +6,7 @@ from repro import units
 from repro.collectives import (WrhtParameters, generate_ring_allreduce,
                                generate_wrht)
 from repro.config import OpticalRingSystem, Workload
-from repro.core.executor import execute_on_optical_ring
+from repro.core.substrates import OpticalRingSubstrate
 from repro.errors import ConfigurationError
 from repro.optical.impairments import (OpticalPowerBudget,
                                        validate_schedule_reach)
@@ -37,12 +37,12 @@ class TestEnergyModel:
         n = 32
         system = OpticalRingSystem(num_nodes=n, num_wavelengths=16)
         oring_sched = generate_ring_allreduce(n)
-        oring_rep = execute_on_optical_ring(oring_sched, system, WL,
-                                            striping="off")
+        oring_rep = OpticalRingSubstrate(system, striping="off").execute(
+            oring_sched, WL)
         wrht_sched, _ = generate_wrht(WrhtParameters(
             num_nodes=n, group_size=3, num_wavelengths=16,
             alltoall_threshold=3))
-        wrht_rep = execute_on_optical_ring(wrht_sched, system, WL)
+        wrht_rep = OpticalRingSubstrate(system).execute(wrht_sched, WL)
         e_oring = energy_of_execution(oring_sched, oring_rep, WL)
         e_wrht = energy_of_execution(wrht_sched, wrht_rep, WL)
         assert e_oring > 0 and e_wrht > 0
@@ -57,7 +57,7 @@ class TestEnergyModel:
         n = 8
         system = OpticalRingSystem(num_nodes=n)
         sched = generate_ring_allreduce(n)
-        rep = execute_on_optical_ring(sched, system, WL, striping="off")
+        rep = OpticalRingSubstrate(system, striping="off").execute(sched, WL)
         other = generate_ring_allreduce(4)
         with pytest.raises(ValueError):
             energy_of_execution(other, rep, WL)

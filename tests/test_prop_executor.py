@@ -9,8 +9,7 @@ from repro.collectives import (WrhtParameters, generate_ring_allreduce,
 from repro.config import ElectricalSystem, OpticalRingSystem, Workload
 from repro.core.cost_model import (ering_time, oring_time,
                                    wrht_time_from_schedule)
-from repro.core.executor import (execute_on_electrical,
-                                 execute_on_optical_ring)
+from repro.core.substrates import ElectricalSubstrate, OpticalRingSubstrate
 from repro.optical.rwa import AssignmentPolicy
 
 
@@ -34,7 +33,7 @@ class TestAnalyticVsSimulated:
             num_nodes=n, group_size=m, num_wavelengths=w,
             alltoall_threshold=m))
         analytic = wrht_time_from_schedule(sched, system, wl).total_time
-        simulated = execute_on_optical_ring(sched, system, wl).total_time
+        simulated = OpticalRingSubstrate(system).execute(sched, wl).total_time
         # Bounds, not equality: (a) the analytic model charges tuning on
         # every step while the executor skips repeats, so analytic can
         # exceed simulated by at most the tuning budget; (b) on circular-
@@ -49,8 +48,8 @@ class TestAnalyticVsSimulated:
             * system.tuning_time + 1e-12
         # and striping in the executor never makes a step slower than
         # its own single-wavelength variant.
-        unstriped = execute_on_optical_ring(sched, system, wl,
-                                            striping="off").total_time
+        unstriped = OpticalRingSubstrate(system, striping="off").execute(
+            sched, wl).total_time
         assert simulated <= unstriped + 1e-12
 
     @given(n=st.integers(2, 24), nbytes=st.floats(1e3, 1e8))
@@ -60,8 +59,8 @@ class TestAnalyticVsSimulated:
         wl = Workload(data_bytes=nbytes)
         sched = generate_ring_allreduce(n)
         assert oring_time(system, wl) == pytest.approx(
-            execute_on_optical_ring(sched, system, wl,
-                                    striping="off").total_time, rel=1e-9)
+            OpticalRingSubstrate(system, striping="off").execute(
+                sched, wl).total_time, rel=1e-9)
 
     @given(n=st.integers(2, 24), nbytes=st.floats(1e3, 1e8))
     @settings(max_examples=30, deadline=None)
@@ -70,7 +69,8 @@ class TestAnalyticVsSimulated:
         wl = Workload(data_bytes=nbytes)
         sched = generate_ring_allreduce(n)
         assert ering_time(system, wl) == pytest.approx(
-            execute_on_electrical(sched, system, wl).total_time, rel=1e-9)
+            ElectricalSubstrate(system).execute(
+                sched, wl).total_time, rel=1e-9)
 
 
 class TestExecutorInvariants:
@@ -84,7 +84,7 @@ class TestExecutorInvariants:
         sched, _ = generate_wrht(WrhtParameters(
             num_nodes=n, group_size=m, num_wavelengths=w,
             alltoall_threshold=m))
-        rep = execute_on_optical_ring(sched, system, wl, policy=policy)
+        rep = OpticalRingSubstrate(system, policy=policy).execute(sched, wl)
         assert rep.peak_wavelength_demand() <= w
         for step in rep.steps:
             assert step.spectrum_span <= w
@@ -99,7 +99,7 @@ class TestExecutorInvariants:
         sched, _ = generate_wrht(WrhtParameters(
             num_nodes=n, group_size=m, num_wavelengths=w,
             alltoall_threshold=m))
-        rep = execute_on_optical_ring(sched, system, wl)
+        rep = OpticalRingSubstrate(system).execute(sched, wl)
         assert rep.total_time == pytest.approx(
             sum(s.duration for s in rep.steps), rel=1e-12)
         for s in rep.steps:
@@ -113,6 +113,6 @@ class TestExecutorInvariants:
         system = OpticalRingSystem(num_nodes=n, num_wavelengths=8)
         wl = Workload(data_bytes=nbytes)
         sched = generate_ring_allreduce(n)
-        off = execute_on_optical_ring(sched, system, wl, striping="off")
-        auto = execute_on_optical_ring(sched, system, wl, striping="auto")
+        off = OpticalRingSubstrate(system, striping="off").execute(sched, wl)
+        auto = OpticalRingSubstrate(system, striping="auto").execute(sched, wl)
         assert auto.total_time <= off.total_time + 1e-12

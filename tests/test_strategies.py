@@ -167,7 +167,17 @@ class TestLowering:
         assert pp[0].group_size == 2
         assert pp[0].cadence == "per-microbatch"
 
-    def test_pipeline_deeper_than_model_rejected(self):
+    def test_pipeline_deeper_than_model_rejected(self, monkeypatch):
+        # The depth check must come before any rank group is built: a
+        # million-stage pipeline would otherwise materialize a million
+        # tuples first.
+        def built_too_early(self):
+            raise AssertionError("rank groups built before validation")
+
+        for attr in ("tensor_parallel_groups", "pipeline_chains",
+                     "data_parallel_groups"):
+            monkeypatch.setattr(ParallelStrategy, attr,
+                                property(built_too_early))
         deep = ParallelStrategy(pipeline_parallel=10 ** 6,
                                 data_parallel=1, tensor_parallel=2)
         with pytest.raises(ConfigurationError):

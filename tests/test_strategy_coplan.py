@@ -1,11 +1,11 @@
 """Parity and search tests for the strategy co-planner.
 
-The keystone contract of the refactor: threading the uniform
-data-parallel strategy through the new demand-IR paths reproduces the
-legacy single-workload planners **bit for bit** — same floats, same
-schedule names, same programs — on every planning layer
-(``plan_topology``, ``plan_wrht``, ``compare_algorithms``, the
-reconfigurable substrate).  On top of that anchor, the co-planner's
+The keystone contract: threading the uniform data-parallel strategy
+through the demand-IR co-planner reproduces the single-workload OCS
+planner **bit for bit** — same floats, same reports, same programs —
+for every pure-DP ``strategy_plan_table`` cell against
+``topology_plan_table``, and ``execute_demands`` equals ``execute`` on
+the reconfigurable substrate.  On top of that anchor, the co-planner's
 new knobs (leader placement, per-phase node subsets, multi-strategy
 search) must actually move the needle: the searched best is never
 worse than any fixed cell, and strided multi-phase profiles win by
@@ -18,14 +18,11 @@ from repro.collectives.hierarchical_ring import (
     generate_hierarchical_ring, hierarchical_ring_step_count)
 from repro.collectives.ring_allreduce import generate_ring_allreduce
 from repro.config import (HierarchicalSystem, Workload, default_hierarchical,
-                          default_ocs, default_optical)
+                          default_ocs)
 from repro.core import cost_model
-from repro.core.comparison import compare_algorithms
-from repro.core.planner import plan_wrht, plan_wrht_profile
 from repro.core.substrates import get_substrate
 from repro.core.substrates.reconfigurable import OCSReconfigurableSubstrate
 from repro.core.topoplan import (default_leader_indices, plan_strategy,
-                                 plan_topology, plan_topology_profile,
                                  profile_demands, strategy_plan_table,
                                  topology_plan_table)
 from repro.errors import ConfigurationError
@@ -34,60 +31,6 @@ from repro.models.strategies import ParallelStrategy
 
 N = 8
 WL = Workload(data_bytes=50 * 2 ** 20, name="wl")
-
-
-def dp_profile(world, data_bytes, name="wl"):
-    """The uniform-DP profile equivalent to one legacy Workload."""
-    from repro.models.strategies import CollectivePhase, DemandProfile
-    return DemandProfile(
-        world=world,
-        phases=(CollectivePhase(name=name, groups=(tuple(range(world)),),
-                                message_bytes=float(data_bytes)),),
-        name=name)
-
-
-class TestUniformDpParity:
-    """Pure data parallelism must be indistinguishable from the seed."""
-
-    def test_plan_topology_profile_bit_for_bit(self):
-        sys = default_ocs(N)
-        legacy = plan_topology(sys, WL)
-        viaprof = plan_topology_profile(sys, dp_profile(N, WL.data_bytes))
-        assert viaprof.algorithm == legacy.algorithm
-        assert viaprof.policy == legacy.policy
-        assert viaprof.predicted_time == legacy.predicted_time
-        assert viaprof.report == legacy.report
-        assert viaprof.program == legacy.program
-
-    def test_plan_wrht_profile_bit_for_bit(self):
-        sys = default_optical(16)
-        legacy = plan_wrht(sys, WL)
-        viaprof = plan_wrht_profile(sys, dp_profile(16, WL.data_bytes))
-        assert viaprof.predicted_time == legacy.predicted_time
-        assert len(viaprof.phase_plans) == 1
-        assert viaprof.phase_plans[0].plan.schedule.name \
-            == legacy.schedule.name
-
-    @pytest.mark.parametrize("fidelity", ["analytic", "simulate"])
-    def test_compare_algorithms_bit_for_bit(self, fidelity):
-        legacy = compare_algorithms(N, WL, fidelity=fidelity)
-        viaprof = compare_algorithms(N, WL, fidelity=fidelity,
-                                     profile=dp_profile(N, WL.data_bytes))
-        assert set(viaprof.results) == set(legacy.results)
-        for algo in legacy.results:
-            assert viaprof.time(algo) == legacy.time(algo)
-
-    def test_profile_world_must_match(self):
-        with pytest.raises(ConfigurationError):
-            compare_algorithms(N, WL, profile=dp_profile(4, WL.data_bytes))
-
-    def test_strategy_lowering_matches_handmade_profile(self):
-        strat = ParallelStrategy(data_parallel=N)
-        prof = strat.lower(get_model("alexnet"), bucket_bytes=float("inf"))
-        sys = default_ocs(N)
-        wl = prof.to_workload()
-        assert plan_topology_profile(sys, prof).predicted_time \
-            == plan_topology(sys, wl).predicted_time
 
 
 class TestExecuteDemands:
@@ -203,18 +146,25 @@ class TestStrategySearch:
 
     def test_pure_dp_arm_matches_legacy_topoplan(self):
         # Restrict the search to the legacy strategy: its simulated
-        # OCS cells must be exactly the legacy topology grid.
-        strat = ParallelStrategy(data_parallel=N)
-        table = strategy_plan_table(
-            N, "alexnet", strategies=[strat], rack_sizes=(),
-            fidelity="simulate", bucket_bytes=float("inf"))
-        wl = strat.lower(get_model("alexnet"),
-                         bucket_bytes=float("inf")).to_workload()
-        legacy = {(p.algorithm, p.policy): p.predicted_time
-                  for p in topology_plan_table(default_ocs(N), wl)}
-        ours = {(p.algorithm, p.policy): p.predicted_time
-                for p in table if p.fabric == "ocs-reconfig"}
-        assert ours == legacy
+        # OCS cells must be exactly the legacy topology grid — two
+        # lowerings (concatenated demand matrices through
+        # ``execute_demands`` vs the schedule through ``execute``) that
+        # agree bit for bit on time, report, program, and step count.
+        def cell(p):
+            return (p.predicted_time, p.report, p.program, p.num_steps)
+
+        for n in (8, 16):
+            strat = ParallelStrategy(data_parallel=n)
+            table = strategy_plan_table(
+                n, "alexnet", strategies=[strat], rack_sizes=(),
+                fidelity="simulate", bucket_bytes=float("inf"))
+            wl = strat.lower(get_model("alexnet"),
+                             bucket_bytes=float("inf")).to_workload()
+            legacy = {(p.algorithm, p.policy): cell(p)
+                      for p in topology_plan_table(default_ocs(n), wl)}
+            ours = {(p.algorithm, p.policy): cell(p)
+                    for p in table if p.fabric == "ocs-reconfig"}
+            assert ours == legacy
 
     def test_analytic_fidelity_ranks_without_simulating(self):
         table = strategy_plan_table(N, "alexnet", fidelity="analytic",

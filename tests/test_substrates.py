@@ -3,8 +3,8 @@
 Covers the acceptance criteria of the registry refactor:
 
 * every built-in substrate executes a pinned 8-node ring all-reduce,
-  and the ported substrates match the legacy wrapper functions'
-  reports exactly (byte-identical parity);
+  and a registry-resolved substrate matches the directly built class
+  exactly (byte-identical parity);
 * the registry rejects unknown names with a message listing what *is*
   registered, and accepts third-party registrations;
 * the RWA memoization cache changes nothing but the work done: cached
@@ -17,8 +17,6 @@ from repro import units
 from repro.collectives.ring_allreduce import generate_ring_allreduce
 from repro.config import (ElectricalSystem, OpticalRingSystem,
                           OpticalTorusSystem, Workload, default_torus)
-from repro.core.executor import (execute_on_electrical,
-                                 execute_on_optical_ring)
 from repro.core.planner import plan_wrht
 from repro.core.substrates import (ElectricalSubstrate, ExecutionJob,
                                    OpticalRingSubstrate,
@@ -101,37 +99,38 @@ class TestRegistry:
 
 
 class TestWrapperParity:
-    """Wrapper functions == substrate classes, byte for byte."""
+    """Registry-resolved substrates == directly built classes, byte for
+    byte (one fresh instance per call on the direct side)."""
 
     def test_optical_ring_parity(self):
         system = opt()
         for striping in ("auto", "off", 2):
             for policy in AssignmentPolicy:
-                legacy = execute_on_optical_ring(SCHED, system, WL,
-                                                 policy=policy,
-                                                 striping=striping)
+                direct = OpticalRingSubstrate(
+                    system, policy=policy, striping=striping).execute(
+                        SCHED, WL)
                 sub = get_substrate("optical-ring", system, policy=policy,
                                     striping=striping)
-                modern = sub.execute(SCHED, WL)
-                assert modern == legacy
-                assert repr(modern) == repr(legacy)
+                resolved = sub.execute(SCHED, WL)
+                assert resolved == direct
+                assert repr(resolved) == repr(direct)
 
     def test_electrical_parity(self):
         for topo, name in (("switch", "electrical-switch"),
                            ("ring", "electrical-ring")):
             system = ElectricalSystem(num_nodes=N, topology=topo)
-            legacy = execute_on_electrical(SCHED, system, WL)
-            modern = get_substrate(name, system).execute(SCHED, WL)
-            assert modern == legacy
-            assert repr(modern) == repr(legacy)
+            direct = ElectricalSubstrate(system).execute(SCHED, WL)
+            resolved = get_substrate(name, system).execute(SCHED, WL)
+            assert resolved == direct
+            assert repr(resolved) == repr(direct)
 
     def test_wrht_schedule_parity(self):
         system = opt()
         plan = plan_wrht(system, WL)
-        legacy = execute_on_optical_ring(plan.schedule, system, WL)
-        modern = get_substrate("optical-ring", system).execute(
+        direct = OpticalRingSubstrate(system).execute(plan.schedule, WL)
+        resolved = get_substrate("optical-ring", system).execute(
             plan.schedule, WL)
-        assert modern == legacy
+        assert resolved == direct
 
     def test_reuse_across_calls_matches_fresh(self):
         """A warm substrate (network + cache reused) equals cold runs."""
@@ -140,7 +139,7 @@ class TestWrapperParity:
         first = sub.execute(SCHED, WL)
         second = sub.execute(SCHED, WL)
         assert first == second
-        assert first == execute_on_optical_ring(SCHED, system, WL)
+        assert first == OpticalRingSubstrate(system).execute(SCHED, WL)
 
     def test_schedule_too_large_message_matches_legacy(self):
         big = generate_ring_allreduce(16)
@@ -394,8 +393,8 @@ class TestComparisonIntegration:
         wl = Workload(data_bytes=1 * units.MB)
         comp = compare_algorithms(N, wl, electrical=ele,
                                   algorithms=("rd",), fidelity="simulate")
-        legacy = execute_on_electrical(generate_recursive_doubling(N),
-                                       ele, wl)
+        legacy = ElectricalSubstrate(ele).execute(
+            generate_recursive_doubling(N), wl)
         assert comp.time("rd") == legacy.total_time
         assert comp.results["rd"].substrate == "electrical-ring"
 

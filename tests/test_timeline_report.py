@@ -14,7 +14,7 @@ from repro.analysis.timeline import (compare_timelines, render_timeline,
 from repro.collectives import WrhtParameters, generate_ring_allreduce, \
     generate_wrht
 from repro.config import OpticalRingSystem, Workload
-from repro.core.executor import ExecutionReport, execute_on_optical_ring
+from repro.core.substrates import ExecutionReport, OpticalRingSubstrate
 
 WL = Workload(data_bytes=5 * units.MB)
 
@@ -24,7 +24,7 @@ def wrht_report(n=16, w=8):
     sched, _ = generate_wrht(WrhtParameters(
         num_nodes=n, group_size=3, num_wavelengths=w,
         alltoall_threshold=3))
-    return execute_on_optical_ring(sched, system, WL)
+    return OpticalRingSubstrate(system).execute(sched, WL)
 
 
 class TestTimeline:
@@ -56,8 +56,8 @@ class TestTimeline:
     def test_compare_timelines_sorted(self):
         system = OpticalRingSystem(num_nodes=8, num_wavelengths=8)
         fast = wrht_report(8, 8)
-        slow = execute_on_optical_ring(generate_ring_allreduce(8), system,
-                                       WL, striping="off")
+        slow = OpticalRingSubstrate(system, striping="off").execute(
+            generate_ring_allreduce(8), WL)
         text = compare_timelines([slow, fast])
         lines = text.splitlines()
         assert len(lines) == 2
