@@ -13,6 +13,7 @@ from repro.collectives import (WrhtParameters, generate_ring_allreduce,
                                generate_wrht, verify_allreduce)
 from repro.config import ElectricalSystem, OpticalRingSystem, Workload
 from repro.core.substrates import ElectricalSubstrate, OpticalRingSubstrate
+from repro.core.cost_model import clear_wrht_summaries
 from repro.core.planner import plan_wrht
 from repro.models.catalog import paper_workload
 from repro.simulation.flows import Flow, max_min_fair_rates
@@ -74,7 +75,20 @@ def test_verifier_wrht_256(benchmark):
 
 
 def test_planner_paper_point(benchmark):
-    """One full Wrht planning pass (the unit of every Fig. 2 cell)."""
+    """One cold Wrht planning pass (the unit of every Fig. 2 cell): the
+    step-summary memo is emptied before each round, so every round
+    generates and summarizes the whole candidate sweep."""
     system = OpticalRingSystem(num_nodes=512)
+    plan = benchmark.pedantic(plan_wrht,
+                              args=(system, paper_workload("resnet50")),
+                              setup=clear_wrht_summaries, rounds=5)
+    assert plan.predicted_time > 0
+
+
+def test_planner_paper_point_warm(benchmark):
+    """A planning pass over a warm memo (another model at a planned
+    scale): re-prices the summaries, materializes only the winner."""
+    system = OpticalRingSystem(num_nodes=512)
+    plan_wrht(system, paper_workload("vgg16"))  # fills the memo
     plan = benchmark(plan_wrht, system, paper_workload("resnet50"))
     assert plan.predicted_time > 0

@@ -274,10 +274,20 @@ def generate_wrht(params: WrhtParameters) -> Tuple[Schedule, WrhtScheduleInfo]:
 # ---------------------------------------------------------------------------
 
 def wrht_tree_levels(num_nodes: int, group_size: int) -> int:
-    """``⌈log_m N⌉`` — tree levels to reach a single root."""
-    if num_nodes <= 1:
-        return 0
-    return math.ceil(math.log(num_nodes) / math.log(group_size))
+    """``⌈log_m N⌉`` — tree levels to reach a single root.
+
+    Counted with integer powers (the smallest ``L`` with ``m^L ≥ N``):
+    the floating-point ratio of logarithms rounds up past exact powers,
+    e.g. to 4 levels for ``(N, m) = (125, 5)``.
+    """
+    if group_size < 2:
+        raise ConfigurationError(
+            f"group_size must be >= 2, got {group_size}")
+    levels, reach = 0, 1
+    while reach < num_nodes:
+        reach *= group_size
+        levels += 1
+    return levels
 
 
 def wrht_theoretical_steps(num_nodes: int, group_size: int,

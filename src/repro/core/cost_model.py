@@ -21,15 +21,15 @@ Conventions (matching the substrates):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
+from ..caching import CacheStats, LruCache
 from ..collectives import analysis as can
 from ..collectives.registry import STEP_COUNTS
 from ..collectives.schedule import Schedule
 from ..collectives.wrht import (WrhtParameters, WrhtScheduleInfo,
-                                generate_wrht)
+                                generate_wrht, wrht_tree_levels)
 from ..config import (ElectricalSystem, HierarchicalSystem,
                       OpticalRingSystem, OpticalTorusSystem,
                       ReconfigurableOCSSystem, Workload)
@@ -336,6 +336,65 @@ class WrhtCostDetail:
     total_time: float
 
 
+@dataclass(frozen=True)
+class WrhtStepSummary:
+    """What pricing reads of a schedule on a ring, and nothing else.
+
+    Per step: the wavelength demand and the distinct
+    ``(chunks carried, hops)`` pairs of its transfers.  It depends on
+    the schedule and the ring's size and directions only, never on
+    rates, overheads or the payload, so one summary prices every
+    (system, workload) that shares them.
+    """
+
+    num_chunks: int
+    demands: Tuple[int, ...]
+    loads: Tuple[Tuple[Tuple[int, int], ...], ...]
+
+
+def _summarize(schedule: Schedule, ring: RingTopology) -> WrhtStepSummary:
+    demands: List[int] = []
+    loads: List[Tuple[Tuple[int, int], ...]] = []
+    for step in schedule.steps:
+        demands.append(can.step_wavelength_demand(ring, step))
+        loads.append(tuple(sorted({
+            (len(t.chunks),
+             ring.distance(t.src, t.dst, can.transfer_direction(ring, t)))
+            for t in step})))
+    return WrhtStepSummary(num_chunks=schedule.num_chunks,
+                           demands=tuple(demands), loads=tuple(loads))
+
+
+def _price(summary: WrhtStepSummary, system: OpticalRingSystem,
+           workload: Workload) -> WrhtCostDetail:
+    """The one Wrht pricing path (see :func:`wrht_time_from_schedule`)."""
+    step_times: List[float] = []
+    stripings: List[int] = []
+    chunk_bytes = workload.data_bytes / summary.num_chunks
+    for demand, loads in zip(summary.demands, summary.loads):
+        if demand > system.num_wavelengths:
+            raise ConfigurationError(
+                f"step needs {demand} wavelengths; system has "
+                f"{system.num_wavelengths}")
+        k = (max(1, system.num_wavelengths // demand)
+             if system.allow_striping else 1)
+        # slowest transfer: max of serialization+propagation over the
+        # step's distinct (chunks, hops)
+        slowest = 0.0
+        for chunks, hops in loads:
+            b = chunks * chunk_bytes
+            dt = b / (k * system.wavelength_rate) \
+                + system.propagation_delay(hops)
+            slowest = max(slowest, dt)
+        step_times.append(system.tuning_time + system.step_overhead
+                          + slowest)
+        stripings.append(k)
+    return WrhtCostDetail(step_times=tuple(step_times),
+                          striping=tuple(stripings),
+                          demands=summary.demands,
+                          total_time=sum(step_times))
+
+
 def wrht_time_from_schedule(schedule: Schedule,
                             system: OpticalRingSystem,
                             workload: Workload) -> WrhtCostDetail:
@@ -349,35 +408,55 @@ def wrht_time_from_schedule(schedule: Schedule,
     """
     ring = RingTopology(system.num_nodes, capacity=1.0,
                         bidirectional=system.bidirectional)
-    step_times: List[float] = []
-    stripings: List[int] = []
-    demands: List[int] = []
-    chunk_bytes = workload.data_bytes / schedule.num_chunks
-    for step in schedule.steps:
-        demand = can.step_wavelength_demand(ring, step)
-        if demand > system.num_wavelengths:
+    return _price(_summarize(schedule, ring), system, workload)
+
+
+#: Step summaries of generated Wrht schedules, process-wide, keyed by
+#: ``(WrhtParameters, bidirectional)`` — everything a summary depends
+#: on.  Only summaries are kept, never schedules: a Fig. 2 run holds
+#: 276 of them, which as schedules would pin about 275k transfers.
+_WRHT_SUMMARIES = LruCache(1024)
+
+
+def wrht_candidate_costs(system: OpticalRingSystem, workload: Workload,
+                         candidates: Iterable[WrhtParameters],
+                         ) -> List[WrhtCostDetail]:
+    """Analytic cost of the Wrht schedule of each of ``candidates``.
+
+    Each result equals ``wrht_time_from_schedule(generate_wrht(p)[0],
+    system, workload)`` field for field, but the schedule of a
+    ``(params, bidirectional)`` pair is generated and summarized once
+    per process: later calls, for any rates or payload, only re-price
+    the memoized summary.  Misses in one call share one ring.  This is
+    how the planner ranks its sweep; it materializes only the winner.
+    """
+    ring: Optional[RingTopology] = None
+    costs = []
+    for params in candidates:
+        if params.num_nodes != system.num_nodes:
             raise ConfigurationError(
-                f"step needs {demand} wavelengths; system has "
-                f"{system.num_wavelengths}")
-        k = (max(1, system.num_wavelengths // demand)
-             if system.allow_striping else 1)
-        # slowest transfer: max over transfers of serialization+propagation
-        slowest = 0.0
-        for t in step:
-            direction = can.transfer_direction(ring, t)
-            hops = ring.distance(t.src, t.dst, direction)
-            b = len(t.chunks) * chunk_bytes
-            dt = b / (k * system.wavelength_rate) \
-                + system.propagation_delay(hops)
-            slowest = max(slowest, dt)
-        step_times.append(system.tuning_time + system.step_overhead
-                          + slowest)
-        stripings.append(k)
-        demands.append(demand)
-    return WrhtCostDetail(step_times=tuple(step_times),
-                          striping=tuple(stripings),
-                          demands=tuple(demands),
-                          total_time=sum(step_times))
+                f"candidate is for {params.num_nodes} nodes; system has "
+                f"{system.num_nodes}")
+        key = (params, system.bidirectional)
+        summary = _WRHT_SUMMARIES.get(key)
+        if summary is None:
+            if ring is None:
+                ring = RingTopology(system.num_nodes, capacity=1.0,
+                                    bidirectional=system.bidirectional)
+            summary = _summarize(generate_wrht(params)[0], ring)
+            _WRHT_SUMMARIES.put(key, summary)
+        costs.append(_price(summary, system, workload))
+    return costs
+
+
+def wrht_summary_stats() -> CacheStats:
+    """Counters of the process-wide Wrht step-summary memo."""
+    return _WRHT_SUMMARIES.stats()
+
+
+def clear_wrht_summaries() -> None:
+    """Empty the Wrht step-summary memo (cold-start timing, tests)."""
+    _WRHT_SUMMARIES.clear()
 
 
 def wrht_time(system: OpticalRingSystem, workload: Workload,
@@ -399,9 +478,7 @@ def wrht_time(system: OpticalRingSystem, workload: Workload,
 
 def wrht_paper_step_bound(num_nodes: int, group_size: int) -> int:
     """``2⌈log_m N⌉`` — the paper's step upper bound without shortcut."""
-    if num_nodes <= 1:
-        return 0
-    return 2 * math.ceil(math.log(num_nodes) / math.log(group_size))
+    return 2 * wrht_tree_levels(num_nodes, group_size)
 
 
 def wrht_paper_time_no_striping(system: OpticalRingSystem,

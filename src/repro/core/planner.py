@@ -28,10 +28,11 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from ..collectives.schedule import Schedule
-from ..collectives.wrht import WrhtParameters, WrhtScheduleInfo
+from ..collectives.wrht import (WrhtParameters, WrhtScheduleInfo,
+                                generate_wrht)
 from ..config import OpticalRingSystem, Workload
 from ..errors import PlanningError
-from .cost_model import wrht_time
+from .cost_model import wrht_candidate_costs, wrht_time
 from .substrates.optical_ring import OpticalRingSubstrate
 
 VARIANTS = ("paper", "last-level", "tree")
@@ -120,6 +121,12 @@ def plan_wrht(system: OpticalRingSystem, workload: Workload,
     test suite, so the true optimum survives a small-``k`` cut while
     most of the simulation cost disappears.
 
+    The analytic ranking prices step summaries memoized per process
+    (:func:`~repro.core.cost_model.wrht_candidate_costs`): planning a
+    ring size again, for another payload or rate, re-prices summaries
+    instead of regenerating schedules.  Only the winner (hybrid: the
+    ``top_k``) is materialized.
+
     Ties break toward fewer steps, then smaller ``m`` (deterministic).
     Raises :class:`PlanningError` if nothing is feasible (cannot happen
     for ``w ≥ 1, N ≥ 2`` but guards misuse).
@@ -136,46 +143,46 @@ def plan_wrht(system: OpticalRingSystem, workload: Workload,
         raise PlanningError(f"hybrid top_k must be >= 1, got {top_k}")
     n = system.num_nodes
     w = system.num_wavelengths
-    candidates = (list(group_sizes) if group_sizes is not None
-                  else default_group_sizes(n, w))
-    if fidelity in ("simulate", "hybrid") and substrate is None:
-        substrate = OpticalRingSubstrate(system)
-
-    def simulated(plan: WrhtPlan) -> WrhtPlan:
-        total = substrate.execute(plan.schedule, workload).total_time
-        return WrhtPlan(params=plan.params, variant=plan.variant,
-                        schedule=plan.schedule, info=plan.info,
-                        predicted_time=total)
-
-    best: Optional[WrhtPlan] = None
-    analytic_plans: List[WrhtPlan] = []
-    for m in candidates:
-        if m < 2 or m // 2 > w:
-            continue
-        for variant in variants:
-            params = _variant_params(n, m, w, variant)
-            if fidelity == "simulate":
-                from ..collectives.wrht import generate_wrht
-                schedule, info = generate_wrht(params)
-                total = substrate.execute(schedule, workload).total_time
-            else:
-                total, schedule, info = wrht_time(system, workload, params)
-            plan = WrhtPlan(params=params, variant=variant,
-                            schedule=schedule, info=info,
-                            predicted_time=total)
-            if fidelity == "hybrid":
-                analytic_plans.append(plan)
-            elif best is None or _plan_key(plan) < _plan_key(best):
-                best = plan
-    if fidelity == "hybrid":
-        analytic_plans.sort(key=_plan_key)
-        for plan in map(simulated, analytic_plans[:top_k]):
-            if best is None or _plan_key(plan) < _plan_key(best):
-                best = plan
-    if best is None:
+    sizes = (list(group_sizes) if group_sizes is not None
+             else default_group_sizes(n, w))
+    candidates = [(variant, _variant_params(n, m, w, variant))
+                  for m in sizes if m >= 2 and m // 2 <= w
+                  for variant in variants]
+    if not candidates:
         raise PlanningError(
             f"no feasible Wrht configuration for N={n}, w={w}")
+    if fidelity == "analytic":
+        variant, params = _ranked(system, workload, candidates)[0]
+        total, schedule, info = wrht_time(system, workload, params)
+        return WrhtPlan(params=params, variant=variant, schedule=schedule,
+                        info=info, predicted_time=total)
+    if substrate is None:
+        substrate = OpticalRingSubstrate(system)
+    if fidelity == "hybrid":
+        candidates = _ranked(system, workload, candidates)[:top_k]
+    best: Optional[WrhtPlan] = None
+    for variant, params in candidates:
+        schedule, info = generate_wrht(params)
+        plan = WrhtPlan(
+            params=params, variant=variant, schedule=schedule, info=info,
+            predicted_time=substrate.execute(schedule, workload).total_time)
+        if best is None or _plan_key(plan) < _plan_key(best):
+            best = plan
     return best
+
+
+def _ranked(system: OpticalRingSystem, workload: Workload,
+            candidates: List[Tuple[str, WrhtParameters]],
+            ) -> List[Tuple[str, WrhtParameters]]:
+    """``candidates`` best first by analytic (time, steps, m), priced from
+    the memoized step summaries; the sort is stable, so ties keep sweep
+    order."""
+    costs = wrht_candidate_costs(system, workload,
+                                 [params for _, params in candidates])
+    keys = [(cost.total_time, len(cost.step_times), params.group_size)
+            for (_, params), cost in zip(candidates, costs)]
+    order = sorted(range(len(candidates)), key=keys.__getitem__)
+    return [candidates[i] for i in order]
 
 
 def _plan_key(plan: WrhtPlan) -> Tuple[float, int, int]:
@@ -188,13 +195,10 @@ def plan_table(system: OpticalRingSystem, workload: Workload,
                ) -> List[Tuple[int, int, float]]:
     """(m, steps, predicted time) for each candidate — the EXT-A2 sweep."""
     n, w = system.num_nodes, system.num_wavelengths
-    rows = []
     candidates = (list(group_sizes) if group_sizes is not None
                   else feasible_group_sizes(n, w))
-    for m in candidates:
-        if m < 2 or m // 2 > w:
-            continue
-        params = _variant_params(n, m, w, variant)
-        total, schedule, _ = wrht_time(system, workload, params)
-        rows.append((m, schedule.num_steps, total))
-    return rows
+    params = [_variant_params(n, m, w, variant)
+              for m in candidates if m >= 2 and m // 2 <= w]
+    return [(p.group_size, len(cost.step_times), cost.total_time)
+            for p, cost in zip(params, wrht_candidate_costs(
+                system, workload, params))]

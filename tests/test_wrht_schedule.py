@@ -13,6 +13,7 @@ from repro.collectives.schedule import TransferOp
 from repro.collectives.wrht import (alltoall_actual_demand,
                                     wrht_last_level_survivors,
                                     wrht_theoretical_steps, wrht_tree_levels)
+from repro.core.cost_model import wrht_paper_step_bound
 from repro.errors import ConfigurationError
 from repro.topology import RingTopology
 
@@ -161,6 +162,22 @@ class TestStepCounts:
         assert wrht_tree_levels(27, 3) == 3
         assert wrht_tree_levels(28, 3) == 4
         assert wrht_tree_levels(1, 3) == 0
+        with pytest.raises(ConfigurationError):
+            wrht_tree_levels(8, 1)
+
+    def test_tree_levels_are_integer_logs(self):
+        """``⌈log_m N⌉`` is the smallest ``L`` with ``m^L ≥ N`` at every
+        point; a float log ratio gives 4 at (125, 5) and (216, 6)."""
+        for m in range(2, 130):
+            levels, reach = 0, 1
+            for n in range(1, 4097):
+                if reach < n:
+                    reach *= m
+                    levels += 1
+                assert wrht_tree_levels(n, m) == levels, (n, m)
+                assert wrht_paper_step_bound(n, m) == 2 * levels, (n, m)
+        assert wrht_last_level_survivors(125, 5) == 5
+        assert wrht_last_level_survivors(216, 6) == 6
 
 
 class TestWavelengthDemand:
