@@ -10,10 +10,12 @@ yields, per job, the ratio of its contended finish time to its solo
 finish time — the *slowdown* the serving engine stretches that job's
 step time by for as long as the concurrency set holds.
 
-Because both the combined and the solo batches go through the fluid
-engine's pattern cache, epochs that repeat a concurrency set (steady
-state under a stationary arrival process) cost a cache lookup, not a
-solve — the PR 3/6 caches are what make thousand-job streams cheap.
+Each job's solo makespan is memoized on the model, keyed by its flow
+tuple: a running job's flows never change, and ``step_profile`` gives
+the same answer on a pattern-cache hit or miss, so an epoch solves only
+its combined batch.  That batch goes through the fluid engine's pattern
+cache, so epochs that repeat a concurrency set (steady state under a
+stationary arrival process) cost a cache lookup, not a solve.
 
 A lone job's combined batch *is* its solo batch, so its slowdown is
 exactly 1.0 — single-job serving runs reproduce standalone execution
@@ -70,6 +72,8 @@ class ContentionModel:
     def __init__(self, topology: Optional[Topology]) -> None:
         self._sim = (FluidNetworkSimulator(topology)
                      if topology is not None else None)
+        #: Solo makespan per flow tuple.
+        self._solo: Dict[Tuple[Flow, ...], float] = {}
 
     @property
     def simulator(self) -> Optional[FluidNetworkSimulator]:
@@ -102,7 +106,11 @@ class ContentionModel:
             if not flows:
                 continue
             contended = max(finish[(s, d)] for s, d, _ in flows)
-            solo = self._sim.step_profile(flows).makespan
+            key = tuple(flows)
+            solo = self._solo.get(key)
+            if solo is None:
+                solo = self._solo[key] = self._sim.step_profile(
+                    flows).makespan
             if solo > 0.0:
                 out[job_id] = max(1.0, contended / solo)
         return out

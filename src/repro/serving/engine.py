@@ -325,11 +325,12 @@ class ServingEngine:
                            else pooled_substrate(substrate_name, system))
         self._options = dict(substrate_options or {})
         self._contention = ContentionModel(contention_topology(system))
-        # Memoized per-placement schedules and job profiles: thousands
-        # of jobs collapse onto a handful of (width, offset, sizes)
-        # classes.
+        # Memoized per-placement schedules, job profiles and message
+        # sizes: thousands of jobs collapse onto a handful of (width,
+        # offset, sizes) classes and a few sizing keys.
         self._schedules: Dict[Tuple, Schedule] = {}
         self._profiles: Dict[Tuple, Tuple[float, List, Tuple[str, ...]]] = {}
+        self._sizes: Dict[Tuple, Tuple[float, ...]] = {}
 
     @property
     def substrate(self) -> Substrate:
@@ -399,7 +400,10 @@ class ServingEngine:
         message's schedule — the bandwidth-dominant pattern the
         contention batch shares with other jobs.
         """
-        sizes = job.resolve_message_sizes()
+        sizing = job.sizing_key
+        sizes = self._sizes.get(sizing)
+        if sizes is None:
+            sizes = self._sizes[sizing] = job.resolve_message_sizes()
         key = (nodes, sizes)
         cached = self._profiles.get(key)
         if cached is not None:
@@ -530,9 +534,16 @@ class ServingEngine:
             changed = False
             # Completions first (their nodes are free for this instant's
             # arrivals — and a job done by t survives a fault at t), in
-            # job-id order for determinism.
+            # job-id order for determinism.  A job whose remaining time
+            # is below half an ulp of ``now`` can never advance (its
+            # completion event is ``now`` itself, so ``dt`` stays 0); it
+            # is done too, or the loop would spin at ``now`` forever.
+            # Only on a ``dt == 0`` pass: after an advance, a same-instant
+            # admission can still raise its slowdown and let it finish
+            # an ulp later.
             done = sorted(jid for jid, r in running.items()
-                          if r.remaining <= _STEP_EPS)
+                          if r.remaining <= _STEP_EPS
+                          or (dt == 0 and r.completion_at(now) <= now))
             for jid in done:
                 r = running.pop(jid)
                 sched.release(r.placement)

@@ -119,11 +119,20 @@ class JobSpec:
 
         Explicit sizes win; otherwise the catalog model's gradients are
         bucketized (the training-job derivation).  Resolved once per
-        job — policy sort keys evaluate this on every admission scan,
-        and re-bucketizing the catalog model each time would dominate
-        the scheduler.
+        job, and equal for every job with the same :attr:`sizing_key`.
         """
         return self._resolved_sizes
+
+    @property
+    def sizing_key(self) -> Tuple:
+        """Everything :meth:`resolve_message_sizes` depends on.
+
+        Jobs with equal keys have equal message sizes, so a caller can
+        resolve sizes once per key instead of once per job.
+        """
+        if self.message_sizes is not None:
+            return (self.message_sizes,)
+        return (self.model, self.bucket_bytes, self.dtype_bytes)
 
     @cached_property
     def _resolved_sizes(self) -> Tuple[float, ...]:

@@ -1,10 +1,11 @@
 """Queue-ordering policies for the online scheduler.
 
 A policy is a pure sort key over :class:`~repro.serving.jobs.JobSpec`:
-the scheduler keeps its wait queue sorted by the active policy and
-admits from the front.  Every key ends with ``(arrival_time, job_id)``
-so ties break deterministically — two runs of the same traffic produce
-the same admission order, which the serving tests pin.
+the scheduler computes it once when a job joins the wait queue, keeps
+the queue heap-ordered by it, and admits from the head.  Every key
+ends with ``(arrival_time, job_id)`` so ties break deterministically —
+two runs of the same traffic produce the same admission order, which
+the serving tests pin.
 """
 
 from __future__ import annotations

@@ -6,6 +6,12 @@ otherwise — admission beyond capacity never drops, it waits.  When a
 job completes its nodes return to the free pool (adjacent free ranges
 coalesce) and the queue is re-scanned in policy order.
 
+The wait queue is a heap of ``(policy key, insertion seq, job)``.
+Policy keys are fixed per job, so the head is peeked and popped in
+O(log n) however deep the queue gets; the insertion counter keeps
+submission order among equal keys (as a stable sort would) and means
+two :class:`~repro.serving.jobs.JobSpec`\\ s are never compared.
+
 Two placement modes, because they trade queueing against interference:
 
 * ``"contiguous"`` (default) — first-fit into the lowest contiguous
@@ -20,6 +26,8 @@ Two placement modes, because they trade queueing against interference:
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Set, Tuple
 
@@ -60,7 +68,8 @@ class OnlineScheduler:
     placement_mode: str = "contiguous"
     #: Sorted disjoint free ranges as half-open ``(start, end)`` pairs.
     _free: List[Tuple[int, int]] = field(default_factory=list)
-    _queue: List[JobSpec] = field(default_factory=list)
+    #: Heap of ``(policy key, insertion seq, job)``.
+    _queue: List[Tuple[Tuple, int, JobSpec]] = field(default_factory=list)
     #: Nodes withdrawn from service by :meth:`fail_nodes`.
     _failed: Set[int] = field(default_factory=set)
     #: Nodes currently bound to placements (conservation counter).
@@ -76,6 +85,7 @@ class OnlineScheduler:
                 f"placement_mode must be one of {PLACEMENT_MODES}, "
                 f"got {self.placement_mode!r}")
         self._key = policy_key(self.policy)
+        self._seq = itertools.count()
         if not self._free:
             self._free = [(0, self.capacity)]
 
@@ -122,7 +132,7 @@ class OnlineScheduler:
 
     def queued_jobs(self) -> List[JobSpec]:
         """The wait queue in admission (policy) order."""
-        return sorted(self._queue, key=self._key)
+        return [job for _, _, job in sorted(self._queue)]
 
     # -- admission ------------------------------------------------------------
 
@@ -146,7 +156,8 @@ class OnlineScheduler:
                 f"substrate has {self.capacity}")
         nodes = self._allocate(job.num_nodes) if not self._queue else None
         if nodes is None:
-            self._queue.append(job)
+            heapq.heappush(self._queue,
+                           (self._key(job), next(self._seq), job))
             return None
         return Placement(job=job, nodes=nodes, start_time=now)
 
@@ -158,13 +169,12 @@ class OnlineScheduler:
         starved by narrow jobs arriving behind it.
         """
         placed: List[Placement] = []
-        # Policy keys are pure functions of the job, so one sort per
-        # call suffices — placements do not reorder the remainder.
-        for head in sorted(self._queue, key=self._key):
+        while self._queue:
+            head = self._queue[0][2]
             nodes = self._allocate(head.num_nodes)
             if nodes is None:
                 break
-            self._queue.remove(head)
+            heapq.heappop(self._queue)
             placed.append(Placement(job=head, nodes=nodes, start_time=now))
         return placed
 

@@ -1,7 +1,14 @@
 """Tests for the serving engine: parity, queueing, contention, metrics."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.config import Workload
 from repro.core.comparison import compare_algorithms
 from repro.errors import ConfigurationError
@@ -178,6 +185,30 @@ class TestContention:
         assert scat[1].service_time > cont[1].service_time
         # ... but it still wins on JCT (that is the trade).
         assert scat[9].completion < cont[9].completion
+
+
+class TestEventLoopTerminates:
+    def test_sub_ulp_remaining_time_completes(self):
+        # One ~11 us step at t = 1e4: after the first advance the job's
+        # remaining time is below half an ulp of `now`, so its next
+        # completion event is `now` itself and the clock cannot move.
+        # A subprocess with a timeout turns a spinning loop into a
+        # failure instead of a hung suite.
+        code = textwrap.dedent("""
+            from repro.serving import ServingEngine, trace_traffic
+            jobs = trace_traffic([dict(
+                model="alexnet", arrival_time=1e4, num_steps=1,
+                num_nodes=2, message_sizes=(17e3,))])
+            rep = ServingEngine("electrical-ring", capacity=4).run(jobs)
+            print(repr(rep.records[0].completion_time))
+        """)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "10000.00001136"
 
 
 class TestReportMetrics:
