@@ -39,6 +39,23 @@ def best_time(fn, repeats):
     return best
 
 
+def interleaved_best_times(arms, rounds):
+    """Best-of-``rounds`` wall time of each callable in ``arms``.
+
+    The arms run round by round (every arm once per round, in order),
+    so a burst of load on a shared host slows all arms alike instead of
+    only the one it happens to overlap — the ratio benches compare the
+    returned times, listed in arm order.
+    """
+    best = [float("inf")] * len(arms)
+    for _ in range(rounds):
+        for i, fn in enumerate(arms):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best
+
+
 def record_bench(section, payload, path=BENCH_JSON, benchmark="fluid-engine"):
     """Merge one section into the summary at ``path`` (creating it if
     needed).  ``benchmark`` names the suite on first write only."""

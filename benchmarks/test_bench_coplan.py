@@ -17,16 +17,31 @@ into wall-clock.  The gated ``coplan_vs_best_fixed`` section records
 the *simulated total time* ratio of the best fixed-topology (static)
 cell over the co-planned best — a pure model quantity, machine-
 independent.
+
+The ungated ``coplan_scaling`` section is the cost curve of the
+default search (``plan --strategy auto`` on ResNet-50) at 16, 32 and 64
+nodes: wall seconds, simulated OCS steps, and fluid-engine lookups.
 """
+
+import time
 
 from conftest import BENCH_COPLAN_JSON, record_bench as _record
 
+from repro.core.substrates import cache_stats, clear_substrate_pool
 from repro.core.topoplan import strategy_plan_table
 from repro.models.strategies import enumerate_strategies
 
 NODES = 16
 MODEL = "alexnet"
 MAX_TENSOR = 4
+#: Node counts and model of the co-plan scaling curve.
+SCALING_NODES = (16, 32, 64)
+SCALING_MODEL = "resnet50"
+
+
+def _fluid_lookups():
+    row = cache_stats().get("fluid", {})
+    return sum(row.get(k, 0) for k in ("hits", "misses", "skipped"))
 
 
 def test_bench_coplan_vs_best_fixed(once):
@@ -70,3 +85,45 @@ def test_bench_coplan_vs_best_fixed(once):
         "coplan_total_s": best.predicted_time,
         "speedup": speedup,
     }, path=BENCH_COPLAN_JSON, benchmark="strategy-coplan")
+
+
+def test_bench_coplan_scaling(once):
+    """The default co-planning grid at 16, 32 and 64 nodes.
+
+    Each run starts from an empty substrate pool (what one CLI call
+    pays).  The planners price each distinct step matrix once per
+    circuit configuration, so the fluid engine is asked far fewer times
+    than steps are simulated — the count asserted at every N (wall time
+    is recorded, not gated).
+    """
+
+    def run():
+        out = []
+        for n in SCALING_NODES:
+            clear_substrate_pool()
+            before = _fluid_lookups()
+            t0 = time.perf_counter()
+            table = strategy_plan_table(n, SCALING_MODEL)
+            secs = time.perf_counter() - t0
+            steps = sum(len(p.report.steps) for p in table
+                        if p.report is not None)
+            best = min(table, key=lambda p: p.predicted_time)
+            out.append((n, secs, steps, _fluid_lookups() - before, best))
+        return out
+
+    rows = once(run)
+    for n, secs, steps, lookups, best in rows:
+        print(f"\ncoplan {SCALING_MODEL} N={n}: {secs:.2f} s wall, "
+              f"{steps} simulated steps, {lookups} fluid lookups, "
+              f"best {best.label} {best.predicted_time*1e3:.3f} ms")
+    _record("coplan_scaling", {
+        "model": SCALING_MODEL,
+        "nodes": [r[0] for r in rows],
+        "wall_s": [r[1] for r in rows],
+        "simulated_steps": [r[2] for r in rows],
+        "fluid_lookups": [r[3] for r in rows],
+        "best": [r[4].label for r in rows],
+        "best_total_s": [r[4].predicted_time for r in rows],
+    }, path=BENCH_COPLAN_JSON, benchmark="strategy-coplan")
+    for n, _, steps, lookups, _ in rows:
+        assert 0 < lookups < steps, (n, lookups, steps)

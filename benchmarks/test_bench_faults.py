@@ -17,7 +17,7 @@ Two claims the fault subsystem makes:
 """
 
 from conftest import (BENCH_FAULTS_JSON, best_time as _time,
-                      record_bench as _record)
+                      interleaved_best_times, record_bench as _record)
 
 from repro.collectives.ring_allreduce import generate_ring_allreduce
 from repro.config import Workload, default_optical
@@ -62,8 +62,7 @@ def test_bench_fault_repair_vs_resolve(once):
         assert got.report.total_time == want.report.total_time
         assert sub.delta_patched > 0      # the fast path actually ran
         assert sub.delta_fallbacks == 0   # and never fell off it
-        t_resolve = _time(resolve, 3)
-        t_repair = _time(repair, 3)
+        t_resolve, t_repair = interleaved_best_times([resolve, repair], 3)
         return got, sub, t_resolve, t_repair
 
     got, sub, t_resolve, t_repair = once(run)

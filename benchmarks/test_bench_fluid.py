@@ -41,7 +41,8 @@ and gates against the committed baseline
 
 import pytest
 
-from conftest import best_time as _time, record_bench as _record
+from conftest import (best_time as _time, interleaved_best_times,
+                      record_bench as _record)
 
 from repro import units
 from repro.simulation._reference import ReferenceFluidSimulator
@@ -212,9 +213,9 @@ def test_bench_solver_warm_start(once):
         import numpy as np
         assert np.array_equal(warm.step_profile(pairs).finish_times,
                               cold.step_profile(pairs).finish_times)
-        t_cold = _time(lambda: cold.step_profile(pairs), 15)
-        t_warm = _time(lambda: warm.step_profile(pairs), 15)
-        return t_cold, t_warm
+        return interleaved_best_times(
+            [lambda: cold.step_profile(pairs),
+             lambda: warm.step_profile(pairs)], 15)
 
     t_cold, t_warm = once(run)
     speedup = t_cold / t_warm
@@ -345,9 +346,9 @@ def test_bench_solver_warm_admission(once):
         assert np.array_equal(
             [r.finish_time for r in warm.run(flows_for(warm))],
             [r.finish_time for r in cold.run(flows_for(cold))])
-        t_cold = _time(lambda: cold.run(flows_for(cold)), 5)
-        t_warm = _time(lambda: warm.run(flows_for(warm)), 5)
-        return t_cold, t_warm
+        return interleaved_best_times(
+            [lambda: cold.run(flows_for(cold)),
+             lambda: warm.run(flows_for(warm))], 5)
 
     t_cold, t_warm = once(run)
     speedup = t_cold / t_warm
@@ -387,9 +388,8 @@ def test_bench_schedule_fused(once):
             sim = fresh()
             return [sim.step_time(s) for s in steps]
 
-        t_loop = _time(loop, 5)
-        t_fused = _time(lambda: fresh().step_time_many(steps), 5)
-        return t_loop, t_fused
+        return interleaved_best_times(
+            [loop, lambda: fresh().step_time_many(steps)], 5)
 
     t_loop, t_fused = once(run)
     speedup = t_loop / t_fused

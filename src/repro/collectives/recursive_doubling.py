@@ -15,6 +15,7 @@ result back to the folded ranks.
 
 from __future__ import annotations
 
+from ..errors import ScheduleError
 from .schedule import Schedule, Transfer, TransferOp
 
 
@@ -45,7 +46,10 @@ def generate_recursive_doubling(num_nodes: int) -> Schedule:
 
     # Participants and their dense "effective ranks".
     participants = [2 * i for i in range(r)] + list(range(2 * r, num_nodes))
-    assert len(participants) == n
+    if len(participants) != n:
+        raise ScheduleError(
+            f"recursive doubling folded {num_nodes} ranks into "
+            f"{len(participants)} participants, expected {n}")
 
     mask = 1
     while mask < n:

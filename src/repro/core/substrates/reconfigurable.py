@@ -39,9 +39,9 @@ from ...simulation.fluid import FluidNetworkSimulator
 from ...topology.program import (CircuitConfig, CircuitPair,
                                  CircuitTopology, DecompositionDelta,
                                  RoundsPlan, TopologyProgram,
-                                 demand_aware_boot_config, max_pair_degree,
-                                 price_demand_rounds, ring_circuit_config,
-                                 synthesize_program)
+                                 demand_aware_boot_config, intern_steps,
+                                 max_pair_degree, price_demand_rounds,
+                                 ring_circuit_config, synthesize_program)
 from .base import (CacheStats, ExecutionReport, FluidCacheMixin, LruCache,
                    StepReport, Substrate, SubstrateInfo)
 
@@ -214,8 +214,9 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
                 sizes[(t.src, t.dst)] = sizes.get((t.src, t.dst), 0.0) + b
             demands.append(sizes)
         counts = [len(step) for step in schedule.steps]
-        return self._run_demands(system, demands, schedule.name, counts,
-                                 mode, use_lookahead)
+        classes, index = intern_steps(demands)
+        return self._run_demands(system, classes, index, schedule.name,
+                                 counts, mode, use_lookahead)
 
     def execute_demands(self, demands: List[Dict[CircuitPair, float]],
                         name: str = "demand-program",
@@ -243,49 +244,68 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
                 f"decomposition must be 'auto', 'greedy' or 'optimal', "
                 f"got {mode!r}")
         use_lookahead = self._lookahead if lookahead is None else lookahead
-        demands = [dict(sizes) for sizes in demands]
-        if not demands:
+        classes, index = intern_steps(demands)
+        if not index:
             raise ConfigurationError(f"demand program {name!r} is empty")
-        for idx, sizes in enumerate(demands):
+        for k, sizes in enumerate(classes):
             if not sizes:
                 raise ConfigurationError(
-                    f"step {idx} of {name!r} has no demand")
+                    f"step {index.index(k)} of {name!r} has no demand")
         if transfer_counts is None:
-            counts = [len(sizes) for sizes in demands]
+            counts = [len(classes[k]) for k in index]
         else:
             counts = list(transfer_counts)
-            if len(counts) != len(demands):
+            if len(counts) != len(index):
                 raise ConfigurationError(
                     f"transfer_counts has {len(counts)} entries for "
-                    f"{len(demands)} demand steps")
-        system = self._resolve_demand_system(demands, num_nodes)
-        return self._run_demands(system, demands, name, counts, mode,
+                    f"{len(index)} demand steps")
+        system = self._resolve_demand_system(classes, num_nodes)
+        return self._run_demands(system, classes, index, name, counts, mode,
                                  use_lookahead)
 
     def _run_demands(self, system: ReconfigurableOCSSystem,
-                     demands: List[Dict[CircuitPair, float]],
-                     name: str, transfer_counts: List[int], mode: str,
+                     classes: List[Dict[CircuitPair, float]],
+                     index: List[int], name: str,
+                     transfer_counts: List[int], mode: str,
                      use_lookahead: bool) -> ExecutionReport:
         """The demand-driven core shared by :meth:`execute` and
-        :meth:`execute_demands` (identical floats, order, and errors)."""
-        current = self._resolve_initial(system, demands)
+        :meth:`execute_demands` (identical floats, order, and errors).
+
+        The steps arrive interned once per call
+        (:func:`~repro.topology.program.intern_steps`): ``classes`` holds
+        the distinct step matrices and step ``t`` serves
+        ``classes[index[t]]``.  The stay-vs-reconfigure choice is a
+        function of the step matrix and the live configuration alone —
+        the fluid pattern cache and the decomposition are
+        history-independent by contract — so ``(stay, plan)`` is priced
+        once per (step class, live config) and replayed for every
+        repeat, bit for bit what pricing each step afresh returns.
+        """
+        current = self._resolve_initial(system, classes, index)
         if use_lookahead and system.can_reconfigure:
-            return self._execute_lookahead(system, demands, name,
+            return self._execute_lookahead(system, classes, index, name,
                                            transfer_counts, current, mode)
+        degrees = [max_pair_degree(sizes) for sizes in classes]
+        priced: Dict[Tuple[int, CircuitConfig],
+                     Tuple[Tuple[float, float], Optional[RoundsPlan]]] = {}
         history: List[CircuitConfig] = [current]
         report = ExecutionReport(schedule_name=name,
                                  substrate=self.name)
         now = 0.0
-        for idx, sizes in enumerate(demands):
-            ordered = tuple(sorted(sizes, key=lambda p: (-sizes[p], p)))
-            demand_degree = max_pair_degree(ordered)
-
-            stay_time, stay_prop = self._stay_time(system, current, sizes)
-            if system.can_reconfigure:
-                plan = self._reconfigure_plan(system, current, ordered,
-                                              sizes, mode)
-            else:
-                plan = None
+        for idx, k in enumerate(index):
+            got = priced.get((k, current))
+            if got is None:
+                sizes = classes[k]
+                stay = self._stay_time(system, current, sizes)
+                if system.can_reconfigure:
+                    ordered = tuple(sorted(sizes,
+                                           key=lambda p: (-sizes[p], p)))
+                    plan = self._reconfigure_plan(system, current, ordered,
+                                                  sizes, mode)
+                else:
+                    plan = None
+                got = priced[k, current] = (stay, plan)
+            (stay_time, stay_prop), plan = got
 
             if plan is not None and plan.total < stay_time:
                 serialization = plan.serialization
@@ -317,7 +337,7 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
                 overhead_time=system.step_overhead,
                 num_transfers=transfer_counts[idx],
                 striping=1,
-                wavelength_demand=demand_degree))
+                wavelength_demand=degrees[k]))
         report.total_time = now
         self._last_program = TopologyProgram(
             num_nodes=system.num_nodes,
@@ -327,7 +347,8 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
         return report
 
     def _execute_lookahead(self, system: ReconfigurableOCSSystem,
-                           demands: List[Dict[CircuitPair, float]],
+                           classes: List[Dict[CircuitPair, float]],
+                           index: List[int],
                            name: str, transfer_counts: List[int],
                            start: CircuitConfig,
                            mode: str) -> ExecutionReport:
@@ -337,10 +358,11 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
         so replaying them accumulates the same floats the DP compared —
         ``report.total_time == program.total_time`` and the dominance
         guarantee (never worse than the greedy path) carries over to
-        the report.
+        the report.  The DP receives the interned step objects, so its
+        own interning matches every repeat by identity.
         """
         program = synthesize_program(
-            demands, system,
+            [classes[k] for k in index], system,
             initial=start,
             stay_cost=lambda cfg, sizes: self._stay_time(system, cfg, sizes),
             decompose=lambda ordered, ports: self._rounds(ordered, ports,
@@ -350,10 +372,9 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
         history: List[CircuitConfig] = [start]
         report = ExecutionReport(schedule_name=name,
                                  substrate=self.name)
+        degrees = [max_pair_degree(sizes) for sizes in classes]
         now = 0.0
         for idx, st in enumerate(program.steps):
-            ordered = tuple(sorted(demands[idx],
-                                   key=lambda p: (-demands[idx][p], p)))
             duration = system.step_overhead + st.total
             now += duration
             history.extend(st.new_configs)
@@ -365,7 +386,7 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
                 overhead_time=system.step_overhead,
                 num_transfers=transfer_counts[idx],
                 striping=st.stripe_factor,
-                wavelength_demand=max_pair_degree(ordered)))
+                wavelength_demand=degrees[index[idx]]))
         report.total_time = now
         self._last_program = TopologyProgram(
             num_nodes=system.num_nodes,
@@ -386,10 +407,10 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
         return default_ocs(schedule.num_nodes)
 
     def _resolve_demand_system(self,
-                               demands: List[Dict[CircuitPair, float]],
+                               classes: List[Dict[CircuitPair, float]],
                                num_nodes: Optional[int],
                                ) -> ReconfigurableOCSSystem:
-        top = max((max(s, d) for sizes in demands for (s, d) in sizes),
+        top = max((max(s, d) for sizes in classes for (s, d) in sizes),
                   default=-1)
         if self._system is not None:
             if top >= self._system.num_nodes:
@@ -405,15 +426,14 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
         return default_ocs(num_nodes)
 
     def _resolve_initial(self, system: ReconfigurableOCSSystem,
-                         demands: Optional[
-                             List[Dict[CircuitPair, float]]] = None,
-                         ) -> CircuitConfig:
+                         classes: List[Dict[CircuitPair, float]],
+                         index: List[int]) -> CircuitConfig:
         if isinstance(self._initial, CircuitConfig):
             cfg = self._initial
-        elif self._initial == "demand" and demands:
+        elif self._initial == "demand" and index:
             aggregate: Dict[CircuitPair, float] = {}
-            for sizes in demands:
-                for pair, b in sizes.items():
+            for k in index:
+                for pair, b in classes[k].items():
                     aggregate[pair] = aggregate.get(pair, 0.0) + b
             cfg = demand_aware_boot_config(aggregate, system.num_nodes,
                                            system.ports_per_node)

@@ -144,7 +144,9 @@ def topology_plan_table(system: ReconfigurableOCSSystem,
             sub = substrates[policy]
             report = sub.execute(schedule, workload)
             program = sub.last_program
-            assert program is not None
+            if program is None:
+                raise PlanningError(
+                    f"{algorithm}/{policy} recorded no circuit program")
             plans.append(TopologyPlan(
                 algorithm=algorithm, policy=policy, schedule=schedule,
                 program=program, predicted_time=report.total_time,
@@ -233,7 +235,10 @@ def _policy_substrates(system: ReconfigurableOCSSystem,
         else:
             sub = pooled_substrate("ocs-reconfig", sys_p,
                                    decomposition=decomposition)
-        assert isinstance(sub, OCSReconfigurableSubstrate)
+        if not isinstance(sub, OCSReconfigurableSubstrate):
+            raise PlanningError(
+                f"policy {policy!r} pooled a {type(sub).__name__}, not an "
+                f"OCS substrate")
         substrates[policy] = sub
     return substrates
 

@@ -85,6 +85,12 @@ class CircuitConfig:
         for src, dst in canon:
             if src == dst:
                 raise TopologyError(f"circuit {src}->{dst} is a loop")
+        # The planners key their memos on configurations, so the hash
+        # (the one a frozen dataclass derives) is computed once.
+        object.__setattr__(self, "_hash", hash((canon,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, circuits: Iterable[CircuitPair]) -> "CircuitConfig":
@@ -195,7 +201,9 @@ class TopologyProgram:
         if self.ports_per_node < 1:
             raise TopologyError(
                 f"ports_per_node must be >= 1, got {self.ports_per_node}")
-        for cfg in self.configs:
+        # Each distinct configuration once, in first-use order (a
+        # recorded program revisits the same few configs many times).
+        for cfg in dict.fromkeys(self.configs):
             cfg.validate(self.num_nodes, self.ports_per_node)
 
     @property
@@ -615,7 +623,8 @@ class DecompositionDelta:
     def _patch(self, pairs: Tuple[CircuitPair, ...], ports: int,
                resolved: str) -> Optional[List[Tuple[CircuitPair, ...]]]:
         old = self._pairs
-        assert old is not None
+        if old is None:
+            raise TopologyError("no previous decomposition to patch")
         if ports != self._ports or resolved != self._resolved:
             return None
         if pairs == old:
@@ -628,7 +637,8 @@ class DecompositionDelta:
             return None
         if resolved == "optimal":
             state = self._color
-            assert state is not None
+            if state is None:
+                raise TopologyError("optimal patch without a colouring")
             # Peeling the stored suffix is exact only if none of its
             # insertions flipped a colour inside the shared prefix.
             if any(state.flip_low[i] < k for i in range(k, len(old))):
@@ -650,7 +660,8 @@ class DecompositionDelta:
             rounds = _pack_color_rounds(pairs, state.colors, ports)
         else:
             gstate = self._greedy
-            assert gstate is not None
+            if gstate is None:
+                raise TopologyError("greedy patch without a placement")
             gstate.remove_suffix(old, k)
             for idx in range(k, len(pairs)):
                 s, d = pairs[idx]
@@ -830,6 +841,36 @@ Decompose = Callable[[Tuple[CircuitPair, ...], int],
 InitialSpec = Union[str, CircuitConfig, None]
 
 
+def intern_steps(steps: Sequence[Mapping[CircuitPair, float]],
+                 ) -> Tuple[List[Dict[CircuitPair, float]], List[int]]:
+    """Distinct step matrices plus each step's index into them.
+
+    Returns ``(classes, index)`` with ``classes[index[t]] == steps[t]``
+    for every step: one ``dict`` copy per distinct ``{(src, dst):
+    bytes}`` matrix, in first-occurrence order.  A phase repeated by
+    reference (as :func:`~repro.core.topoplan.profile_demands` emits
+    it) is matched by identity; any other step is matched by value.
+    Every cost the OCS planners derive from a step is a function of its
+    matrix alone, so pricing one class prices all its occurrences.
+    """
+    steps = list(steps)  # keeps every object alive while ids are keys
+    classes: List[Dict[CircuitPair, float]] = []
+    index: List[int] = []
+    by_id: Dict[int, int] = {}
+    by_value: Dict[frozenset, int] = {}
+    for sizes in steps:
+        k = by_id.get(id(sizes))
+        if k is None:
+            key = frozenset(sizes.items())
+            k = by_value.get(key)
+            if k is None:
+                k = by_value[key] = len(classes)
+                classes.append(dict(sizes))
+            by_id[id(sizes)] = k
+        index.append(k)
+    return classes, index
+
+
 @dataclass(frozen=True)
 class SynthesizedStep:
     """One planned step of a synthesized OCS program.
@@ -940,6 +981,19 @@ def synthesize_program(
     ``stripe_leftover`` prices rounds/installs with
     :func:`stripe_round_serialization` (cost model only, default off;
     the greedy shadow never stripes).
+
+    Steps are interned once per call (:func:`intern_steps`), so each
+    distinct step matrix is priced once per configuration it meets:
+    its decomposition once, and its stay cost, rounds plan, install
+    price and :class:`SynthesizedStep` record once per (step class,
+    config); install candidates are built once per window of step
+    classes, and paths are back-pointer chains, so the DP is linear in
+    the number of steps.  The memo is exact — every memoized value is a
+    function of the step matrix and the config alone (``stay_cost`` and
+    ``decompose`` must be pure, as the substrate's fluid pattern cache
+    and :class:`DecompositionDelta` are by contract) and costs still
+    accumulate step by step as ``cost + (overhead + total)`` — so the
+    program is bit-for-bit the one that pricing every step afresh finds.
     """
     ports = system.ports_per_node
     rate = system.circuit_rate
@@ -949,17 +1003,17 @@ def synthesize_program(
     can_reconf = system.can_reconfigure
     inf = float("inf")
 
-    demands = [dict(d) for d in schedule_demands]
-    ordered_steps = [tuple(sorted(d, key=lambda p: (-d[p], p)))
-                     for d in demands]
+    classes, index = intern_steps(schedule_demands)
+    ordered_of = [tuple(sorted(d, key=lambda p: (-d[p], p)))
+                  for d in classes]
 
     if initial is None or initial == "ring":
         start = ring_circuit_config(system.num_nodes,
                                     bidirectional=ports >= 2)
     elif initial == "demand":
         agg: Dict[CircuitPair, float] = {}
-        for sizes in demands:
-            for p, b in sizes.items():
+        for k in index:
+            for p, b in classes[k].items():
                 agg[p] = agg.get(p, 0.0) + b
         start = demand_aware_boot_config(agg, system.num_nodes, ports)
     elif isinstance(initial, CircuitConfig):
@@ -977,142 +1031,156 @@ def synthesize_program(
 
     # Install candidates per step: unions of this and the next steps'
     # demand pairs, extended while they stay port-feasible.  Installing
-    # one once lets every covered step stay for free afterwards.
-    num_steps = len(demands)
-    pair_sets = [frozenset(o) for o in ordered_steps]
+    # one once lets every covered step stay for free afterwards.  They
+    # depend only on the window's step classes, built once per window.
+    num_steps = len(index)
+    pair_sets = [frozenset(o) for o in ordered_of]
+    windows: Dict[Tuple[int, ...], List[CircuitConfig]] = {}
     candidates: List[List[CircuitConfig]] = []
     for t in range(num_steps):
-        cands: List[CircuitConfig] = []
-        acc: set = set()
-        for u in range(t, min(num_steps, t + horizon)):
-            acc |= pair_sets[u]
-            if not acc or max_pair_degree(acc) > ports:
-                break
-            cfg = CircuitConfig.of(acc)
-            if not cands or cands[-1] != cfg:
-                cands.append(cfg)
+        window = tuple(index[t:max(t, t + horizon)])
+        cands = windows.get(window)
+        if cands is None:
+            cands = windows[window] = []
+            acc: set = set()
+            for k in window:
+                acc |= pair_sets[k]
+                if not acc or max_pair_degree(acc) > ports:
+                    break
+                cfg = CircuitConfig.of(acc)
+                if not cands or cands[-1] != cfg:
+                    cands.append(cfg)
         candidates.append(cands)
 
-    def price(rounds, sizes, cfg, striped):
-        return price_demand_rounds(
-            rounds, sizes, cfg, circuit_rate=rate, circuit_latency=latency,
-            reconfiguration_delay=delay, stripe_leftover=striped,
-            ports_per_node=ports)
+    # -- per-call memos, keyed by step class (and config) --
+    rounds_of: Dict[int, List[Tuple[CircuitPair, ...]]] = {}
+    stays: Dict[Tuple[int, CircuitConfig],
+                Tuple[float, SynthesizedStep]] = {}
+    plans: Dict[Tuple[int, CircuitConfig, bool], SynthesizedStep] = {}
+    installs: Dict[Tuple[int, CircuitConfig, bool], SynthesizedStep] = {}
+    tops: Dict[int, float] = {}
 
-    #: config -> (cumulative cost, path of SynthesizedSteps)
-    frontier: Dict[CircuitConfig, Tuple[float, Tuple[SynthesizedStep, ...]]]
-    frontier = {start: (0.0, ())}
-    greedy_cfg, greedy_cost = start, 0.0
-    greedy_steps: List[SynthesizedStep] = []
-    greedy_reconfigs = 0
+    def stay_of(k: int, cfg: CircuitConfig) -> Tuple[float, SynthesizedStep]:
+        got = stays.get((k, cfg))
+        if got is None:
+            makespan, prop = stay_cost(cfg, classes[k])
+            got = stays[k, cfg] = (makespan, SynthesizedStep(
+                action="stay", config=cfg, total=makespan,
+                serialization=makespan - prop, propagation=prop,
+                reconfig_time=0.0))
+        return got
 
-    for t in range(num_steps):
-        sizes = demands[t]
-        ordered = ordered_steps[t]
-        rounds = decompose(ordered, ports) if ordered else []
-
-        stay_memo: Dict[CircuitConfig, Tuple[float, float]] = {}
-
-        def stay_of(cfg):
-            got = stay_memo.get(cfg)
-            if got is None:
-                got = stay_memo[cfg] = stay_cost(cfg, sizes)
-            return got
-
-        nxt: Dict[CircuitConfig,
-                  Tuple[float, Tuple[SynthesizedStep, ...]]] = {}
-
-        def offer(cfg, cost, path):
-            cur = nxt.get(cfg)
-            if cur is None or cost < cur[0]:
-                nxt[cfg] = (cost, path)
-
-        for cfg, (cost, path) in sorted(
-                frontier.items(),
-                key=lambda kv: (kv[1][0], kv[0].circuits)):
-            makespan, prop = stay_of(cfg)
-            if makespan < inf:
-                rec = SynthesizedStep(
-                    action="stay", config=cfg, total=makespan,
-                    serialization=makespan - prop, propagation=prop,
-                    reconfig_time=0.0)
-                offer(cfg, cost + (overhead + makespan), path + (rec,))
-            if not can_reconf or not ordered:
-                continue
-            plan = price(rounds, sizes, cfg, stripe_leftover)
-            end = plan.new_configs[-1] if plan.new_configs else cfg
-            rec = SynthesizedStep(
-                action="rounds", config=end, total=plan.total,
-                serialization=plan.serialization,
+    def rounds_step(k: int, cfg: CircuitConfig,
+                    striped: bool) -> SynthesizedStep:
+        rec = plans.get((k, cfg, striped))
+        if rec is None:
+            plan = price_demand_rounds(
+                rounds_of[k], classes[k], cfg, circuit_rate=rate,
+                circuit_latency=latency, reconfiguration_delay=delay,
+                stripe_leftover=striped, ports_per_node=ports)
+            rec = plans[k, cfg, striped] = SynthesizedStep(
+                action="rounds",
+                config=plan.new_configs[-1] if plan.new_configs else cfg,
+                total=plan.total, serialization=plan.serialization,
                 propagation=plan.propagation,
                 reconfig_time=plan.reconfig_time,
                 new_configs=tuple(plan.new_configs),
                 stripe_factor=plan.stripe_factor)
-            offer(end, cost + (overhead + plan.total), path + (rec,))
+        return rec
+
+    def install_step(k: int, cand: CircuitConfig,
+                     cfg: CircuitConfig) -> SynthesizedStep:
+        same = cand == cfg
+        rec = installs.get((k, cand, same))
+        if rec is None:
+            if stripe_leftover:
+                ser, split = stripe_round_serialization(
+                    ordered_of[k], classes[k], ports, rate,
+                    occupancy=degree_counts(cand.circuits))
+            else:
+                ser = tops.get(k)
+                if ser is None:
+                    sizes = classes[k]
+                    ser = tops[k] = max(sizes[p] for p in ordered_of[k]) / rate
+                split = 1
+            pay = 0.0 if same else delay
+            rec = installs[k, cand, same] = SynthesizedStep(
+                action="install", config=cand, total=ser + latency + pay,
+                serialization=ser, propagation=latency, reconfig_time=pay,
+                new_configs=() if same else (cand,), stripe_factor=split)
+        return rec
+
+    def by_cost(kv):
+        return kv[1][0], kv[0].circuits
+
+    #: config -> (cumulative cost, back-pointer chain ``(step, parent)``)
+    frontier: Dict[CircuitConfig, Tuple[float, Optional[tuple]]]
+    frontier = {start: (0.0, None)}
+    greedy_cfg, greedy_cost = start, 0.0
+    greedy_path: Optional[tuple] = None
+    greedy_reconfigs = 0
+
+    for t, k in enumerate(index):
+        ordered = ordered_of[k]
+        if k not in rounds_of:
+            rounds_of[k] = decompose(ordered, ports) if ordered else []
+
+        nxt: Dict[CircuitConfig, Tuple[float, Optional[tuple]]] = {}
+
+        def offer(rec, cost, path):
+            cur = nxt.get(rec.config)
+            if cur is None or cost < cur[0]:
+                nxt[rec.config] = (cost, (rec, path))
+
+        for cfg, (cost, path) in sorted(frontier.items(), key=by_cost):
+            makespan, rec = stay_of(k, cfg)
+            if makespan < inf:
+                offer(rec, cost + (overhead + makespan), path)
+            if not can_reconf or not ordered:
+                continue
+            rec = rounds_step(k, cfg, stripe_leftover)
+            offer(rec, cost + (overhead + rec.total), path)
             for cand in candidates[t]:
-                if stripe_leftover:
-                    ser, k = stripe_round_serialization(
-                        ordered, sizes, ports, rate,
-                        occupancy=degree_counts(cand.circuits))
-                else:
-                    ser = max(sizes[p] for p in ordered) / rate
-                    k = 1
-                pay = delay if cand != cfg else 0.0
-                total = ser + latency + pay
-                rec = SynthesizedStep(
-                    action="install", config=cand, total=total,
-                    serialization=ser, propagation=latency,
-                    reconfig_time=pay,
-                    new_configs=(cand,) if cand != cfg else (),
-                    stripe_factor=k)
-                offer(cand, cost + (overhead + total), path + (rec,))
+                rec = install_step(k, cand, cfg)
+                offer(rec, cost + (overhead + rec.total), path)
 
         # -- greedy shadow: the substrate's per-step policy, replicated
         # with the same callbacks and the same accumulation order, so
         # its totals are float-identical to a plain execute().
-        g_makespan, g_prop = stay_of(greedy_cfg)
-        g_plan = (price(rounds, sizes, greedy_cfg, False)
-                  if can_reconf else None)
-        if g_plan is not None and g_plan.total < g_makespan:
-            g_end = (g_plan.new_configs[-1] if g_plan.new_configs
-                     else greedy_cfg)
-            greedy_steps.append(SynthesizedStep(
-                action="rounds", config=g_end, total=g_plan.total,
-                serialization=g_plan.serialization,
-                propagation=g_plan.propagation,
-                reconfig_time=g_plan.reconfig_time,
-                new_configs=tuple(g_plan.new_configs)))
-            greedy_cost = greedy_cost + (overhead + g_plan.total)
-            greedy_reconfigs += len(g_plan.new_configs)
-            greedy_cfg = g_end
+        g_makespan, g_stay = stay_of(k, greedy_cfg)
+        g_rounds = rounds_step(k, greedy_cfg, False) if can_reconf else None
+        if g_rounds is not None and g_rounds.total < g_makespan:
+            greedy_path = (g_rounds, greedy_path)
+            greedy_cost = greedy_cost + (overhead + g_rounds.total)
+            greedy_reconfigs += len(g_rounds.new_configs)
+            greedy_cfg = g_rounds.config
         else:
             if g_makespan == inf:
                 raise TopologyError(
                     f"step {t} is unroutable on the current circuit "
                     f"configuration and reconfiguration is disabled "
                     f"(reconfiguration_delay=inf)")
-            greedy_steps.append(SynthesizedStep(
-                action="stay", config=greedy_cfg, total=g_makespan,
-                serialization=g_makespan - g_prop, propagation=g_prop,
-                reconfig_time=0.0))
+            greedy_path = (g_stay, greedy_path)
             greedy_cost = greedy_cost + (overhead + g_makespan)
 
-        keep = sorted(nxt.items(),
-                      key=lambda kv: (kv[1][0], kv[0].circuits))
-        frontier = dict(keep[:beam_width])
+        frontier = dict(sorted(nxt.items(), key=by_cost)[:beam_width])
         # Force-merge the greedy trajectory: with its state always in
         # the frontier at no more than its own cost, the final minimum
         # can never exceed greedy_cost — the dominance guarantee
         # survives beam pruning.
         held = frontier.get(greedy_cfg)
         if held is None or held[0] > greedy_cost:
-            frontier[greedy_cfg] = (greedy_cost, tuple(greedy_steps))
+            frontier[greedy_cfg] = (greedy_cost, greedy_path)
 
-    _, (best_cost, best_path) = min(
-        frontier.items(), key=lambda kv: (kv[1][0], kv[0].circuits))
+    _, (best_cost, chain) = min(frontier.items(), key=by_cost)
+    best_path: List[SynthesizedStep] = []
+    while chain is not None:
+        rec, chain = chain
+        best_path.append(rec)
+    best_path.reverse()
     return SynthesizedProgram(
         initial=start,
-        steps=best_path,
+        steps=tuple(best_path),
         total_time=best_cost,
         greedy_time=greedy_cost,
         reconfigurations=sum(len(s.new_configs) for s in best_path),
