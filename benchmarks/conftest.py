@@ -2,7 +2,7 @@
 
 Every bench prints the series it reproduces (the paper's rows), so the
 ``pytest benchmarks/ --benchmark-only`` log doubles as the experiment
-record copied into ``EXPERIMENTS.md``.
+record.
 
 The perf benches (``test_bench_fluid.py``, ``test_bench_hier.py``)
 share one machine-readable summary — ``BENCH_fluid.json`` at the repo

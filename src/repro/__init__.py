@@ -27,15 +27,15 @@ The library is layered so that "what to run", "where to run it" and
   :func:`~repro.core.planner.plan_wrht` picks the group size
   (analytically or by simulating candidates on a substrate),
   :func:`~repro.core.comparison.compare_algorithms` drives the figures,
-  and the sweep/parallel modules fan experiments over substrates and
-  worker processes;
+  and the sweep module fans experiments over substrates;
 * **Front ends** — :func:`~repro.core.allreduce_api.allreduce` and
   :class:`~repro.core.communicator.Communicator` reduce real numpy
   arrays while reporting modelled time; ``python -m repro`` exposes the
   figures, sweeps and planner on the command line.
 
-See ``DESIGN.md`` for details and ``EXPERIMENTS.md`` for the
-paper-vs-measured record.
+See ``README.md`` for the CLI, the substrates and the performance
+notes; ``python -m repro report`` regenerates the paper-vs-measured
+record.
 """
 
 from .config import (ElectricalSystem, HierarchicalSystem,

@@ -1,6 +1,6 @@
 """Experiment harness: Fig. 2, headline claims, tables and ablation sweeps.
 
-Every table/figure row in ``DESIGN.md``'s experiment index maps to one
+Every figure, table and sweep that ``README.md`` describes maps to one
 function here; the ``benchmarks/`` tree and the CLI are thin wrappers.
 """
 
@@ -8,7 +8,6 @@ from .ascii_plot import grouped_bar_chart, line_chart
 from .figure2 import (PAPER_MODELS, PAPER_SCALES, Figure2Panel,
                       figure2, figure2_panel, panels_to_csv, render_panel)
 from .headline import HeadlineResult, headline_reductions, render_headline
-from .parallel import figure2_parallel, plan_grid_parallel
 from .report import full_report
 from .sweeps import (crossover_sweep, fault_sweep, pipelining_sweep,
                      serving_load_sweep, striping_sweep, wavelength_sweep)
@@ -35,8 +34,6 @@ __all__ = [
     "fault_sweep",
     "striping_sweep",
     "pipelining_sweep",
-    "figure2_parallel",
-    "plan_grid_parallel",
     "full_report",
     "render_timeline",
     "compare_timelines",

@@ -1,8 +1,8 @@
 """Experiment report writer.
 
-Regenerates the full paper-vs-measured record (the content of
-``EXPERIMENTS.md``'s data sections) from live runs, so the repository's
-claims can be refreshed with one command::
+Regenerates the full paper-vs-measured record (the ``report`` row of
+``README.md``'s CLI table) from live runs, so the repository's claims
+can be refreshed with one command::
 
     python -m repro report > results/report.md
 

@@ -1,4 +1,4 @@
-"""Ablation sweeps (the EXT-A experiments of DESIGN.md).
+"""Ablation sweeps (the ``sweep`` commands of README.md's CLI table).
 
 * :func:`wavelength_sweep` — EXT-A1: Wrht (and O-Ring for reference)
   as the per-direction wavelength budget grows;
@@ -256,9 +256,7 @@ class BandwidthRow:
 
 def bandwidth_sweep(num_nodes: int, workload: Workload,
                     link_rates: Optional[Sequence[float]] = None,
-                    topology: str = "switch",
-                    cache_dir: Optional[str] = None,
-                    ) -> List[BandwidthRow]:
+                    topology: str = "switch") -> List[BandwidthRow]:
     """Electrical all-reduce time vs link rate (EXT-A9).
 
     Every cell runs the same schedule (recursive doubling where
@@ -271,11 +269,6 @@ def bandwidth_sweep(num_nodes: int, workload: Workload,
     once; later cells rebind capacities onto the cached structures.
     The per-row cumulative compile counters make the reuse visible:
     misses stop growing after the first cell.
-
-    ``cache_dir`` optionally warms/spills the substrate's caches
-    through a persistent :class:`~repro.core.cache_store.CacheStore`,
-    so a repeated sweep (or another process at the same shape) starts
-    with zero compile misses.
     """
     from ..collectives.recursive_doubling import generate_recursive_doubling
     from ..collectives.ring_allreduce import generate_ring_allreduce
@@ -288,11 +281,6 @@ def bandwidth_sweep(num_nodes: int, workload: Workload,
         from ..config import units
 
         link_rates = tuple(g * units.GBPS for g in (25, 50, 100, 200, 400))
-    store = None
-    if cache_dir is not None:
-        from ..core.cache_store import CacheStore
-
-        store = CacheStore(cache_dir)
     if num_nodes >= 2 and num_nodes & (num_nodes - 1) == 0:
         sched = generate_recursive_doubling(num_nodes)
     else:
@@ -301,22 +289,16 @@ def bandwidth_sweep(num_nodes: int, workload: Workload,
     # cache_stats() sees this sweep; one instance across all cells is
     # what makes the cross-cell structure sharing happen at all.
     sub = pooled_substrate(f"electrical-{topology}")
-    if store is not None:
-        sub.warm_from(store)
     base = default_electrical(num_nodes).with_(topology=topology)
     rows: List[BandwidthRow] = []
-    try:
-        for rate in link_rates:
-            rep = sub.execute(sched, workload,
-                              system=base.with_(link_rate=float(rate)))
-            cstats = sub.compile_cache_info()
-            rows.append(BandwidthRow(
-                link_rate=float(rate), time=rep.total_time,
-                steps=rep.num_steps,
-                compile_hits=cstats.hits, compile_misses=cstats.misses))
-    finally:
-        if store is not None:
-            sub.spill_to(store)
+    for rate in link_rates:
+        rep = sub.execute(sched, workload,
+                          system=base.with_(link_rate=float(rate)))
+        cstats = sub.compile_cache_info()
+        rows.append(BandwidthRow(
+            link_rate=float(rate), time=rep.total_time,
+            steps=rep.num_steps,
+            compile_hits=cstats.hits, compile_misses=cstats.misses))
     return rows
 
 
@@ -333,7 +315,6 @@ class SubstrateRow:
 
 def substrate_sweep(num_nodes: int, workload: Workload,
                     substrates: Optional[Sequence[str]] = None,
-                    cache_dir: Optional[str] = None,
                     ) -> List[SubstrateRow]:
     """Execute one ring all-reduce on every registered substrate.
 
@@ -342,21 +323,9 @@ def substrate_sweep(num_nodes: int, workload: Workload,
     ``num_nodes``.  Substrates that cannot host the schedule (e.g. the
     torus with a prime node count) are reported with an empty time and
     the configuration error as ``note`` rather than aborting the sweep.
-
-    ``cache_dir`` (optional) names a persistent
-    :class:`~repro.core.cache_store.CacheStore` directory: each
-    substrate warms its memoization caches (RWA, OCS decomposition,
-    fluid patterns) from it before executing and spills them back
-    after, so repeated sweeps skip already-solved subproblems.  Results
-    are identical either way.
     """
     from ..collectives.ring_allreduce import generate_ring_allreduce
 
-    store = None
-    if cache_dir is not None:
-        from ..core.cache_store import CacheStore
-
-        store = CacheStore(cache_dir)
     names = (tuple(substrates) if substrates is not None
              else available_substrates())
     sched = generate_ring_allreduce(num_nodes)
@@ -365,8 +334,6 @@ def substrate_sweep(num_nodes: int, workload: Workload,
         # Pooled so repeated sweeps reuse warm instances and the
         # registry's cache_stats() aggregation sees this sweep's work.
         sub = pooled_substrate(name)
-        if store is not None:
-            sub.warm_from(store)
         info = sub.describe()
         try:
             rep = sub.execute(sched, workload)
@@ -375,9 +342,6 @@ def substrate_sweep(num_nodes: int, workload: Workload,
                                      steps=0, kind=info.kind,
                                      note=str(exc)))
             continue
-        finally:
-            if store is not None:
-                sub.spill_to(store)
         rows.append(SubstrateRow(substrate=name, time=rep.total_time,
                                  steps=rep.num_steps, kind=info.kind))
     return rows

@@ -11,15 +11,15 @@ step-summary memo — uses the same two building blocks:
 
 They live in this dependency-free module (only the stdlib) so that the
 lowest layers (``repro.topology``) and the highest
-(``repro.core.substrates``, ``repro.core.cache_store``) can share one
-mechanism without import cycles.
+(``repro.core.substrates``) can share one mechanism without import
+cycles.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class LruCache:
     signature) get the value stored only when the cost is within the
     bound; over-bound values are counted in :attr:`skipped` and simply
     recomputed on the next probe.  This keeps single enormous steps
-    from pinning memory or bloating the persistent spill files.
+    from pinning memory.
     """
 
     def __init__(self, max_size: int,
@@ -81,8 +81,6 @@ class LruCache:
         self.misses = 0
         #: Values refused by the admission policy (solved, not stored).
         self.skipped = 0
-        #: Monotonic write counter — lets spillers skip unchanged caches.
-        self.mutations = 0
 
     def get(self, key: Any) -> Optional[Any]:
         """The cached value (promoted to most recent), or ``None``."""
@@ -110,49 +108,22 @@ class LruCache:
             return False
         self._data[key] = value
         self._data.move_to_end(key)
-        self.mutations += 1
         if len(self._data) > self.max_size:
             self._data.popitem(last=False)
         return True
 
     def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters.
-
-        ``mutations`` advances rather than resetting — the content
-        changed, so spillers must not mistake the cache for unchanged.
-        """
+        """Drop every entry and reset the hit/miss counters."""
         self._data.clear()
         self.hits = 0
         self.misses = 0
         self.skipped = 0
-        self.mutations += 1
 
     def stats(self) -> CacheStats:
         """Current counter snapshot."""
         return CacheStats(hits=self.hits, misses=self.misses,
                           size=len(self._data), max_size=self.max_size,
                           skipped=self.skipped)
-
-    # -- persistence hooks (see repro.core.cache_store) ---------------------
-
-    def export_items(self) -> Dict[Any, Any]:
-        """Snapshot of the live entries, LRU-first (for disk spilling)."""
-        return dict(self._data)
-
-    def warm(self, items: Dict[Any, Any]) -> int:
-        """Preload ``items`` without touching the hit/miss counters.
-
-        Entries beyond ``max_size`` evict LRU-first as usual.  Returns
-        the number of entries loaded (``None`` values are skipped — the
-        cache cannot represent them).
-        """
-        loaded = 0
-        for key, value in items.items():
-            if value is None:
-                continue
-            self.put(key, value)
-            loaded += 1
-        return loaded
 
     def values(self) -> Iterator[Any]:
         """Iterate over live values (LRU-first)."""

@@ -87,19 +87,13 @@ def _cmd_plan_strategy(args: argparse.Namespace) -> int:
         except ConfigurationError:
             # An explicit spec (dp4+tp2) fixes its own world; follow it
             # rather than forcing --nodes.
-            try:
-                strat = parse_strategy(args.strategy)
-            except ConfigurationError as exc:
-                print(f"plan: {exc}", file=sys.stderr)
-                return 1
+            strat = parse_strategy(args.strategy)
             nodes = strat.world
             print(f"(planning at N={nodes}, the world spanned by "
                   f"{args.strategy!r})")
         strategies = [strat]
     table = strategy_plan_table(nodes, model, strategies=strategies)
-    if not table:
-        print("plan: no feasible strategy plan", file=sys.stderr)
-        return 1
+    # An empty table raises PlanningError here, reported by main().
     best = plan_strategy(nodes, model, strategies=strategies)
     print(f"strategy co-plan for N={nodes}, model={model}:")
     print(f"  strategy           : {best.strategy.name}")
@@ -127,6 +121,10 @@ def _cmd_plan_strategy(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     if getattr(args, "strategy", None):
         return _cmd_plan_strategy(args)
+    if args.lookahead and args.substrate != "ocs-reconfig":
+        raise ConfigurationError(
+            "--lookahead requires --substrate ocs-reconfig (the program "
+            "synthesiser lives on the OCS fabric)")
     system = default_optical(args.nodes, num_wavelengths=args.wavelengths)
     wl = (paper_workload(args.model) if args.model
           else Workload(data_bytes=args.bytes))
@@ -138,39 +136,20 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     print(f"  steps              : {plan.num_steps}")
     print(f"  all-to-all shortcut: {plan.info.used_alltoall}")
     print(f"  predicted time     : {units.fmt_time(plan.predicted_time)}")
-    if getattr(args, "lookahead", False) and args.substrate != "ocs-reconfig":
-        print("--lookahead requires --substrate ocs-reconfig "
-              "(the program synthesiser lives on the OCS fabric)",
-              file=sys.stderr)
-        return 2
     if args.substrate:
         # Dispatch through the registry; only the optical ring takes the
         # configured system, other fabrics derive their own default.
-        extra = ({"lookahead": True} if getattr(args, "lookahead", False)
-                 else {})
+        extra = {"lookahead": True} if args.lookahead else {}
         sub = get_substrate(args.substrate,
                             system=system if args.substrate == "optical-ring"
                             else None, **extra)
-        store = _open_store(args)
-        if store is not None:
-            warmed = sub.warm_from(store)
-            print(f"  cache store        : {store.path} "
-                  f"({warmed} entries warmed)")
-        try:
-            rep = sub.execute(plan.schedule, wl)
-        except ConfigurationError as exc:
-            print(f"  cannot simulate on {args.substrate}: {exc}",
-                  file=sys.stderr)
-            return 1
+        rep = sub.execute(plan.schedule, wl)
         print(f"  simulated on {rep.substrate:<7}: "
               f"{units.fmt_time(rep.total_time)} "
               f"({rep.num_steps} steps)")
         # Cache behaviour (RWA / step / fluid / compile caches) is part
         # of describe(), so any substrate that memoizes work reports it.
         _print_cache_table([sub])
-        if store is not None:
-            sub.spill_to(store)
-            print("  cache store        : " + _store_summary(store))
     if args.show_schedule:
         from .topology.ring import RingTopology
         ring = RingTopology(args.nodes, capacity=1.0)
@@ -201,22 +180,6 @@ def _print_cache_table(substrates=None, title: str = "cache statistics",
         title=title))
 
 
-def _open_store(args: argparse.Namespace):
-    """The persistent cache store named by ``--cache-dir`` (or None)."""
-    cache_dir = getattr(args, "cache_dir", None)
-    if not cache_dir:
-        return None
-    from .core.cache_store import CacheStore
-    return CacheStore(cache_dir)
-
-
-def _store_summary(store) -> str:
-    stats = store.stats()
-    return (f"{stats['total_entries']} entries in "
-            f"{len(stats['namespaces'])} namespaces, "
-            f"{stats['total_bytes']} bytes")
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from .analysis.report import full_report
     scales = tuple(args.scales) if args.scales else None
@@ -225,66 +188,67 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_serve_args(args: argparse.Namespace) -> Optional[str]:
-    """Up-front validation of the serve knobs (None = OK).
+def _validate_serve_args(args: argparse.Namespace) -> None:
+    """Up-front validation of the serve knobs.
 
     Every numeric option is checked *before* any traffic or plan is
-    built, so a bad flag fails in milliseconds with a message naming
-    the flag — not minutes later deep inside the event loop.  NaN fails
-    every comparison, so checks are phrased positively.
+    built, so a bad flag fails in milliseconds with a
+    :class:`~repro.errors.ConfigurationError` naming the flag — not
+    minutes later deep inside the event loop.  NaN fails every
+    comparison, so checks are phrased positively.
     """
     import math
 
     if args.capacity < 2:
-        return (f"--capacity must be >= 2 nodes (a one-node fabric has "
-                f"nothing to all-reduce), got {args.capacity}")
+        raise ConfigurationError(
+            f"--capacity must be >= 2 nodes (a one-node fabric has "
+            f"nothing to all-reduce), got {args.capacity}")
     if args.jobs < 1:
-        return f"--jobs must be >= 1, got {args.jobs}"
+        raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
     if not (math.isfinite(args.rate) and args.rate > 0):
-        return f"--rate must be a finite arrival rate > 0, got {args.rate}"
+        raise ConfigurationError(
+            f"--rate must be a finite arrival rate > 0, got {args.rate}")
     if args.seed < 0:
-        return f"--seed must be >= 0, got {args.seed}"
+        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
     if not (math.isfinite(args.faults) and args.faults >= 0):
-        return f"--faults must be a finite fault rate >= 0, got {args.faults}"
+        raise ConfigurationError(
+            f"--faults must be a finite fault rate >= 0, got {args.faults}")
     if not (math.isfinite(args.duration) and args.duration > 0):
-        return (f"--duration must be a finite fault horizon > 0 seconds, "
-                f"got {args.duration}")
+        raise ConfigurationError(
+            f"--duration must be a finite fault horizon > 0 seconds, "
+            f"got {args.duration}")
     if args.fault_seed < 0:
-        return f"--fault-seed must be >= 0, got {args.fault_seed}"
+        raise ConfigurationError(
+            f"--fault-seed must be >= 0, got {args.fault_seed}")
     if not (math.isfinite(args.mttr) and args.mttr > 0):
-        return f"--mttr must be a finite mean repair time > 0, got {args.mttr}"
+        raise ConfigurationError(
+            f"--mttr must be a finite mean repair time > 0, got {args.mttr}")
     if args.max_retries < 0:
-        return f"--max-retries must be >= 0, got {args.max_retries}"
+        raise ConfigurationError(
+            f"--max-retries must be >= 0, got {args.max_retries}")
     if not (math.isfinite(args.retry_backoff) and args.retry_backoff > 0):
-        return (f"--retry-backoff must be a finite delay > 0, "
-                f"got {args.retry_backoff}")
-    if getattr(args, "strategy", None) and not getattr(args, "model", None):
-        return "--strategy requires --model (the catalog model to lower)"
-    return None
+        raise ConfigurationError(
+            f"--retry-backoff must be a finite delay > 0, "
+            f"got {args.retry_backoff}")
+    if args.strategy and not args.model:
+        raise ConfigurationError(
+            "--strategy requires --model (the catalog model to lower)")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serving import (RetryPolicy, ServingEngine, adaptive_policy,
                           fixed_policy, poisson_traffic)
 
-    problem = _validate_serve_args(args)
-    if problem is not None:
-        print(f"serve: {problem}", file=sys.stderr)
-        return 1
+    _validate_serve_args(args)
     collectives = (fixed_policy(args.collective) if args.collective
                    else adaptive_policy(switch_bytes=args.switch_bytes))
     if getattr(args, "strategy", None):
         from .serving import strategy_traffic
         # One strategy-lowered training run per arrival, expanded into
         # one serving job per collective group, sized to the fabric.
-        try:
-            jobs = strategy_traffic(num_arrivals=args.jobs, model=args.model,
-                                    strategy=args.strategy,
-                                    world=args.capacity,
-                                    arrival_rate=args.rate, seed=args.seed)
-        except ConfigurationError as exc:
-            print(f"serve: {exc}", file=sys.stderr)
-            return 1
+        jobs = strategy_traffic(num_arrivals=args.jobs, model=args.model,
+                                strategy=args.strategy, world=args.capacity,
+                                arrival_rate=args.rate, seed=args.seed)
     else:
         # Job widths drawn by the traffic mix; a tiny fabric (capacity
         # 2-3) falls back to 2-wide jobs instead of the default 4/8/16
@@ -389,7 +353,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             title=f"EXT-H1 hierarchical-fabric rack-size sweep "
                   f"(N={args.nodes}, {wl.name})"))
     elif args.kind == "substrates":
-        rows = substrate_sweep(args.nodes, wl, cache_dir=args.cache_dir)
+        rows = substrate_sweep(args.nodes, wl)
         print(simple_table(
             ["substrate", "kind", "time", "steps", "note"],
             [(r.substrate, r.kind,
@@ -398,9 +362,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             title=f"EXT-S1 substrate comparison (N={args.nodes}, "
                   f"{wl.name}, ring all-reduce)"))
         _print_cache_table(title="cache statistics (all substrates)")
-        store = _open_store(args)
-        if store is not None:
-            print(f"cache store {store.path}: {_store_summary(store)}")
     elif args.kind == "faults":
         from .analysis.sweeps import fault_sweep
         # Serving capacity, not collective scale: clip the sweep-wide
@@ -454,7 +415,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             title=f"EXT-T1 strategy x rack-size sweep (N={nodes}, "
                   f"{model})"))
     elif args.kind == "bandwidth":
-        rows = bandwidth_sweep(args.nodes, wl, cache_dir=args.cache_dir)
+        rows = bandwidth_sweep(args.nodes, wl)
         print(simple_table(
             ["link rate", "time", "steps", "compiles", "rebinds"],
             [(units.fmt_rate(r.link_rate), units.fmt_time(r.time),
@@ -462,9 +423,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             title=f"EXT-A9 electrical bandwidth sweep (N={args.nodes}, "
                   f"{wl.name})"))
         _print_cache_table(title="cache statistics (all substrates)")
-        store = _open_store(args)
-        if store is not None:
-            print(f"cache store {store.path}: {_store_summary(store)}")
     return 0
 
 
@@ -503,10 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "instead of reconfiguring step by step "
                          "(ocs-reconfig only; never slower than the "
                          "greedy policy)")
-    pl.add_argument("--cache-dir",
-                    help="persistent cache-store directory to warm the "
-                         "substrate's memoization caches from (and spill "
-                         "back to)")
     pl.add_argument("--strategy",
                     help="co-plan parallelization x fabric instead of "
                          "planning Wrht for a fixed workload: a spec like "
@@ -522,9 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--nodes", type=int, default=256)
     sw.add_argument("--model", choices=PAPER_MODELS)
     sw.add_argument("--bytes", type=float, default=100 * units.MB)
-    sw.add_argument("--cache-dir",
-                    help="persistent cache-store directory "
-                         "(substrates/bandwidth sweeps only)")
     sw.set_defaults(func=_cmd_sweep)
 
     sv = sub.add_parser("serve",

@@ -6,10 +6,9 @@
 * :mod:`~repro.core.substrates` — the pluggable execution engines: a
   string-keyed registry of :class:`~repro.core.substrates.Substrate`
   implementations (WDM ring with memoized RWA, electrical fluid models,
-  2-D optical torus) that keep network state warm across calls;
-* :mod:`~repro.core.cache_store` — the disk-backed cross-process cache
-  store substrates spill their memoization caches (RWA, OCS
-  decomposition, fluid patterns) to and warm from;
+  2-D optical torus) that keep network state and their in-memory
+  memoization caches (RWA, OCS decomposition, fluid patterns) warm
+  across calls;
 * :mod:`~repro.core.planner` — chooses Wrht's group size ``m`` and
   all-to-all variant for a given system + payload (analytically or by
   simulating candidates on a substrate);
@@ -20,7 +19,6 @@
   that really reduces user arrays while reporting modelled time.
 """
 
-from .cache_store import CacheStore
 from .comparison import (ALGORITHMS, EXTENDED_ALGORITHMS, AlgorithmResult,
                          ComparisonResult, compare_algorithms)
 from .cost_model import (ering_time, oring_time, rd_time,
@@ -40,7 +38,6 @@ __all__ = [
     "ring_allreduce_time_optical",
     "wrht_time",
     "wrht_time_from_schedule",
-    "CacheStore",
     "ExecutionReport",
     "StepReport",
     "WrhtPlan",

@@ -43,8 +43,7 @@ from .optical_torus import OpticalTorusSubstrate
 from .reconfigurable import OCSReconfigurableSubstrate
 from .registry import (available_substrates, cache_stats,
                        clear_substrate_pool, get_substrate, pooled_substrate,
-                       register_substrate, set_pool_cache_store,
-                       spill_pool_caches)
+                       register_substrate, set_pool_cache_store)
 
 register_substrate(
     "optical-ring",
@@ -90,5 +89,4 @@ __all__ = [
     "cache_stats",
     "clear_substrate_pool",
     "set_pool_cache_store",
-    "spill_pool_caches",
 ]

@@ -8,7 +8,7 @@ next step starts then) and return an :class:`ExecutionReport`.
 Substrates keep their expensive simulation state (optical networks,
 fluid simulators, RWA caches) alive across calls, so drivers that
 execute many schedules on one system — the planner's candidate sweep,
-the ablation grids, the parallel workers — pay construction cost once.
+the ablation grids, the serving engine — pay construction cost once.
 :meth:`Substrate.execute_many` is the batch entry point those drivers
 use.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Any, Iterable, List, Mapping, Tuple, Union
 
 from ...caching import CacheStats, LruCache
 from ...collectives.schedule import Schedule
@@ -200,9 +200,9 @@ class Substrate(abc.ABC):
     def execute_many(self, jobs: Iterable[JobLike]) -> List[ExecutionReport]:
         """Execute a batch of jobs on this one substrate instance.
 
-        The batch form exists so callers (parallel workers, sweeps) hold
-        a single substrate — and therefore a single network object and a
-        warm RWA cache — across a whole grid of executions.
+        The batch form exists so callers (the serving engine, sweeps)
+        hold a single substrate — and therefore a single network object
+        and a warm RWA cache — across a whole grid of executions.
 
         Two batch-only options are peeled off before dispatch to
         ``execute``:
@@ -232,94 +232,12 @@ class Substrate(abc.ABC):
             out.append(self.execute(schedule, j.workload, **opts))
         return out
 
-    # -- cross-process cache persistence ------------------------------------
-    #
-    # Substrates that memoize work expose their caches by *namespace* so
-    # a :class:`repro.core.cache_store.CacheStore` can warm them from
-    # disk and spill them back.  Every cached value must be a pure
-    # deterministic function of its key, so hit/miss history never
-    # changes results — the property the parallel drivers' byte-identical
-    # parity tests pin.
-
-    def persistent_caches(self) -> Dict[str, LruCache]:
-        """Spillable caches keyed by store namespace (default: none).
-
-        Namespaces must be globally unambiguous: keys of two substrates
-        sharing a namespace must mean the same thing (e.g. the fluid
-        pattern caches namespace by topology signature, the ring RWA
-        cache embeds the system in its keys).
-        """
-        return {}
-
-    def warm_from(self, store: Any) -> int:
-        """Preload every persistent cache from ``store``.
-
-        The store is remembered, so caches materialized *after* this
-        call (e.g. per-configuration fluid simulators built lazily)
-        warm themselves on creation.  Returns the number of entries
-        loaded.
-        """
-        self._cache_store = store
-        # A (re)attached store starts with no spill history — entries
-        # already spilled elsewhere still belong in *this* store.
-        self._spilled_mutations = {}
-        loaded = 0
-        for namespace, cache in self.persistent_caches().items():
-            was_empty = len(cache) == 0
-            loaded += cache.warm(store.load(namespace))
-            if was_empty:
-                # Everything in the cache came from this store, so the
-                # next spill can skip it until new work lands.
-                self._spilled_mutations[namespace] = cache.mutations
-        return loaded
-
-    def spill_to(self, store: Any = None) -> int:
-        """Merge every persistent cache into ``store`` (or the one from
-        :meth:`warm_from`).  Returns the number of entries written; 0
-        when no store is attached.
-
-        Spills to the *attached* store are incremental: namespaces
-        whose cache has not been written since the last spill are
-        skipped, so drivers can spill after every cell without
-        re-serializing an unchanged store each time.
-        """
-        attached = getattr(self, "_cache_store", None)
-        store = store if store is not None else attached
-        if store is None:
-            return 0
-        track = store is attached
-        seen: Dict[str, int] = getattr(self, "_spilled_mutations", None) \
-            or {}
-        self._spilled_mutations = seen
-        written = 0
-        for namespace, cache in self.persistent_caches().items():
-            if track and seen.get(namespace) == cache.mutations:
-                continue
-            items = cache.export_items()
-            if items:
-                store.merge(namespace, items)
-                written += len(items)
-            if track:
-                seen[namespace] = cache.mutations
-        return written
-
-    def detach_store(self) -> None:
-        """Forget the attached store (stops lazy warms and spills)."""
-        self._cache_store = None
-        self._spilled_mutations = {}
-
-    @property
-    def cache_store(self) -> Any:
-        """The attached :class:`~repro.core.cache_store.CacheStore`
-        (``None`` when running purely in-memory)."""
-        return getattr(self, "_cache_store", None)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-#: Bound on shared pattern-cache namespaces kept per substrate (LRU).
-_FLUID_NAMESPACES_MAX = 128
+#: Bound on shared caches kept per substrate and cache kind (LRU).
+_SHARED_CACHES_MAX = 128
 
 
 class FluidCacheMixin:
@@ -332,27 +250,26 @@ class FluidCacheMixin:
     create; in return they get one pattern cache per *topology
     signature* shared across same-topology simulators (two systems
     differing only in overheads build identical topologies and their
-    steps are interchangeable), aggregated counters for ``describe()``,
-    the persistent namespaces for
-    :meth:`Substrate.persistent_caches`, and lazy warming from an
-    attached store.
+    steps are interchangeable) and aggregated counters for
+    ``describe()``.
     """
 
     def _fluid_pattern_caches(self) -> LruCache:
-        """Namespace → shared pattern cache (LRU-bounded).
+        """Topology signature → shared pattern cache (LRU-bounded).
 
         Bounded so substrates that visit many distinct topologies (the
         OCS fabric builds one per circuit configuration) cannot pin an
-        unbounded set of pattern caches in memory; a namespace evicted
-        here simply re-registers (and re-warms) on next use.
+        unbounded set of pattern caches in memory; a signature evicted
+        here simply re-registers on next use.
         """
         caches = getattr(self, "_fluid_caches", None)
         if caches is None:
-            caches = self._fluid_caches = LruCache(_FLUID_NAMESPACES_MAX)
+            caches = self._fluid_caches = LruCache(_SHARED_CACHES_MAX)
         return caches
 
     def _fluid_compile_caches(self) -> LruCache:
-        """Namespace → shared compiled-structure cache (LRU-bounded).
+        """Shape signature → shared compiled-structure cache
+        (LRU-bounded).
 
         The same shape as :meth:`_fluid_pattern_caches`, but keyed by
         topology *shape* signature (capacities excluded), so every
@@ -362,77 +279,60 @@ class FluidCacheMixin:
         """
         caches = getattr(self, "_compile_caches", None)
         if caches is None:
-            caches = self._compile_caches = LruCache(_FLUID_NAMESPACES_MAX)
+            caches = self._compile_caches = LruCache(_SHARED_CACHES_MAX)
         return caches
 
     def _topo_path_caches(self) -> LruCache:
-        """Namespace → shared routed-path cache (LRU-bounded).
+        """Topology signature → shared routed-path cache (LRU-bounded).
 
         The same shape as :meth:`_fluid_pattern_caches`, for the
-        topologies' routed-path LRUs — persisting those keeps
-        BFS-heavy ``CircuitTopology`` routing warm across processes.
+        topologies' routed-path LRUs, so BFS-heavy ``CircuitTopology``
+        routing is paid once per distinct circuit configuration.
         """
         caches = getattr(self, "_topo_caches", None)
         if caches is None:
-            caches = self._topo_caches = LruCache(_FLUID_NAMESPACES_MAX)
+            caches = self._topo_caches = LruCache(_SHARED_CACHES_MAX)
         return caches
 
     def _register_fluid_simulator(self, sim: Any) -> None:
-        """Adopt/seed the shared pattern cache for a new simulator.
+        """Adopt the shared caches for a new simulator.
 
-        Same-namespace simulators share one cache object (so spills
-        lose nothing to key collisions and repeated configs reuse each
-        other's solves); the first simulator of a namespace warms it
-        from the attached store.  The simulator's topology gets the
-        same treatment for its routed-path cache.
+        Simulators over same-signature topologies (identical links
+        *and* routing class) share one pattern cache object, so
+        repeated configs reuse each other's solves, and their
+        topologies share one routed-path cache (routing is
+        deterministic, so a shared route is exactly what the BFS/arc
+        walk would recompute).  Same-shape ones share one compile
+        cache.
         """
-        self._register_topology(sim.topology)
+        topology = sim.topology
+        signature = topology.signature()
+        self._share_cache(self._topo_path_caches(), signature,
+                          topology.path_cache, topology.use_path_cache)
         if sim.compile_cache is not None:
-            self._share_namespace_cache(
-                self._fluid_compile_caches(), sim.compile_cache_namespace(),
+            self._share_cache(
+                self._fluid_compile_caches(), topology.shape_signature(),
                 sim.compile_cache, sim.use_compile_cache)
         if sim.pattern_cache is None:
             return
-        self._share_namespace_cache(
-            self._fluid_pattern_caches(), sim.cache_namespace(),
-            sim.pattern_cache, sim.use_pattern_cache)
+        self._share_cache(self._fluid_pattern_caches(), signature,
+                          sim.pattern_cache, sim.use_pattern_cache)
 
-    def _register_topology(self, topology: Any) -> None:
-        """Share/warm/spill a topology's routed-path cache by namespace.
+    @staticmethod
+    def _share_cache(caches: LruCache, signature: str, cache: LruCache,
+                     adopt: Any) -> None:
+        """Adopt one shared cache for :meth:`_register_fluid_simulator`.
 
-        Same-signature topologies (identical links *and* routing class)
-        share one cache object; the first one of a namespace warms it
-        from the attached store.  Routing is deterministic, so a warmed
-        route is exactly what the BFS/arc walk would recompute.
+        If ``signature`` already has a shared cache object, ``adopt`` it
+        onto the new owner; otherwise the owner's own cache becomes the
+        shared object for ``signature``.
         """
-        self._share_namespace_cache(
-            self._topo_path_caches(), topology.path_cache_namespace(),
-            topology.path_cache, topology.use_path_cache)
-
-    def _share_namespace_cache(self, caches: LruCache, namespace: str,
-                               cache: LruCache, adopt: Any) -> None:
-        """Adopt/warm/track one namespaced cache (the shared plumbing of
-        :meth:`_register_fluid_simulator` and :meth:`_register_topology`).
-
-        If the namespace already has a shared cache object, ``adopt`` it
-        onto the new owner; otherwise warm the owner's own cache from
-        the attached store and make it the namespace's shared object.
-        """
-        existing = caches.get(namespace)
+        existing = caches.get(signature)
         if existing is not None:
             if existing is not cache:
                 adopt(existing)
             return
-        store = getattr(self, "_cache_store", None)
-        if store is not None:
-            was_empty = len(cache) == 0
-            cache.warm(store.load(namespace))
-            seen = getattr(self, "_spilled_mutations", None)
-            if seen is not None and was_empty:
-                # Its whole content came from the store, so the next
-                # spill can skip it until new work lands.
-                seen[namespace] = cache.mutations
-        caches.put(namespace, cache)
+        caches.put(signature, cache)
 
     def _schedule_steps(self, schedule: Schedule, workload: Workload,
                         ) -> List[List[Tuple[int, int, float]]]:
@@ -560,12 +460,3 @@ class FluidCacheMixin:
                 ("compile_cache_misses", cstats.misses),
                 ("compile_cache_hit_rate", round(cstats.hit_rate, 4)),
                 ("compile_cache_skipped", cstats.skipped)]
-
-    def persistent_caches(self) -> Dict[str, LruCache]:
-        """Default for fluid substrates: the shared pattern caches,
-        the shared compiled-structure caches, plus the topologies'
-        routed-path caches."""
-        caches = dict(self._fluid_pattern_caches().export_items())
-        caches.update(self._fluid_compile_caches().export_items())
-        caches.update(self._topo_path_caches().export_items())
-        return caches

@@ -33,8 +33,8 @@ shares pattern caches through
 :class:`~repro.core.substrates.base.FluidCacheMixin` (keyed by the
 hierarchy topology's signature), and the optical level embeds an
 :class:`~repro.core.substrates.optical_ring.OpticalRingSubstrate`
-whose RWA cache — including the admission bound — and persistent
-``"rwa"`` namespace are shared unchanged.
+whose RWA cache — including the admission bound — is shared
+unchanged.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from ...errors import ConfigurationError
 from ...optical.rwa import AssignmentPolicy, TransferRequest
 from ...simulation.fluid import FluidNetworkSimulator
 from ...topology.hierarchy import HierarchicalTopology
-from .base import (ExecutionReport, FluidCacheMixin, LruCache, StepReport,
-                   Substrate, SubstrateInfo)
+from .base import (ExecutionReport, FluidCacheMixin, StepReport, Substrate,
+                   SubstrateInfo)
 from .optical_ring import (DEFAULT_RWA_CACHE_MAX_TRANSFERS,
                            DEFAULT_RWA_CACHE_SIZE, OpticalRingSubstrate,
                            RwaCacheStats, Striping, _hint_direction)
@@ -121,16 +121,6 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
     def clear_rwa_cache(self) -> None:
         """Drop every memoized leader-level RWA solution."""
         self._ring.clear_rwa_cache()
-
-    def persistent_caches(self) -> Dict[str, LruCache]:
-        """Both levels' spillable caches: the leader ring's ``"rwa"``
-        namespace (keys embed the leader :class:`~repro.config.
-        OpticalRingSystem`, so sharing it with flat-ring substrates is
-        safe) plus the fluid pattern / routed-path namespaces of the
-        electrical level."""
-        caches = dict(self._ring.persistent_caches())
-        caches.update(FluidCacheMixin.persistent_caches(self))
-        return caches
 
     # -- substrate interface ------------------------------------------------
 

@@ -182,14 +182,6 @@ class OpticalRingSubstrate(Substrate):
         """Drop every memoized RWA solution (counters reset too)."""
         self._cache.clear()
 
-    def persistent_caches(self) -> Dict[str, "LruCache"]:
-        """The RWA cache, spillable to a cross-process store.
-
-        One global namespace is safe: every key embeds the system, the
-        policy, the striping factor and the routed step pattern.
-        """
-        return {"rwa": self._cache}
-
     # -- substrate interface ------------------------------------------------
 
     def describe(self) -> SubstrateInfo:
@@ -469,7 +461,7 @@ class OpticalRingSubstrate(Substrate):
             if fault_key:
                 # Degraded solutions are memoized apart from healthy
                 # ones (and from other masks); healthy keys keep their
-                # exact shape so persistent caches stay warm.
+                # exact shape, so healthy steps still hit.
                 key = key + (fault_key,)
             hit = self._cache.get(key)
             if hit is not None:

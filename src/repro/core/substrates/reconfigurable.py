@@ -512,18 +512,6 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
             self._cache.put(key, rounds, cost=len(ordered))
         return rounds
 
-    def persistent_caches(self) -> Dict[str, LruCache]:
-        """The decomposition step cache plus the fluid-layer caches
-        (pattern caches and the circuit topologies' routed-path caches
-        — the BFS-heavy ones the persistent store pays off most for).
-
-        Decomposition keys are ``(ports, mode, ordered pattern)`` —
-        system-rate independent — so one global namespace is safe.
-        """
-        caches = {"ocs/decomposition": self._cache}
-        caches.update(FluidCacheMixin.persistent_caches(self))
-        return caches
-
     def _simulator(self, system: ReconfigurableOCSSystem,
                    config: CircuitConfig) -> FluidNetworkSimulator:
         key = (system, config)

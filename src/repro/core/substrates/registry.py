@@ -2,10 +2,10 @@
 
 ``get_substrate("optical-ring")`` constructs a fresh substrate;
 ``pooled_substrate(...)`` memoizes instances per (name, system, options)
-so hot drivers — the comparison harness, parallel workers — reuse one
-network object and one warm RWA cache per configuration instead of
-rebuilding them per call.  The pool is process-local (each worker
-process grows its own) and LRU-bounded.
+so hot drivers — the comparison harness, the sweeps, the serving
+engine — reuse one network object and one warm RWA cache per
+configuration instead of rebuilding them per call.  The pool is
+process-local and LRU-bounded.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ _REGISTRY: Dict[str, SubstrateFactory] = {}
 #: Upper bound on distinct substrate instances kept alive per process.
 _POOL_MAX = 32
 _POOL: "OrderedDict[Tuple, Substrate]" = OrderedDict()
-
-#: Process-local persistent cache store newly pooled substrates warm from.
-_POOL_STORE: Optional[Any] = None
 
 
 def register_substrate(name: str, factory: SubstrateFactory,
@@ -84,8 +81,6 @@ def pooled_substrate(name: str, system: Optional[Any] = None,
     sub = _POOL.get(key)
     if sub is None:
         sub = get_substrate(name, system=system, **kwargs)
-        if _POOL_STORE is not None:
-            sub.warm_from(_POOL_STORE)
         _POOL[key] = sub
         if len(_POOL) > _POOL_MAX:
             _POOL.popitem(last=False)
@@ -128,36 +123,17 @@ def clear_substrate_pool() -> None:
     _POOL.clear()
 
 
-def set_pool_cache_store(store: Optional[Any]) -> None:
-    """Attach a :class:`~repro.core.cache_store.CacheStore` to the pool.
+def set_pool_cache_store(store: None) -> None:
+    """Accept ``None``: the pool has no cache store to attach or detach.
 
-    Substrates pooled from now on warm their persistent caches from
-    ``store`` at construction; instances already pooled are warmed
-    immediately.  Pass ``None`` to detach the pool *and* every pooled
-    instance (their in-memory caches stay, but they stop reading from
-    or spilling to the old directory).  The setting is process-local —
-    parallel workers each call this once at cell start.
+    Every substrate cache lives in process memory, so there is nothing
+    to configure.  The function survives only because the benchmark
+    harness (``perfbench/worker.py``) calls ``set_pool_cache_store(None)``
+    before every repetition; that call is a no-op and leaves pooled
+    instances in place.  Any other argument raises
+    :class:`~repro.errors.ConfigurationError`.
     """
-    global _POOL_STORE
-    _POOL_STORE = store
-    for sub in _POOL.values():
-        if store is not None:
-            sub.warm_from(store)
-        else:
-            sub.detach_store()
-
-
-def spill_pool_caches(store: Optional[Any] = None) -> int:
-    """Spill every pooled substrate's caches to ``store``.
-
-    Defaults to the store attached via :func:`set_pool_cache_store`.
-    Returns the number of entries written (0 when no store is
-    configured).
-    """
-    store = store if store is not None else _POOL_STORE
-    if store is None:
-        return 0
-    written = 0
-    for sub in _POOL.values():
-        written += sub.spill_to(store)
-    return written
+    if store is not None:
+        raise ConfigurationError(
+            "substrate caches are in-memory only; set_pool_cache_store "
+            f"accepts only None, got {type(store).__name__}")

@@ -138,7 +138,8 @@ class OpticalRingNetwork:
 
         Memoization keys append this, so cached degraded solutions are
         keyed apart from healthy ones — and healthy keys are unchanged,
-        keeping persistent caches warm across fault-aware runs.
+        so the healthy steps of a fault-aware run still hit the entries
+        that fault-free runs cached.
         """
         if not self.has_faults:
             return ()

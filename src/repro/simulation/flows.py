@@ -256,10 +256,7 @@ class FlowBatchStructure:
     backend operators factored out into :meth:`bind`.  This is the
     unit the cross-cell compile cache shares: a sweep re-running one
     step pattern over many capacity (bandwidth) cells compiles the
-    structure once and rebinds it per cell, and the object pickles
-    cleanly (backend operator prototypes are dropped, rebuilt on first
-    bind) so a :class:`~repro.core.cache_store.CacheStore` can carry
-    it across processes.
+    structure once and rebinds it per cell.
     """
 
     __slots__ = ("link_ids", "flow_ptr", "flow_links", "flow_of",
@@ -280,15 +277,6 @@ class FlowBatchStructure:
         # only on the structure, so every bind of the same backend
         # shares them (they are read-only in the solver).
         self._protos: Dict[str, CompiledFlowBatch] = {}
-
-    def __getstate__(self) -> Dict[str, object]:
-        return {slot: getattr(self, slot)
-                for slot in self.__slots__ if slot != "_protos"}
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        self._protos = {}
 
     @property
     def num_flows(self) -> int:

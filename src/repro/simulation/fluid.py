@@ -45,7 +45,7 @@ patterns across dozens of steps, so the solved rate schedule is
 memoized under a normalized key and rescaled per call.  Cached entries
 are pure functions of their key — a hit returns exactly what the miss
 path would compute — so warm and cold runs are byte-identical, which is
-what lets :mod:`repro.core.cache_store` share them across processes.
+what lets substrates share one cache between same-topology simulators.
 An *admission policy* keeps enormous steps from bloating the cache:
 patterns above ``pattern_cache_max_flows`` flows are solved but not
 stored (counted in the cache's ``skipped`` statistic).
@@ -653,25 +653,6 @@ class FluidNetworkSimulator:
             self._compile_cache.clear()
         self._compiled_patterns.clear()
 
-    def cache_namespace(self) -> str:
-        """Persistent-store namespace of this simulator's pattern cache.
-
-        Derived from the topology signature, so any simulator over an
-        identical topology — in any process — shares the entries.
-        """
-        return f"fluid-pattern/{self.topology.signature()}"
-
-    def compile_cache_namespace(self) -> str:
-        """Persistent-store namespace of this simulator's compile cache.
-
-        Derived from the topology *shape* signature — capacities and
-        latencies excluded — because routed structures are pure
-        functions of which links exist, so every bandwidth/latency
-        variant of one topology shares the entries (this is what lets
-        a sweep compile one batch family per pattern).
-        """
-        return f"fluid-compile/{self.topology.shape_signature()}"
-
     def compile_cache_info(self) -> CacheStats:
         """Current compile-cache counters (zeros when disabled)."""
         if self._compile_cache is None:
@@ -687,23 +668,14 @@ class FluidNetworkSimulator:
         """Adopt ``cache`` as this simulator's compile cache.
 
         Substrates share one cache object between simulators whose
-        topologies have the same :meth:`compile_cache_namespace` —
-        entries are interchangeable there by construction (the bind
-        step applies each simulator's own capacities).
+        topologies have the same
+        :meth:`~repro.topology.base.Topology.shape_signature` —
+        capacities and latencies excluded, because routed structures
+        are pure functions of which links exist — so every
+        bandwidth/latency variant of one topology shares the entries
+        (the bind step applies each simulator's own capacities).
         """
         self._compile_cache = cache
-
-    def export_pattern_cache(self) -> Dict:
-        """Snapshot of the memoized rate schedules (for disk spilling)."""
-        if self._pattern_cache is None:
-            return {}
-        return self._pattern_cache.export_items()
-
-    def warm_pattern_cache(self, items: Dict) -> int:
-        """Preload memoized rate schedules (counters untouched)."""
-        if self._pattern_cache is None or not items:
-            return 0
-        return self._pattern_cache.warm(items)
 
     @property
     def pattern_cache(self) -> Optional[LruCache]:
@@ -714,7 +686,8 @@ class FluidNetworkSimulator:
         """Adopt ``cache`` as this simulator's pattern cache.
 
         Substrates share one cache object between simulators whose
-        topologies have the same :meth:`cache_namespace` — entries are
+        topologies have the same
+        :meth:`~repro.topology.base.Topology.signature` — entries are
         interchangeable there by construction.  The adopted cache's
         admission bound wins over this simulator's configured one.
         """

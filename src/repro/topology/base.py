@@ -127,37 +127,26 @@ class Topology:
 
     @property
     def path_cache(self) -> LruCache:
-        """The live routed-path cache (for sharing and persistence)."""
+        """The live routed-path cache (for sharing)."""
         return self._path_cache
 
     def use_path_cache(self, cache: LruCache) -> None:
         """Adopt ``cache`` as this topology's routed-path cache.
 
         Substrates share one cache object between topologies with the
-        same :meth:`path_cache_namespace` — identical link structure
-        and routing make the entries interchangeable.  Adopt only
-        after construction: :meth:`_add_link` clears the (now shared)
-        cache.
+        same :meth:`signature` — identical link structure and routing
+        make the entries interchangeable.  Adopt only after
+        construction: :meth:`_add_link` clears the (now shared) cache.
         """
         self._path_cache = cache
-
-    def path_cache_namespace(self) -> str:
-        """Persistent-store namespace of this topology's path cache.
-
-        Derived from :meth:`signature` — any topology with identical
-        links and routing class, in any process, shares the entries
-        (this is what keeps BFS-heavy ``CircuitTopology`` runs warm
-        across worker processes).
-        """
-        return f"topo-paths/{self.signature()}"
 
     def signature(self) -> str:
         """Stable digest of this topology's link structure.
 
         Two topology instances of the same class with identical links
         (same endpoints, keys, capacities and latencies) share a
-        signature — the key the persistent cache store uses to let
-        *processes* share fluid pattern caches safely.  The class is
+        signature — the key substrates use to share fluid pattern and
+        routed-path caches between same-topology simulators.  The class is
         part of the digest because routing (:meth:`path`) is defined by
         the subclass: identical link sets routed differently must not
         share cached rate schedules.
@@ -176,8 +165,8 @@ class Topology:
         depends only on which links exist, never on their rates, so two
         same-class topologies differing only in capacities/latencies
         route — and therefore compile flow-batch structures —
-        identically.  This is the namespace key of the fluid engine's
-        cross-cell compile cache; anything rate-dependent (solved rate
+        identically.  This is the key of the fluid engine's cross-cell
+        compile cache; anything rate-dependent (solved rate
         schedules) must key on :meth:`signature` instead.
         """
         canon = repr(("shape", type(self).__qualname__, self._num_hosts,

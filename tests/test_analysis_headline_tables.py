@@ -84,17 +84,6 @@ class TestSweeps:
         assert [r.substrate for r in rows] == list(available_substrates())
         assert all(r.time > 0 for r in rows)
 
-    def test_substrate_sweep_with_cache_dir_identical(self, tmp_path):
-        from repro.analysis.sweeps import substrate_sweep
-        wl = Workload(data_bytes=1 * units.MB)
-        plain = substrate_sweep(8, wl)
-        cache_dir = str(tmp_path / "store")
-        seeded = substrate_sweep(8, wl, cache_dir=cache_dir)
-        warmed = substrate_sweep(8, wl, cache_dir=cache_dir)
-        assert [(r.substrate, r.time) for r in plain] \
-            == [(r.substrate, r.time) for r in seeded] \
-            == [(r.substrate, r.time) for r in warmed]
-
     def test_substrate_sweep_reports_infeasible_rows(self):
         from repro.analysis.sweeps import substrate_sweep
         rows = substrate_sweep(13, Workload(data_bytes=1 * units.MB),
@@ -128,23 +117,6 @@ class TestSweeps:
 
         with pytest.raises(ConfigurationError):
             bandwidth_sweep(8, Workload(data_bytes=1.0), topology="mesh")
-
-    def test_bandwidth_sweep_cache_dir_warm_start(self, tmp_path):
-        from repro.analysis.sweeps import bandwidth_sweep
-        from repro.core.substrates import clear_substrate_pool
-
-        wl = Workload(data_bytes=1 * units.MB)
-        cache_dir = str(tmp_path / "store")
-        clear_substrate_pool()
-        first = bandwidth_sweep(8, wl, link_rates=(1e9, 2e9),
-                                cache_dir=cache_dir)
-        clear_substrate_pool()
-        second = bandwidth_sweep(8, wl, link_rates=(1e9, 2e9),
-                                 cache_dir=cache_dir)
-        assert [(r.link_rate, r.time) for r in first] \
-            == [(r.link_rate, r.time) for r in second]
-        # A store-warmed process never compiles from scratch.
-        assert second[-1].compile_misses == 0
 
     def test_serving_load_sweep_shapes_with_load(self):
         from repro.analysis.sweeps import serving_load_sweep

@@ -1,0 +1,57 @@
+"""Tests for the in-memory cache primitives and same-topology sharing."""
+
+from repro import units
+from repro.caching import LruCache
+from repro.collectives.ring_allreduce import generate_ring_allreduce
+from repro.config import Workload
+from repro.core.substrates import ElectricalSubstrate
+
+SCHED = generate_ring_allreduce(8)
+WL = Workload(data_bytes=1 * units.MB)
+
+
+class TestLruCacheAdmission:
+    def test_over_bound_values_are_skipped(self):
+        c = LruCache(8, admit_cost_bound=2)
+        assert c.put("small", 1, cost=2) is True
+        assert c.put("big", 2, cost=3) is False
+        assert len(c) == 1 and c.skipped == 1
+        assert c.get("big") is None  # never stored
+
+    def test_no_bound_admits_everything(self):
+        c = LruCache(8)
+        assert c.put("x", 1, cost=10 ** 9) is True
+        assert c.skipped == 0
+
+    def test_costless_puts_bypass_the_policy(self):
+        c = LruCache(8, admit_cost_bound=1)
+        assert c.put("x", 1) is True  # no cost declared
+        assert c.skipped == 0
+
+    def test_clear_resets_skipped(self):
+        c = LruCache(8, admit_cost_bound=1)
+        c.put("big", 1, cost=5)
+        assert c.skipped == 1
+        c.clear()
+        assert c.skipped == 0
+
+    def test_stats_carry_skipped(self):
+        c = LruCache(8, admit_cost_bound=1)
+        c.put("big", 1, cost=5)
+        assert c.stats().skipped == 1
+
+
+class TestPathCacheSharing:
+    def test_same_signature_topologies_share_one_path_cache(self):
+        from repro.config import default_electrical
+
+        base = default_electrical(8).with_(topology="ring")
+        other = base.with_(step_latency=base.step_latency * 2)
+        sub = ElectricalSubstrate(topology="ring")
+        sub._system = base
+        sub.execute(SCHED, WL)
+        sub._system = other
+        sub.execute(SCHED, WL)
+        topologies = [sim.topology for sim in sub._sims.values()]
+        assert len(topologies) == 2
+        assert topologies[0].path_cache is topologies[1].path_cache

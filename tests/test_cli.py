@@ -138,26 +138,6 @@ class TestCommands:
         assert "\nfluid " in out and "\ncompile " in out
         assert "hits" in out and "misses" in out
 
-    def test_plan_substrate_cache_dir(self, capsys, tmp_path):
-        cache_dir = str(tmp_path / "store")
-        args = ["plan", "--nodes", "16", "--wavelengths", "8",
-                "--substrate", "electrical-ring", "--cache-dir", cache_dir]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "cache store" in out
-        # Second run warms from the spilled entries.
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "entries warmed" in out and "\nfluid " in out
-
-    def test_sweep_substrates_cache_dir(self, capsys, tmp_path):
-        cache_dir = str(tmp_path / "store")
-        rc = main(["sweep", "substrates", "--nodes", "8",
-                   "--bytes", "1000000", "--cache-dir", cache_dir])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "cache store" in out and "entries" in out
-
     def test_sweep_substrates_prints_consolidated_cache_table(self, capsys):
         rc = main(["sweep", "substrates", "--nodes", "8",
                    "--bytes", "1000000"])
@@ -176,14 +156,6 @@ class TestCommands:
         assert "EXT-A9" in out
         assert "compiles" in out and "rebinds" in out
         assert "cache statistics (all substrates)" in out
-
-    def test_sweep_bandwidth_cache_dir(self, capsys, tmp_path):
-        cache_dir = str(tmp_path / "store")
-        args = ["sweep", "bandwidth", "--nodes", "8",
-                "--bytes", "1000000", "--cache-dir", cache_dir]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "cache store" in out
 
     def test_serve_smoke(self, capsys):
         rc = main(["serve", "--jobs", "8", "--capacity", "16",
@@ -211,6 +183,13 @@ class TestErrorBoundary:
         ["plan", "--nodes", "1"],
         ["plan", "--nodes", "16", "--wavelengths", "0"],
         ["fig2", "--model", "alexnet", "--scales", "1"],
+        ["serve", "--capacity", "1"],
+        ["serve", "--strategy", "dp2"],
+        ["serve", "--model", "alexnet", "--strategy", "dp64",
+         "--capacity", "4"],
+        ["plan", "--nodes", "16", "--strategy", "bogus"],
+        ["plan", "--nodes", "13", "--wavelengths", "8",
+         "--substrate", "optical-torus"],
     ])
     def test_library_error_is_one_line_exit_2(self, argv):
         env = dict(os.environ, PYTHONPATH=SRC)

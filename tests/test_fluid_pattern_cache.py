@@ -116,26 +116,6 @@ class TestStepCache:
         assert sim.trace.total_bytes() == pytest.approx(
             2 * 2 * 125 * units.MB, rel=1e-6)
 
-    def test_export_and_warm_roundtrip(self):
-        a = FluidNetworkSimulator(SwitchedStar(8, GB100))
-        pairs = [(0, 1, 1.0 * units.MB), (2, 1, 3.0 * units.MB)]
-        t = a.step_time(pairs)
-        items = a.export_pattern_cache()
-        assert items
-
-        b = FluidNetworkSimulator(SwitchedStar(8, GB100))
-        assert b.warm_pattern_cache(items) == len(items)
-        assert b.step_time(pairs) == t
-        info = b.pattern_cache_info()
-        assert info.misses == 0 and info.hits == 1
-
-    def test_namespace_tracks_topology_identity(self):
-        a = FluidNetworkSimulator(SwitchedStar(8, GB100))
-        b = FluidNetworkSimulator(SwitchedStar(8, GB100))
-        c = FluidNetworkSimulator(SwitchedStar(8, 2 * GB100))
-        assert a.cache_namespace() == b.cache_namespace()
-        assert a.cache_namespace() != c.cache_namespace()
-
 
 class TestCacheAdmission:
     def test_oversized_step_solved_but_not_cached(self):
@@ -262,7 +242,7 @@ class TestSubstrateCounters:
     def test_same_topology_systems_share_one_cache(self):
         """Two systems differing only in per-step overhead build the
         same topology; their simulators share one pattern cache, so
-        nothing is lost to namespace collisions on spill."""
+        the second system's steps are all hits."""
         from repro.config import default_electrical
         from repro.core.substrates import ElectricalSubstrate
 
@@ -280,12 +260,9 @@ class TestSubstrateCounters:
         # second system's steps all hit the shared cache
         assert second.misses == first.misses
         assert second.hits > first.hits
-        # one shared namespace each for the pattern and path caches
-        namespaces = sub.persistent_caches()
-        assert len([ns for ns in namespaces
-                    if ns.startswith("fluid-pattern/")]) == 1
-        assert len([ns for ns in namespaces
-                    if ns.startswith("topo-paths/")]) == 1
+        # one shared cache each for the pattern and path caches
+        assert len(sub._fluid_pattern_caches()) == 1
+        assert len(sub._topo_path_caches()) == 1
 
     def test_ocs_stay_time_unchanged_by_profile_path(self):
         """The OCS substrate's stay/reconfigure balance is unchanged."""

@@ -206,14 +206,6 @@ class TestExecution:
                     "leader_steps", "group_size", "num_groups"):
             assert key in keys
 
-    def test_persistent_caches_cover_both_levels(self):
-        hs = hier(8, 4)
-        sub = HierarchicalRackSubstrate(hs)
-        sub.execute(generate_hierarchical_ring(8, 4), WL)
-        namespaces = set(sub.persistent_caches())
-        assert "rwa" in namespaces
-        assert any(ns.startswith("fluid-pattern/") for ns in namespaces)
-
 
 class TestDegenerateParity:
     """The cross-substrate parity criteria, bit for bit."""

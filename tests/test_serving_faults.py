@@ -248,8 +248,9 @@ class TestServeCliValidation:
     ])
     def test_bad_flag_fails_fast(self, argv, needle, capsys):
         from repro.cli import main
-        assert main(argv) == 1
-        assert needle in capsys.readouterr().err
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro serve: ") and needle in err
 
     def test_faulty_serve_smoke(self, capsys):
         from repro.cli import main

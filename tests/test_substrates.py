@@ -23,7 +23,8 @@ from repro.core.substrates import (ElectricalSubstrate, ExecutionJob,
                                    OpticalTorusSubstrate, Substrate,
                                    SubstrateInfo, available_substrates,
                                    clear_substrate_pool, get_substrate,
-                                   pooled_substrate, register_substrate)
+                                   pooled_substrate, register_substrate,
+                                   set_pool_cache_store)
 from repro.errors import ConfigurationError
 from repro.optical.rwa import AssignmentPolicy
 
@@ -88,6 +89,16 @@ class TestRegistry:
         c = pooled_substrate("optical-ring", opt(w=16))
         assert a is b
         assert a is not c
+
+    def test_set_pool_cache_store_accepts_only_none(self):
+        clear_substrate_pool()
+        a = pooled_substrate("optical-ring", opt())
+        set_pool_cache_store(None)
+        assert pooled_substrate("optical-ring", opt()) is a
+        for store in ("store-dir", object(), 0, False):
+            with pytest.raises(ConfigurationError, match="only None"):
+                set_pool_cache_store(store)
+        assert pooled_substrate("optical-ring", opt()) is a
 
     def test_wrong_system_type_rejected(self):
         with pytest.raises(ConfigurationError):
