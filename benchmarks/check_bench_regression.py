@@ -14,6 +14,11 @@ the engine and the reference slow down together.  The job fails when
 any gated section's speedup drops below half of the committed
 baseline's (i.e. a >2x relative regression).
 
+Two sections are not wall-clock speedups but deterministic *simulated*
+results (``EXACT_SECTIONS``: lookahead vs greedy OCS programs, co-plan
+vs best fixed plan); they fail unless every field equals the committed
+baseline's, and print as ``exact`` rows.
+
 Every gated section is always checked — a bad or missing entry is
 recorded as a failure and the scan continues, so one CI run reports the
 complete set of regressions side by side instead of the first one.
@@ -37,8 +42,10 @@ GATED_SECTIONS = ("solver_micro_cold", "step_cache_hit",
                   "hier_rack_warm_reuse", "sweep_shared_compile",
                   "solver_warm_admission", "rwa_incremental_step",
                   "serving_warm_throughput", "fault_repair_vs_resolve",
-                  "ocs_lookahead_vs_greedy", "ocs_delta_decompose",
-                  "coplan_vs_best_fixed")
+                  "ocs_delta_decompose")
+
+#: Sections of simulated results: every field must equal the baseline's.
+EXACT_SECTIONS = ("ocs_lookahead_vs_greedy", "coplan_vs_best_fixed")
 
 
 def _load(path):
@@ -46,13 +53,45 @@ def _load(path):
         return json.load(fh)
 
 
+def _speedup(entry):
+    try:
+        return f"{float(entry['speedup']):.2f}x"
+    except (KeyError, TypeError, ValueError):
+        return "?"
+
+
+def _check_exact(section, current, baseline, rows, failures):
+    """Gate one simulated-result section: equal field for field."""
+    base = baseline[section]
+    cur = current.get(section)
+    if not isinstance(base, dict):
+        failures.append(f"{section}: unreadable baseline entry")
+        rows.append((section, "?", "?", "exact", "BAD-BASELINE"))
+        return
+    if not isinstance(cur, dict):
+        failures.append(f"{section}: missing from current results")
+        rows.append((section, _speedup(base), "-", "exact", "MISSING"))
+        return
+    changed = [f"{k}: {base.get(k)!r} -> {cur.get(k)!r}"
+               for k in sorted(set(base) | set(cur))
+               if k not in base or k not in cur or base[k] != cur[k]]
+    rows.append((section, _speedup(base), _speedup(cur), "exact",
+                 "CHANGED" if changed else "ok"))
+    if changed:
+        failures.append(f"{section}: simulated result differs from the "
+                        f"committed baseline ({'; '.join(changed)})")
+
+
 def _check_pair(current, baseline, rows, failures):
     """Gate one (CURRENT, BASELINE) file pair; returns sections seen."""
     seen = set()
-    for section in GATED_SECTIONS:
+    for section in GATED_SECTIONS + EXACT_SECTIONS:
         if section not in baseline:
             continue
         seen.add(section)
+        if section in EXACT_SECTIONS:
+            _check_exact(section, current, baseline, rows, failures)
+            continue
         try:
             base = float(baseline[section]["speedup"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -117,7 +156,7 @@ def main(argv: list[str]) -> int:
                 combined["sections"].setdefault(key, {}).update(value)
         seen |= _check_pair(current, baseline, rows, failures)
 
-    for section in GATED_SECTIONS:
+    for section in GATED_SECTIONS + EXACT_SECTIONS:
         if section not in seen:
             print(f"[skip] {section}: not in any baseline")
     _print_table(rows)

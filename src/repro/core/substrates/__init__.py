@@ -32,7 +32,7 @@ Third-party fabrics plug in with :func:`register_substrate`;
 
 from __future__ import annotations
 
-from .base import (CacheStats, ExecutionJob, ExecutionReport,
+from .base import (CacheStats, ExecutionReport, FaultReplay,
                    FluidCacheMixin, LruCache, StepReport, Substrate,
                    SubstrateInfo)
 from .electrical import ElectricalSubstrate
@@ -69,8 +69,8 @@ register_substrate(
 __all__ = [
     "Substrate",
     "SubstrateInfo",
-    "ExecutionJob",
     "ExecutionReport",
+    "FaultReplay",
     "StepReport",
     "OpticalRingSubstrate",
     "OpticalStepOutcome",

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Mapping, Tuple, Union
+from typing import Any, Iterable, List, Optional, Tuple
 
 from ...caching import CacheStats, LruCache
+from ...collectives.primitives import transfer_bytes
 from ...collectives.schedule import Schedule
 from ...config import Workload
 from ...errors import ConfigurationError
 from ...faults.events import FaultOutcome, FaultyRun
+from ...simulation.fluid import FluidNetworkSimulator
 
 __all__ = [
     "CacheStats",
@@ -31,8 +33,7 @@ __all__ = [
     "StepReport",
     "ExecutionReport",
     "SubstrateInfo",
-    "ExecutionJob",
-    "JobLike",
+    "FaultReplay",
     "Substrate",
     "FluidCacheMixin",
 ]
@@ -97,31 +98,65 @@ class SubstrateInfo:
         return dict(self.parameters).get(key, default)
 
 
-@dataclass(frozen=True)
-class ExecutionJob:
-    """One (schedule, workload) unit for :meth:`Substrate.execute_many`.
+class FaultReplay:
+    """The fault bookkeeping of one degraded replay.
 
-    ``options`` carries per-job keyword arguments for ``execute``
-    (e.g. ``{"striping": "off"}`` on the optical ring).
+    A substrate's one step loop takes an optional replay: every step
+    calls :meth:`enter` at its start, and :meth:`degrade` when it ran
+    under failures; :meth:`result` wraps the finished report.  Without
+    a replay the same loop is the fault-free ``execute``.
+
+    Construction checks every event's target against the fabric, so a
+    plan naming a node, link endpoint or wavelength the fabric does not
+    have fails before any step runs.  Negative ids are left alone:
+    switch nodes have negative ids on switched topologies.
     """
 
-    schedule: Schedule
-    workload: Workload
-    options: Tuple[Tuple[str, Any], ...] = ()
+    def __init__(self, plan: Any, num_nodes: int,
+                 num_wavelengths: Optional[int] = None) -> None:
+        for e in plan.events:
+            nodes = e.link or (() if e.node is None else (e.node,))
+            if max(nodes, default=-1) >= num_nodes:
+                has = f"{num_nodes} nodes"
+            elif (num_wavelengths is not None and e.wavelength is not None
+                  and e.wavelength >= num_wavelengths):
+                has = f"{num_wavelengths} wavelengths"
+            else:
+                continue
+            target = (f"link={e.link}" if e.link is not None
+                      else f"node={e.node}" if e.node is not None
+                      else f"wavelength={e.wavelength}")
+            raise ConfigurationError(
+                f"fault event {e.kind.value} {target} at t={e.time} "
+                f"targets hardware the fabric does not have ({has})")
+        self._timeline = plan.timeline()
+        self._degraded: List[int] = []
+        self._repair = 0.0
+        self._stall = 0.0
 
-    @classmethod
-    def of(cls, job: "JobLike") -> "ExecutionJob":
-        """Coerce a job-like value (job, 2-tuple, or 3-tuple)."""
-        if isinstance(job, ExecutionJob):
-            return job
-        schedule, workload, *rest = job
-        opts: Mapping[str, Any] = rest[0] if rest else {}
-        return cls(schedule=schedule, workload=workload,
-                   options=tuple(sorted(opts.items())))
+    def enter(self, now: float) -> Tuple[Any, float]:
+        """Fold the plan up to ``now``: the
+        :class:`~repro.faults.FaultState` the step runs under, and the
+        OCS stall that delays its start."""
+        state = self._timeline.advance(now)
+        stall = max(0.0, state.stall_until - now)
+        self._stall += stall
+        return state, stall
 
+    def degrade(self, index: int, extra: float) -> None:
+        """Record step ``index`` as run under failures, ``extra`` seconds
+        slower than on the healthy fabric (a faster step adds nothing)."""
+        self._degraded.append(index)
+        self._repair += max(0.0, extra)
 
-JobLike = Union[ExecutionJob, Tuple[Schedule, Workload],
-                Tuple[Schedule, Workload, Mapping[str, Any]]]
+    def result(self, report: ExecutionReport) -> FaultyRun:
+        """The replayed ``report`` with its fault accounting."""
+        return FaultyRun(report=report, outcome=FaultOutcome(
+            events_applied=self._timeline.applied,
+            faults_survived=len(self._degraded),
+            degraded_steps=tuple(self._degraded),
+            repair_overhead=self._repair,
+            stall_time=self._stall))
 
 
 class Substrate(abc.ABC):
@@ -129,6 +164,9 @@ class Substrate(abc.ABC):
 
     #: Registry-facing name; subclasses override (instances may refine).
     name: str = "substrate"
+
+    #: The configured system; ``None`` sizes a default per schedule.
+    _system: Any = None
 
     @abc.abstractmethod
     def execute(self, schedule: Schedule, workload: Workload,
@@ -149,14 +187,17 @@ class Substrate(abc.ABC):
         The keystone contract: a ``plan`` that is ``None`` or has zero
         events is a pure passthrough to :meth:`execute` — the report is
         the fault-free one, **bit for bit**, on every substrate.  With
-        events, the substrate-specific :meth:`_execute_faulty` replays
-        the schedule step by step, sampling the plan's folded
-        :class:`~repro.faults.FaultState` at each step boundary
-        (synchronous-step semantics: a fault takes effect at the next
-        barrier), rerouting affected steps on the degraded fabric and
-        stalling step starts during OCS reconfiguration overruns.
-        Raises :class:`~repro.errors.DegradedError` when failures
-        partition the fabric mid-run.
+        events, the substrate-specific :meth:`_execute_faulty` runs the
+        substrate's one step loop under a :class:`FaultReplay`,
+        sampling the plan's folded :class:`~repro.faults.FaultState` at
+        each step boundary (synchronous-step semantics: a fault takes
+        effect at the next barrier), rerouting affected steps on the
+        degraded fabric and stalling step starts during OCS
+        reconfiguration overruns.  Raises
+        :class:`~repro.errors.ConfigurationError` before any step runs
+        when an event targets hardware the fabric does not have, and
+        :class:`~repro.errors.DegradedError` when failures partition
+        the fabric mid-run.
         """
         if plan is None or not getattr(plan, "events", ()):
             return FaultyRun(report=self.execute(schedule, workload,
@@ -167,7 +208,8 @@ class Substrate(abc.ABC):
 
     def _execute_faulty(self, schedule: Schedule, workload: Workload,
                         plan: Any, **options: Any) -> FaultyRun:
-        """Substrate-specific degraded replay (override to support)."""
+        """Substrate-specific degraded replay: override to run the
+        substrate's step loop under a :class:`FaultReplay`."""
         raise ConfigurationError(
             f"substrate {self.name!r} does not support fault injection "
             f"(got a plan with {len(plan.events)} events); use an empty "
@@ -197,40 +239,38 @@ class Substrate(abc.ABC):
              getattr(self, "_fault_events_applied", 0)),
         ]
 
-    def execute_many(self, jobs: Iterable[JobLike]) -> List[ExecutionReport]:
-        """Execute a batch of jobs on this one substrate instance.
+    def execute_many(self, jobs: Iterable[tuple]) -> List[ExecutionReport]:
+        """Execute ``(schedule, workload[, options])`` jobs in order.
 
         The batch form exists so callers (the serving engine, sweeps)
         hold a single substrate — and therefore a single network object
         and a warm RWA cache — across a whole grid of executions.
-
-        Two batch-only options are peeled off before dispatch to
-        ``execute``:
-
-        * ``nodes`` — a sequence of physical node ids: the job's
-          schedule (authored over logical ranks ``0..k-1``) is placed
-          onto those nodes first, so strategy phases that own a *subset*
-          of the fabric (a rack's tensor-parallel group, a strided
-          data-parallel group) run where the co-planner put them;
-        * ``total_nodes`` — the fabric width the placement renames into
-          (default ``max(nodes) + 1``).
+        ``options`` maps keyword arguments of :meth:`execute` (e.g.
+        ``{"striping": "off"}`` on the optical ring).  Schedules that
+        own a subset of the fabric are placed by the caller
+        (:mod:`repro.collectives.placement`).
         """
-        from ...collectives.placement import place_schedule
+        return [self.execute(schedule, workload, **(opts[0] if opts else {}))
+                for schedule, workload, *opts in jobs]
 
-        out: List[ExecutionReport] = []
-        for job in jobs:
-            j = ExecutionJob.of(job)
-            opts = dict(j.options)
-            nodes = opts.pop("nodes", None)
-            total = opts.pop("total_nodes", None)
-            schedule = j.schedule
-            if nodes is not None:
-                nodes = [int(n) for n in nodes]
-                schedule = place_schedule(
-                    schedule, nodes,
-                    max(nodes) + 1 if total is None else int(total))
-            out.append(self.execute(schedule, j.workload, **opts))
-        return out
+    # -- system sizing -------------------------------------------------------
+
+    def _resolve_system(self, schedule: Schedule) -> Any:
+        """The configured system (which must span ``schedule``), or the
+        substrate's default system sized to it."""
+        if self._system is None:
+            return self._default_system(schedule.num_nodes)
+        if schedule.num_nodes > self._system.num_nodes:
+            raise ConfigurationError(
+                f"schedule spans {schedule.num_nodes} nodes; system "
+                f"has {self._system.num_nodes}")
+        return self._system
+
+    def _default_system(self, num_nodes: int) -> Any:
+        """The system a substrate built without one uses for
+        ``num_nodes`` nodes (override to size one)."""
+        raise ConfigurationError(
+            f"substrate {self.name!r} needs an explicit system")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
@@ -241,17 +281,20 @@ _SHARED_CACHES_MAX = 128
 
 
 class FluidCacheMixin:
-    """Shared cache plumbing for substrates driven by the fluid engine.
+    """Shared simulators, caches and step loop for fluid-driven substrates.
 
     Substrates that pool
     :class:`~repro.simulation.fluid.FluidNetworkSimulator` instances
-    (electrical, optical torus, reconfigurable OCS) mix this in and
-    call :meth:`_register_fluid_simulator` on every simulator they
-    create; in return they get one pattern cache per *topology
-    signature* shared across same-topology simulators (two systems
-    differing only in overheads build identical topologies and their
-    steps are interchangeable) and aggregated counters for
-    ``describe()``.
+    (electrical, optical torus, hier-rack, reconfigurable OCS) mix this
+    in.  :meth:`_simulator` pools one simulator per system over the
+    substrate's ``_build_topology(system)``, and every simulator is
+    passed through :meth:`_register_fluid_simulator`, which shares one
+    pattern cache per *topology signature* across same-topology
+    simulators (two systems differing only in overheads build identical
+    topologies and their steps are interchangeable) and aggregates
+    counters for ``describe()``.  Substrates that time each step as one
+    fluid batch plus fixed charges (electrical, torus) run
+    :meth:`_fluid_run` for both ``execute`` and their fault replay.
     """
 
     def _fluid_pattern_caches(self) -> LruCache:
@@ -334,32 +377,21 @@ class FluidCacheMixin:
             return
         caches.put(signature, cache)
 
-    def _schedule_steps(self, schedule: Schedule, workload: Workload,
-                        ) -> List[List[Tuple[int, int, float]]]:
-        """Every step of ``schedule`` as ``(src, dst, bytes)`` batches —
-        the input shape of ``FluidNetworkSimulator.step_time_many``."""
-        from ...collectives.primitives import transfer_bytes
+    def _simulator(self, system: Any) -> FluidNetworkSimulator:
+        """The pooled fluid simulator of ``system``, over
+        ``self._build_topology(system)`` (built once per system)."""
+        sims = getattr(self, "_sims", None)
+        if sims is None:
+            sims = self._sims = {}
+        sim = sims.get(system)
+        if sim is None:
+            sim = sims[system] = FluidNetworkSimulator(
+                self._build_topology(system))
+            self._register_fluid_simulator(sim)
+        return sim
 
-        return [[(t.src, t.dst,
-                  transfer_bytes(t, workload.data_bytes,
-                                 schedule.num_chunks))
-                 for t in step]
-                for step in schedule.steps]
-
-    def _fluid_step_times(self, sim: Any, schedule: Schedule,
-                          workload: Workload) -> List[float]:
-        """All step makespans of ``schedule`` in one fused solve.
-
-        The one call the fluid substrates' ``execute`` paths make per
-        schedule: ``FluidNetworkSimulator.run_schedule`` canonicalizes
-        and dedupes the whole step list up front, so repeated step
-        patterns pay neither compile nor per-step dispatch.
-        """
-        return sim.step_time_many(self._schedule_steps(schedule, workload))
-
-    # -- degraded execution --------------------------------------------------
-
-    def _degraded_simulator(self, system: Any, state: Any) -> Any:
+    def _degraded_simulator(self, system: Any,
+                            state: Any) -> FluidNetworkSimulator:
         """A pooled fluid simulator on the fault-masked topology.
 
         Keyed by ``(system, failed links, failed nodes)`` so repeated
@@ -368,8 +400,6 @@ class FluidCacheMixin:
         :meth:`_register_fluid_simulator`, can never leak solutions
         across the failure boundary.
         """
-        from ...simulation.fluid import FluidNetworkSimulator
-
         pool = getattr(self, "_degraded_sim_pool", None)
         if pool is None:
             pool = self._degraded_sim_pool = LruCache(64)
@@ -384,39 +414,39 @@ class FluidCacheMixin:
             pool.put(key, sim)
         return sim
 
-    def _fluid_faulty_run(self, system: Any, schedule: Schedule,
-                          workload: Workload, plan: Any,
-                          healthy: ExecutionReport, *,
-                          overhead: float, tuning: float = 0.0) -> FaultyRun:
-        """Step-by-step degraded replay for fluid-driven substrates.
+    def _fluid_run(self, system: Any, schedule: Schedule, workload: Workload,
+                   replay: Optional[FaultReplay] = None) -> ExecutionReport:
+        """The one step loop of the fluid substrates (electrical, torus).
 
-        ``healthy`` is the substrate's own fault-free report for the
-        same call (it also primes every cache): steps executed under a
-        clean fault state reuse its per-step makespans verbatim, which
+        Every step makespan comes from one fused solve: the whole
+        schedule is canonicalized and deduped up front (a ring schedule
+        has 2(N-1) identical steps), and repeats hit the simulator's
+        pattern cache.  The substrate's ``_step_charges(system)`` names
+        the report and gives the tuning and overhead charged on top of
+        each makespan.  Under a ``replay``, a step that
+        starts in a clean fault state keeps its healthy makespan, which
         is what makes a fault followed by recovery converge back to the
-        fault-free timings exactly.  Steps under failures re-solve on
-        the degraded topology; OCS stalls delay step starts.
+        fault-free timings exactly; a degraded step re-solves on the
+        fault-masked topology, and OCS stalls delay step starts.
         """
-        steps = self._schedule_steps(schedule, workload)
-        timeline = plan.timeline()
-        report = ExecutionReport(schedule_name=schedule.name,
-                                 substrate=healthy.substrate)
-        degraded: List[int] = []
-        repair = 0.0
-        stall_total = 0.0
+        name, tuning, overhead = self._step_charges(system)
+        steps = [[(t.src, t.dst,
+                   transfer_bytes(t, workload.data_bytes, schedule.num_chunks))
+                  for t in step]
+                 for step in schedule.steps]
+        makespans = self._simulator(system).step_time_many(steps)
+        report = ExecutionReport(schedule_name=schedule.name, substrate=name)
         now = 0.0
-        for idx, (step, ref) in enumerate(zip(steps, healthy.steps)):
-            state = timeline.advance(now)
-            stall = max(0.0, state.stall_until - now)
-            if state.is_clean:
-                makespan = ref.serialization_time
-            else:
-                sim = self._degraded_simulator(system, state)
-                makespan = sim.step_time(step)
-                degraded.append(idx)
-                repair += max(0.0, makespan - ref.serialization_time)
+        for idx, (step, makespan) in enumerate(zip(steps, makespans)):
+            stall = 0.0
+            if replay is not None:
+                state, stall = replay.enter(now)
+                if not state.is_clean:
+                    healthy = makespan
+                    makespan = self._degraded_simulator(
+                        system, state).step_time(step)
+                    replay.degrade(idx, makespan - healthy)
             duration = tuning + overhead + stall + makespan
-            stall_total += stall
             now += duration
             report.steps.append(StepReport(
                 index=idx, duration=duration,
@@ -424,15 +454,9 @@ class FluidCacheMixin:
                 propagation_time=0.0,
                 tuning_time=tuning,
                 overhead_time=overhead + stall,
-                num_transfers=ref.num_transfers))
+                num_transfers=len(step)))
         report.total_time = now
-        outcome = FaultOutcome(
-            events_applied=timeline.applied,
-            faults_survived=len(degraded),
-            degraded_steps=tuple(degraded),
-            repair_overhead=repair,
-            stall_time=stall_total)
-        return FaultyRun(report=report, outcome=outcome)
+        return report
 
     def fluid_cache_info(self) -> CacheStats:
         """Pattern-cache counters aggregated over the shared caches."""

@@ -10,15 +10,14 @@ once per system and reused across ``execute`` calls.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional, Tuple
 
 from ...collectives.schedule import Schedule
 from ...config import ElectricalSystem, Workload, default_electrical
 from ...errors import ConfigurationError
-from ...simulation.fluid import FluidNetworkSimulator
 from ...topology.ring import RingTopology
 from ...topology.switched import SwitchedStar
-from .base import (ExecutionReport, FluidCacheMixin, StepReport, Substrate,
+from .base import (ExecutionReport, FaultReplay, FluidCacheMixin, Substrate,
                    SubstrateInfo)
 
 
@@ -52,7 +51,6 @@ class ElectricalSubstrate(FluidCacheMixin, Substrate):
         self._system = system
         self._topology = topology if topology is not None else (
             system.topology if system is not None else "switch")
-        self._sims: Dict[ElectricalSystem, FluidNetworkSimulator] = {}
 
     @property
     def name(self) -> str:  # type: ignore[override]
@@ -85,59 +83,43 @@ class ElectricalSubstrate(FluidCacheMixin, Substrate):
         structure cache, so re-executing a schedule across link-rate
         cells only rebinds capacities.
         """
-        if system is None:
-            system = self._resolve_system(schedule)
-        elif not isinstance(system, ElectricalSystem):
-            raise ConfigurationError(
-                f"electrical substrate needs an ElectricalSystem, "
-                f"got {type(system).__name__}")
-        sim = self._simulator(system)
-        report = ExecutionReport(schedule_name=schedule.name,
-                                 substrate=f"electrical-{system.topology}")
-        # One fused call: the whole schedule is canonicalized and
-        # deduped up front (a ring schedule has 2(N-1) identical
-        # steps), and repeats hit the simulator's pattern cache.
-        makespans = self._fluid_step_times(sim, schedule, workload)
-        now = 0.0
-        for idx, (step, makespan) in enumerate(zip(schedule.steps,
-                                                   makespans)):
-            duration = system.step_latency + makespan
-            now += duration
-            report.steps.append(StepReport(
-                index=idx, duration=duration,
-                serialization_time=makespan,
-                propagation_time=0.0,
-                tuning_time=0.0,
-                overhead_time=system.step_latency,
-                num_transfers=len(step)))
-        report.total_time = now
-        return report
+        return self._fluid_run(self._call_system(schedule, system),
+                               schedule, workload)
 
     def _execute_faulty(self, schedule: Schedule, workload: Workload,
                         plan, system: Optional[ElectricalSystem] = None,
                         ):
-        """Degraded replay: clean steps reuse the healthy makespans,
-        faulty steps re-solve on the fault-masked topology (link faults
-        cut both directions of a pair; node faults take the node and
-        its links), OCS stalls delay step starts."""
-        if system is None:
-            system = self._resolve_system(schedule)
-        healthy = self.execute(schedule, workload, system=system)
-        return self._fluid_faulty_run(system, schedule, workload, plan,
-                                      healthy,
-                                      overhead=system.step_latency)
+        """Degraded replay through the loop of :meth:`execute`: clean
+        steps keep the healthy makespans, faulty steps re-solve on the
+        fault-masked topology (link faults cut both directions of a
+        pair; node faults take the node and its links), OCS stalls
+        delay step starts."""
+        system = self._call_system(schedule, system)
+        replay = FaultReplay(plan, system.num_nodes)
+        return replay.result(self._fluid_run(system, schedule, workload,
+                                             replay))
 
     # -- internals ----------------------------------------------------------
 
-    def _resolve_system(self, schedule: Schedule) -> ElectricalSystem:
-        if self._system is not None:
-            if schedule.num_nodes > self._system.num_nodes:
-                raise ConfigurationError(
-                    f"schedule spans {schedule.num_nodes} nodes; system "
-                    f"has {self._system.num_nodes}")
-            return self._system
-        return default_electrical(schedule.num_nodes).with_(
-            topology=self._topology)
+    def _call_system(self, schedule: Schedule,
+                     system: Optional[ElectricalSystem]) -> ElectricalSystem:
+        """The per-call ``system`` override, or the resolved system."""
+        if system is None:
+            return self._resolve_system(schedule)
+        if not isinstance(system, ElectricalSystem):
+            raise ConfigurationError(
+                f"electrical substrate needs an ElectricalSystem, "
+                f"got {type(system).__name__}")
+        return system
+
+    def _default_system(self, num_nodes: int) -> ElectricalSystem:
+        return default_electrical(num_nodes).with_(topology=self._topology)
+
+    def _step_charges(self, system: ElectricalSystem,
+                      ) -> Tuple[str, float, float]:
+        """Report name, tuning and per-step overhead: no tuning, the
+        software latency per step."""
+        return f"electrical-{system.topology}", 0.0, system.step_latency
 
     def _build_topology(self, system: ElectricalSystem):
         if system.topology == "switch":
@@ -145,11 +127,3 @@ class ElectricalSubstrate(FluidCacheMixin, Substrate):
                                 system.effective_port_rate)
         return RingTopology(system.num_nodes, system.link_rate,
                             bidirectional=True)
-
-    def _simulator(self, system: ElectricalSystem) -> FluidNetworkSimulator:
-        sim = self._sims.get(system)
-        if sim is None:
-            sim = FluidNetworkSimulator(self._build_topology(system))
-            self._register_fluid_simulator(sim)
-            self._sims[system] = sim
-        return sim

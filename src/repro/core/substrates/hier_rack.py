@@ -39,17 +39,17 @@ unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ...collectives.primitives import transfer_bytes
 from ...collectives.schedule import Schedule
 from ...config import (HierarchicalSystem, Workload, default_hierarchical)
 from ...errors import ConfigurationError
+from ...faults.events import FaultState
 from ...optical.rwa import AssignmentPolicy, TransferRequest
-from ...simulation.fluid import FluidNetworkSimulator
 from ...topology.hierarchy import HierarchicalTopology
-from .base import (ExecutionReport, FluidCacheMixin, StepReport, Substrate,
-                   SubstrateInfo)
+from .base import (ExecutionReport, FaultReplay, FluidCacheMixin, StepReport,
+                   Substrate, SubstrateInfo)
 from .optical_ring import (DEFAULT_RWA_CACHE_MAX_TRANSFERS,
                            DEFAULT_RWA_CACHE_SIZE, OpticalRingSubstrate,
                            RwaCacheStats, Striping, _hint_direction)
@@ -100,7 +100,6 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
             policy=policy, striping=striping, cache=cache,
             cache_size=cache_size, cache_max_transfers=cache_max_transfers,
             incremental=incremental)
-        self._sims: Dict[HierarchicalSystem, FluidNetworkSimulator] = {}
         # Per-level counters, cumulative across execute() calls.
         self._local_steps = 0
         self._leader_steps = 0
@@ -166,9 +165,44 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
                 policy: Optional[AssignmentPolicy] = None,
                 ) -> ExecutionReport:
         """Execute ``schedule`` on the hierarchy (see module docstring)."""
+        return self._run(self._resolve_system(schedule), schedule, workload,
+                         striping, policy)
+
+    def _execute_faulty(self, schedule: Schedule, workload: Workload,
+                        plan, striping: Optional[Striping] = None,
+                        policy: Optional[AssignmentPolicy] = None):
+        """Degraded replay across both fabric levels, through the loop
+        of :meth:`execute`.
+
+        Host-level faults mask the rack-star topology for the local
+        phases (clean steps keep the healthy phase makespans, faulty
+        ones re-solve on the degraded hierarchy).  Faults that touch
+        the leader plane are *lifted to rack granularity* for the
+        optical phase: a failed rack leader takes its rack's ring
+        position down, a failed leader-to-leader link cuts the
+        corresponding ring arc, and wavelength losses pass through
+        unchanged — all replayed through the embedded ring's live
+        ``run_step`` so channel state carries across steps, exactly
+        like the flat optical ring's degraded path.  OCS stalls delay
+        composite step starts; a partition at either level raises
+        :class:`~repro.errors.DegradedError`.
+        """
+        system = self._resolve_system(schedule)
+        replay = FaultReplay(plan, system.num_nodes, system.num_wavelengths)
+        healthy = self._run(system, schedule, workload, striping, policy)
+        return replay.result(self._run(system, schedule, workload, striping,
+                                       policy, replay, healthy.steps))
+
+    def _run(self, system: HierarchicalSystem, schedule: Schedule,
+             workload: Workload, striping: Optional[Striping],
+             policy: Optional[AssignmentPolicy],
+             replay: Optional[FaultReplay] = None,
+             healthy: Sequence[StepReport] = ()) -> ExecutionReport:
+        """The hierarchy's one step loop, fault-free or under ``replay``
+        (degraded steps are charged against the ``healthy`` ones; the
+        per-level counters advance on fault-free runs only)."""
         striping = self._striping if striping is None else striping
         policy = self._policy if policy is None else policy
-        system = self._resolve_system(schedule)
 
         # -- map every step's transfers to levels ------------------------
         (up_steps, down_steps, leader_steps,
@@ -190,117 +224,16 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
                                  substrate=self.name)
         now = 0.0
         alpha = system.local_step_latency
-        for idx, step in enumerate(schedule.steps):
-            serialization = 0.0
-            overhead = 0.0
-            propagation = 0.0
-            tuning = 0.0
-            k = 1
-            demand = 0
-            span = 0
-            # Phase durations are composed whole (not re-summed from
-            # the decomposition below) so the degenerate fabrics stay
-            # bit-for-bit equal to the flat substrates.
-            up_dur = down_dur = opt_dur = 0.0
-            has_local = bool(up_steps[idx]) or bool(down_steps[idx])
-            has_leader = bool(leader_steps[idx])
-            if up_steps[idx]:
-                up_dur = alpha + up_times[idx]
-                serialization += up_times[idx]
-                overhead += alpha
-            if has_leader:
-                out = self._ring.run_step(net, opt_system, policy,
-                                          striping, leader_steps[idx])
-                opt_dur = out.duration
-                serialization += out.serialization
-                propagation = out.propagation
-                tuning = out.tuning
-                overhead += out.overhead
-                k = out.striping
-                demand = out.wavelength_demand
-                span = out.spectrum_span
-            if down_steps[idx]:
-                down_dur = alpha + down_times[idx]
-                serialization += down_times[idx]
-                overhead += alpha
-            # Counters advance only once the step has actually executed
-            # (both levels solved), so a mid-schedule failure leaves
-            # describe() consistent with the work done.
-            if has_leader and has_local:
-                self._mixed_steps += 1
-            elif has_leader:
-                self._leader_steps += 1
-            else:
-                self._local_steps += 1
-            self._relayed_transfers += relayed_per_step[idx]
-            duration = up_dur + opt_dur + down_dur
-            now += duration
-            report.steps.append(StepReport(
-                index=idx, duration=duration,
-                serialization_time=serialization,
-                propagation_time=propagation,
-                tuning_time=tuning,
-                overhead_time=overhead,
-                num_transfers=len(step),
-                striping=k,
-                wavelength_demand=demand,
-                spectrum_span=span))
-        report.total_time = now
-        return report
-
-    def _execute_faulty(self, schedule: Schedule, workload: Workload,
-                        plan, striping: Optional[Striping] = None,
-                        policy: Optional[AssignmentPolicy] = None):
-        """Degraded replay across both fabric levels.
-
-        Host-level faults mask the rack-star topology for the local
-        phases (clean steps reuse the healthy phase makespans, faulty
-        ones re-solve on the degraded hierarchy).  Faults that touch
-        the leader plane are *lifted to rack granularity* for the
-        optical phase: a failed rack leader takes its rack's ring
-        position down, a failed leader-to-leader link cuts the
-        corresponding ring arc, and wavelength losses pass through
-        unchanged — all replayed through the embedded ring's live
-        ``run_step`` so channel state carries across steps, exactly
-        like the flat optical ring's degraded path.  OCS stalls delay
-        composite step starts; a partition at either level raises
-        :class:`~repro.errors.DegradedError`.
-        """
-        from ...faults.events import FaultOutcome, FaultState, FaultyRun
-
-        striping = self._striping if striping is None else striping
-        policy = self._policy if policy is None else policy
-        system = self._resolve_system(schedule)
-        healthy = self.execute(schedule, workload, striping=striping,
-                               policy=policy)
-        (up_steps, down_steps, leader_steps,
-         relayed_per_step) = self._map_steps(system, schedule, workload)
-        # Healthy per-phase makespans (pattern caches are warm from the
-        # reference run) — the clean-step shortcut needs them split out,
-        # which the composed report no longer is.
-        sim = self._simulator(system)
-        up_ref = sim.step_time_many(up_steps)
-        down_ref = sim.step_time_many(down_steps)
-
-        net = opt_system = None
-        if any(leader_steps):
-            opt_system = system.optical_system()
-            net = self._ring._network(opt_system)
-            net.reset()
-
-        timeline = plan.timeline()
-        report = ExecutionReport(schedule_name=schedule.name,
-                                 substrate=self.name)
-        degraded: List[int] = []
-        repair = 0.0
-        stall_total = 0.0
-        now = 0.0
-        alpha = system.local_step_latency
         try:
             for idx, step in enumerate(schedule.steps):
-                state = timeline.advance(now)
-                stall = max(0.0, state.stall_until - now)
-                rack_state = self._lift_rack_state(system, state)
+                stall = 0.0
+                up_t, down_t = up_times[idx], down_times[idx]
+                if replay is not None:
+                    state, stall = replay.enter(now)
+                    if not state.is_clean:
+                        dsim = self._degraded_simulator(system, state)
+                        up_t = dsim.step_time(up_steps[idx])
+                        down_t = dsim.step_time(down_steps[idx])
                 serialization = 0.0
                 overhead = 0.0
                 propagation = 0.0
@@ -308,22 +241,22 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
                 k = 1
                 demand = 0
                 span = 0
+                # Phase durations are composed whole (not re-summed from
+                # the decomposition below) so the degenerate fabrics stay
+                # bit-for-bit equal to the flat substrates.
                 up_dur = down_dur = opt_dur = 0.0
-                if state.is_clean:
-                    up_t, down_t = up_ref[idx], down_ref[idx]
-                else:
-                    dsim = self._degraded_simulator(system, state)
-                    up_t = dsim.step_time(up_steps[idx])
-                    down_t = dsim.step_time(down_steps[idx])
+                has_local = bool(up_steps[idx]) or bool(down_steps[idx])
+                has_leader = bool(leader_steps[idx])
                 if up_steps[idx]:
                     up_dur = alpha + up_t
                     serialization += up_t
                     overhead += alpha
-                if leader_steps[idx]:
-                    net.apply_fault_state(FaultState(
-                        failed_links=rack_state[0],
-                        failed_nodes=rack_state[1],
-                        failed_wavelengths=state.failed_wavelengths))
+                if has_leader:
+                    if replay is not None:
+                        links, nodes = self._lift_rack_state(system, state)
+                        net.apply_fault_state(FaultState(
+                            failed_links=links, failed_nodes=nodes,
+                            failed_wavelengths=state.failed_wavelengths))
                     out = self._ring.run_step(net, opt_system, policy,
                                               striping, leader_steps[idx])
                     opt_dur = out.duration
@@ -338,12 +271,22 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
                     down_dur = alpha + down_t
                     serialization += down_t
                     overhead += alpha
+                # Counters advance only once the step has actually
+                # executed (both levels solved), so a mid-schedule
+                # failure leaves describe() consistent with the work
+                # done; a replay re-runs steps already counted.
+                if replay is None:
+                    if has_leader and has_local:
+                        self._mixed_steps += 1
+                    elif has_leader:
+                        self._leader_steps += 1
+                    else:
+                        self._local_steps += 1
+                    self._relayed_transfers += relayed_per_step[idx]
                 duration = up_dur + opt_dur + down_dur + stall
-                if not state.is_clean:
-                    degraded.append(idx)
-                    repair += max(0.0, (duration - stall)
-                                  - healthy.steps[idx].duration)
-                stall_total += stall
+                if replay is not None and not state.is_clean:
+                    replay.degrade(idx, (duration - stall)
+                                   - healthy[idx].duration)
                 now += duration
                 report.steps.append(StepReport(
                     index=idx, duration=duration,
@@ -357,17 +300,11 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
                     spectrum_span=span))
         finally:
             # The pooled ring network must come back healthy for the
-            # next plain execute() even when a partition aborts.
+            # next plain execute() even when a partition aborts a replay.
             if net is not None:
                 net.clear_faults()
         report.total_time = now
-        outcome = FaultOutcome(
-            events_applied=timeline.applied,
-            faults_survived=len(degraded),
-            degraded_steps=tuple(degraded),
-            repair_overhead=repair,
-            stall_time=stall_total)
-        return FaultyRun(report=report, outcome=outcome)
+        return report
 
     # -- internals ----------------------------------------------------------
 
@@ -432,28 +369,10 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
             if system.leader_of(n) == n)
         return rack_links, rack_nodes
 
+    def _default_system(self, num_nodes: int) -> HierarchicalSystem:
+        return default_hierarchical(num_nodes)
+
     def _build_topology(self, system: HierarchicalSystem):
-        """The host-level topology (the degraded-simulator hook)."""
+        """The host-level topology of the local phases."""
         return HierarchicalTopology(system.num_nodes, system.group_size,
                                     capacity=system.local_link_rate)
-
-    def _resolve_system(self, schedule: Schedule) -> HierarchicalSystem:
-        if self._system is not None:
-            if schedule.num_nodes > self._system.num_nodes:
-                raise ConfigurationError(
-                    f"schedule spans {schedule.num_nodes} nodes; system "
-                    f"has {self._system.num_nodes}")
-            return self._system
-        return default_hierarchical(schedule.num_nodes)
-
-    def _simulator(self, system: HierarchicalSystem,
-                   ) -> FluidNetworkSimulator:
-        sim = self._sims.get(system)
-        if sim is None:
-            topo = HierarchicalTopology(system.num_nodes,
-                                        system.group_size,
-                                        capacity=system.local_link_rate)
-            sim = FluidNetworkSimulator(topo)
-            self._register_fluid_simulator(sim)
-            self._sims[system] = sim
-        return sim

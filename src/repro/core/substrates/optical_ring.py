@@ -23,7 +23,7 @@ What the substrate keeps across calls:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ...collectives.primitives import transfer_bytes
 from ...collectives.schedule import Schedule
@@ -34,8 +34,8 @@ from ...optical.rwa import (AssignmentPolicy, RwaDelta, TransferRequest,
                             assign_wavelengths, assign_wavelengths_delta,
                             compute_striping_factor)
 from ...topology.ring import Direction
-from .base import (CacheStats, ExecutionReport, LruCache, StepReport,
-                   Substrate, SubstrateInfo)
+from .base import (CacheStats, ExecutionReport, FaultReplay, LruCache,
+                   StepReport, Substrate, SubstrateInfo)
 
 Striping = Union[str, int]
 
@@ -218,45 +218,14 @@ class OpticalRingSubstrate(Substrate):
                 policy: Optional[AssignmentPolicy] = None,
                 ) -> ExecutionReport:
         """Execute ``schedule`` on the ring (see class docstring)."""
-        striping = self._striping if striping is None else striping
-        policy = self._policy if policy is None else policy
-        system = self._resolve_system(schedule)
-        net = self._network(system)
-        net.reset()
-        report = ExecutionReport(schedule_name=schedule.name,
-                                 substrate=self.name)
-        now = 0.0
-
-        for idx, step in enumerate(schedule.steps):
-            base_requests = [
-                TransferRequest(
-                    src=t.src, dst=t.dst,
-                    size=transfer_bytes(t, workload.data_bytes,
-                                        schedule.num_chunks),
-                    direction=_hint_direction(t.direction_hint))
-                for t in step]
-            out = self.run_step(net, system, policy, striping,
-                                base_requests)
-            now += out.duration
-            report.steps.append(StepReport(
-                index=idx, duration=out.duration,
-                serialization_time=out.serialization,
-                propagation_time=out.propagation,
-                tuning_time=out.tuning,
-                overhead_time=out.overhead,
-                num_transfers=len(step),
-                striping=out.striping,
-                wavelength_demand=out.wavelength_demand,
-                spectrum_span=out.spectrum_span))
-
-        report.total_time = now
-        return report
+        return self._run(self._resolve_system(schedule), schedule, workload,
+                         striping, policy)
 
     def _execute_faulty(self, schedule: Schedule, workload: Workload,
                         plan, striping: Optional[Striping] = None,
                         policy: Optional[AssignmentPolicy] = None):
-        """Degraded replay: every step runs the live ``run_step`` RWA
-        under the fault state sampled at its start.
+        """Degraded replay: the loop of :meth:`execute` runs every step's
+        live ``run_step`` RWA under the fault state sampled at its start.
 
         Unlike the fluid substrates there is no per-step shortcut to
         the healthy report — channel selections carry tuning state
@@ -271,27 +240,32 @@ class OpticalRingSubstrate(Substrate):
         link cuts reroute arcs the other way (full re-solve); a
         partition raises :class:`~repro.errors.DegradedError`.
         """
-        from ...faults.events import FaultOutcome, FaultyRun
+        system = self._resolve_system(schedule)
+        replay = FaultReplay(plan, system.num_nodes, system.num_wavelengths)
+        healthy = self._run(system, schedule, workload, striping, policy)
+        return replay.result(self._run(system, schedule, workload, striping,
+                                       policy, replay, healthy.steps))
 
+    def _run(self, system: OpticalRingSystem, schedule: Schedule,
+             workload: Workload, striping: Optional[Striping],
+             policy: Optional[AssignmentPolicy],
+             replay: Optional[FaultReplay] = None,
+             healthy: Sequence[StepReport] = ()) -> ExecutionReport:
+        """The ring's one step loop, fault-free or under ``replay``
+        (degraded steps are charged against the ``healthy`` ones)."""
         striping = self._striping if striping is None else striping
         policy = self._policy if policy is None else policy
-        system = self._resolve_system(schedule)
-        healthy = self.execute(schedule, workload, striping=striping,
-                               policy=policy)
         net = self._network(system)
         net.reset()
-        timeline = plan.timeline()
         report = ExecutionReport(schedule_name=schedule.name,
                                  substrate=self.name)
-        degraded: List[int] = []
-        repair = 0.0
-        stall_total = 0.0
         now = 0.0
         try:
             for idx, step in enumerate(schedule.steps):
-                state = timeline.advance(now)
-                stall = max(0.0, state.stall_until - now)
-                net.apply_fault_state(state)
+                stall = 0.0
+                if replay is not None:
+                    state, stall = replay.enter(now)
+                    net.apply_fault_state(state)
                 base_requests = [
                     TransferRequest(
                         src=t.src, dst=t.dst,
@@ -301,12 +275,10 @@ class OpticalRingSubstrate(Substrate):
                     for t in step]
                 out = self.run_step(net, system, policy, striping,
                                     base_requests)
+                if replay is not None and not state.is_clean:
+                    replay.degrade(idx,
+                                   out.duration - healthy[idx].duration)
                 duration = out.duration + stall
-                if not state.is_clean:
-                    degraded.append(idx)
-                    repair += max(0.0,
-                                  out.duration - healthy.steps[idx].duration)
-                stall_total += stall
                 now += duration
                 report.steps.append(StepReport(
                     index=idx, duration=duration,
@@ -320,16 +292,10 @@ class OpticalRingSubstrate(Substrate):
                     spectrum_span=out.spectrum_span))
         finally:
             # The pooled network must come back healthy for the next
-            # plain execute() even when a partition aborts the replay.
+            # plain execute() even when a partition aborts a replay.
             net.clear_faults()
         report.total_time = now
-        outcome = FaultOutcome(
-            events_applied=timeline.applied,
-            faults_survived=len(degraded),
-            degraded_steps=tuple(degraded),
-            repair_overhead=repair,
-            stall_time=stall_total)
-        return FaultyRun(report=report, outcome=outcome)
+        return report
 
     def run_step(self, net: OpticalRingNetwork, system: OpticalRingSystem,
                  policy: AssignmentPolicy, striping: Striping,
@@ -414,14 +380,8 @@ class OpticalRingSubstrate(Substrate):
 
     # -- internals ----------------------------------------------------------
 
-    def _resolve_system(self, schedule: Schedule) -> OpticalRingSystem:
-        if self._system is not None:
-            if schedule.num_nodes > self._system.num_nodes:
-                raise ConfigurationError(
-                    f"schedule spans {schedule.num_nodes} nodes; system "
-                    f"has {self._system.num_nodes}")
-            return self._system
-        return default_optical(schedule.num_nodes)
+    def _default_system(self, num_nodes: int) -> OpticalRingSystem:
+        return default_optical(num_nodes)
 
     def _network(self, system: OpticalRingSystem) -> OpticalRingNetwork:
         net = self._networks.get(system)

@@ -13,14 +13,13 @@ flows, mirroring the ring substrate's synchronous-step semantics.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional, Tuple
 
 from ...collectives.schedule import Schedule
 from ...config import OpticalTorusSystem, Workload, default_torus
 from ...errors import ConfigurationError
-from ...simulation.fluid import FluidNetworkSimulator
 from ...topology.torus import Torus2D
-from .base import (ExecutionReport, FluidCacheMixin, StepReport, Substrate,
+from .base import (ExecutionReport, FaultReplay, FluidCacheMixin, Substrate,
                    SubstrateInfo)
 
 
@@ -43,7 +42,6 @@ class OpticalTorusSubstrate(FluidCacheMixin, Substrate):
                 f"optical-torus substrate needs an OpticalTorusSystem, "
                 f"got {type(system).__name__}")
         self._system = system
-        self._sims: Dict[OpticalTorusSystem, FluidNetworkSimulator] = {}
 
     def describe(self) -> SubstrateInfo:
         """Metadata: torus shape, aggregate WDM link model, and the
@@ -65,61 +63,32 @@ class OpticalTorusSubstrate(FluidCacheMixin, Substrate):
     def execute(self, schedule: Schedule, workload: Workload,
                 ) -> ExecutionReport:
         """Execute ``schedule`` on the torus."""
-        system = self._resolve_system(schedule)
-        sim = self._simulator(system)
-        report = ExecutionReport(schedule_name=schedule.name,
-                                 substrate=self.name)
-        makespans = self._fluid_step_times(sim, schedule, workload)
-        now = 0.0
-        for idx, (step, makespan) in enumerate(zip(schedule.steps,
-                                                   makespans)):
-            # Hierarchical routes re-tune MRRs every step (no static
-            # neighbour circuit as on the ring), so tuning is charged
-            # per step alongside the synchronisation overhead.
-            duration = system.tuning_time + system.step_overhead + makespan
-            now += duration
-            report.steps.append(StepReport(
-                index=idx, duration=duration,
-                serialization_time=makespan,
-                propagation_time=0.0,
-                tuning_time=system.tuning_time,
-                overhead_time=system.step_overhead,
-                num_transfers=len(step)))
-        report.total_time = now
-        return report
+        return self._fluid_run(self._resolve_system(schedule), schedule,
+                               workload)
 
     def _execute_faulty(self, schedule: Schedule, workload: Workload,
                         plan):
-        """Degraded replay on the fault-masked torus (clean steps reuse
-        the healthy makespans; see ``_fluid_faulty_run``)."""
+        """Degraded replay on the fault-masked torus, through the loop
+        of :meth:`execute` (see ``FluidCacheMixin._fluid_run``)."""
         system = self._resolve_system(schedule)
-        healthy = self.execute(schedule, workload)
-        return self._fluid_faulty_run(system, schedule, workload, plan,
-                                      healthy,
-                                      overhead=system.step_overhead,
-                                      tuning=system.tuning_time)
+        replay = FaultReplay(plan, system.num_nodes, system.num_wavelengths)
+        return replay.result(self._fluid_run(system, schedule, workload,
+                                             replay))
 
     # -- internals ----------------------------------------------------------
 
-    def _resolve_system(self, schedule: Schedule) -> OpticalTorusSystem:
-        if self._system is not None:
-            if schedule.num_nodes > self._system.num_nodes:
-                raise ConfigurationError(
-                    f"schedule spans {schedule.num_nodes} nodes; system "
-                    f"has {self._system.num_nodes}")
-            return self._system
-        return default_torus(schedule.num_nodes)
+    def _default_system(self, num_nodes: int) -> OpticalTorusSystem:
+        return default_torus(num_nodes)
+
+    def _step_charges(self, system: OpticalTorusSystem,
+                      ) -> Tuple[str, float, float]:
+        """Report name, tuning and per-step overhead.  Hierarchical
+        routes re-tune MRRs every step (no static neighbour circuit as
+        on the ring), so tuning is charged per step alongside the
+        synchronisation overhead."""
+        return self.name, system.tuning_time, system.step_overhead
 
     def _build_topology(self, system: OpticalTorusSystem) -> Torus2D:
         rows, cols = system.grid_shape
         return Torus2D(rows, cols, capacity=system.link_rate,
                        latency=system.hop_propagation_delay)
-
-    def _simulator(self, system: OpticalTorusSystem,
-                   ) -> FluidNetworkSimulator:
-        sim = self._sims.get(system)
-        if sim is None:
-            sim = FluidNetworkSimulator(self._build_topology(system))
-            self._register_fluid_simulator(sim)
-            self._sims[system] = sim
-        return sim

@@ -38,7 +38,8 @@ from ...errors import ConfigurationError, TopologyError
 from ...simulation.fluid import FluidNetworkSimulator
 from ...topology.program import (CircuitConfig, CircuitPair,
                                  CircuitTopology, DecompositionDelta,
-                                 RoundsPlan, TopologyProgram,
+                                 RoundsPlan, SynthesizedStep,
+                                 TopologyProgram,
                                  demand_aware_boot_config, intern_steps,
                                  max_pair_degree, price_demand_rounds,
                                  ring_circuit_config, synthesize_program)
@@ -274,107 +275,39 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
         The steps arrive interned once per call
         (:func:`~repro.topology.program.intern_steps`): ``classes`` holds
         the distinct step matrices and step ``t`` serves
-        ``classes[index[t]]``.  The stay-vs-reconfigure choice is a
-        function of the step matrix and the live configuration alone —
-        the fluid pattern cache and the decomposition are
-        history-independent by contract — so ``(stay, plan)`` is priced
-        once per (step class, live config) and replayed for every
-        repeat, bit for bit what pricing each step afresh returns.
+        ``classes[index[t]]``.  A policy plans one
+        :class:`~repro.topology.program.SynthesizedStep` per step — the
+        myopic :meth:`_greedy_steps`, or under ``lookahead`` the
+        whole-schedule DP — and one loop turns either plan into the
+        report and :attr:`last_program`.
         """
-        current = self._resolve_initial(system, classes, index)
+        start = self._resolve_initial(system, classes, index)
         if use_lookahead and system.can_reconfigure:
-            return self._execute_lookahead(system, classes, index, name,
-                                           transfer_counts, current, mode)
+            # The synthesized steps carry their exact chosen cost, so the
+            # report accumulates the same floats the DP compared
+            # (``report.total_time == program.total_time``), and the
+            # dominance guarantee (never worse than greedy) carries
+            # over.  The DP receives the interned step objects, so its
+            # own interning matches every repeat by identity.
+            program = synthesize_program(
+                [classes[k] for k in index], system,
+                initial=start,
+                stay_cost=lambda cfg, sizes: self._stay_time(system, cfg,
+                                                             sizes),
+                decompose=lambda ordered, ports: self._rounds(ordered, ports,
+                                                              mode),
+                stripe_leftover=self._stripe_leftover)
+            self._lookahead_saved += program.reconfigurations_saved
+            steps = program.steps
+        else:
+            steps = self._greedy_steps(system, classes, index, name, start,
+                                       mode)
         degrees = [max_pair_degree(sizes) for sizes in classes]
-        priced: Dict[Tuple[int, CircuitConfig],
-                     Tuple[Tuple[float, float], Optional[RoundsPlan]]] = {}
-        history: List[CircuitConfig] = [current]
-        report = ExecutionReport(schedule_name=name,
-                                 substrate=self.name)
-        now = 0.0
-        for idx, k in enumerate(index):
-            got = priced.get((k, current))
-            if got is None:
-                sizes = classes[k]
-                stay = self._stay_time(system, current, sizes)
-                if system.can_reconfigure:
-                    ordered = tuple(sorted(sizes,
-                                           key=lambda p: (-sizes[p], p)))
-                    plan = self._reconfigure_plan(system, current, ordered,
-                                                  sizes, mode)
-                else:
-                    plan = None
-                got = priced[k, current] = (stay, plan)
-            (stay_time, stay_prop), plan = got
-
-            if plan is not None and plan.total < stay_time:
-                serialization = plan.serialization
-                propagation = plan.propagation
-                reconfig = plan.reconfig_time
-                chosen = plan.total
-                for cfg in plan.new_configs:
-                    history.append(cfg)
-                    current = cfg
-            else:
-                if stay_time == float("inf"):
-                    raise ConfigurationError(
-                        f"step {idx} of {name!r} has transfers "
-                        f"unroutable on the current circuit configuration "
-                        f"and reconfiguration is disabled "
-                        f"(reconfiguration_delay=inf)")
-                serialization = stay_time - stay_prop
-                propagation = stay_prop
-                reconfig = 0.0
-                chosen = stay_time
-
-            duration = system.step_overhead + chosen
-            now += duration
-            report.steps.append(StepReport(
-                index=idx, duration=duration,
-                serialization_time=serialization,
-                propagation_time=propagation,
-                tuning_time=reconfig,
-                overhead_time=system.step_overhead,
-                num_transfers=transfer_counts[idx],
-                striping=1,
-                wavelength_demand=degrees[k]))
-        report.total_time = now
-        self._last_program = TopologyProgram(
-            num_nodes=system.num_nodes,
-            ports_per_node=system.ports_per_node,
-            configs=tuple(history),
-            name=f"{name}@{self.name}")
-        return report
-
-    def _execute_lookahead(self, system: ReconfigurableOCSSystem,
-                           classes: List[Dict[CircuitPair, float]],
-                           index: List[int],
-                           name: str, transfer_counts: List[int],
-                           start: CircuitConfig,
-                           mode: str) -> ExecutionReport:
-        """Whole-schedule DP execution (see :func:`synthesize_program`).
-
-        The synthesized steps carry their exact chosen cost (``total``),
-        so replaying them accumulates the same floats the DP compared —
-        ``report.total_time == program.total_time`` and the dominance
-        guarantee (never worse than the greedy path) carries over to
-        the report.  The DP receives the interned step objects, so its
-        own interning matches every repeat by identity.
-        """
-        program = synthesize_program(
-            [classes[k] for k in index], system,
-            initial=start,
-            stay_cost=lambda cfg, sizes: self._stay_time(system, cfg, sizes),
-            decompose=lambda ordered, ports: self._rounds(ordered, ports,
-                                                          mode),
-            stripe_leftover=self._stripe_leftover)
-        self._lookahead_saved += program.reconfigurations_saved
         history: List[CircuitConfig] = [start]
         report = ExecutionReport(schedule_name=name,
                                  substrate=self.name)
-        degrees = [max_pair_degree(sizes) for sizes in classes]
         now = 0.0
-        for idx, st in enumerate(program.steps):
+        for idx, st in enumerate(steps):
             duration = system.step_overhead + st.total
             now += duration
             history.extend(st.new_configs)
@@ -395,16 +328,59 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
             name=f"{name}@{self.name}")
         return report
 
+    def _greedy_steps(self, system: ReconfigurableOCSSystem,
+                      classes: List[Dict[CircuitPair, float]],
+                      index: List[int], name: str, current: CircuitConfig,
+                      mode: str) -> List[SynthesizedStep]:
+        """The myopic policy: per step, the cheaper of staying on the
+        live circuits and reconfiguring through the decomposition's
+        rounds (ties stay), as the same records the lookahead DP plans.
+
+        The choice is a function of the step matrix and the live
+        configuration alone, so it is made once per (step class, live
+        config) and replayed for every repeat.
+        """
+        chosen: Dict[Tuple[int, CircuitConfig], SynthesizedStep] = {}
+        steps: List[SynthesizedStep] = []
+        for idx, k in enumerate(index):
+            st = chosen.get((k, current))
+            if st is None:
+                sizes = classes[k]
+                makespan, prop = self._stay_time(system, current, sizes)
+                st = SynthesizedStep(
+                    action="stay", config=current, total=makespan,
+                    serialization=makespan - prop, propagation=prop,
+                    reconfig_time=0.0)
+                if system.can_reconfigure:
+                    ordered = tuple(sorted(sizes,
+                                           key=lambda p: (-sizes[p], p)))
+                    plan = self._reconfigure_plan(system, current, ordered,
+                                                  sizes, mode)
+                    if plan.total < makespan:
+                        st = SynthesizedStep(
+                            action="rounds",
+                            config=(plan.new_configs[-1] if plan.new_configs
+                                    else current),
+                            total=plan.total,
+                            serialization=plan.serialization,
+                            propagation=plan.propagation,
+                            reconfig_time=plan.reconfig_time,
+                            new_configs=tuple(plan.new_configs))
+                chosen[k, current] = st
+            if st.total == float("inf"):
+                raise ConfigurationError(
+                    f"step {idx} of {name!r} has transfers "
+                    f"unroutable on the current circuit configuration "
+                    f"and reconfiguration is disabled "
+                    f"(reconfiguration_delay=inf)")
+            steps.append(st)
+            current = st.config
+        return steps
+
     # -- internals ----------------------------------------------------------
 
-    def _resolve_system(self, schedule: Schedule) -> ReconfigurableOCSSystem:
-        if self._system is not None:
-            if schedule.num_nodes > self._system.num_nodes:
-                raise ConfigurationError(
-                    f"schedule spans {schedule.num_nodes} nodes; system "
-                    f"has {self._system.num_nodes}")
-            return self._system
-        return default_ocs(schedule.num_nodes)
+    def _default_system(self, num_nodes: int) -> ReconfigurableOCSSystem:
+        return default_ocs(num_nodes)
 
     def _resolve_demand_system(self,
                                classes: List[Dict[CircuitPair, float]],
@@ -423,7 +399,7 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
         elif top >= num_nodes:
             raise ConfigurationError(
                 f"demand mentions node {top}; num_nodes is {num_nodes}")
-        return default_ocs(num_nodes)
+        return self._default_system(num_nodes)
 
     def _resolve_initial(self, system: ReconfigurableOCSSystem,
                          classes: List[Dict[CircuitPair, float]],
@@ -514,6 +490,9 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
 
     def _simulator(self, system: ReconfigurableOCSSystem,
                    config: CircuitConfig) -> FluidNetworkSimulator:
+        """The pooled simulator of one circuit configuration (the
+        fabric's topology is the live config, so the mixin's
+        per-system pool is keyed by ``(system, config)`` here)."""
         key = (system, config)
         sim = self._sims.get(key)
         if sim is None:

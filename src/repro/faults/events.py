@@ -23,6 +23,7 @@ Conventions:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Any, FrozenSet, Optional, Tuple
 
@@ -57,7 +58,8 @@ class FaultEvent:
     (an undirected host pair, normalized to sorted order) for link
     events, ``node`` for node events, ``wavelength`` for transceiver
     events.  ``duration`` is only meaningful for
-    :attr:`FaultKind.OCS_STALL`.
+    :attr:`FaultKind.OCS_STALL`.  ``time`` and ``duration`` must be
+    finite.
     """
 
     time: float
@@ -68,9 +70,12 @@ class FaultEvent:
     duration: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.time < 0:
+        if not math.isfinite(self.time) or self.time < 0:
             raise ConfigurationError(
-                f"fault event time must be >= 0, got {self.time}")
+                f"fault event time must be finite and >= 0, got {self.time}")
+        if not math.isfinite(self.duration):
+            raise ConfigurationError(
+                f"fault event duration must be finite, got {self.duration}")
         kind = FaultKind(self.kind)
         object.__setattr__(self, "kind", kind)
         targets = sum(x is not None

@@ -35,6 +35,16 @@ class TestFaultEvent:
         e = ev(0.0, FaultKind.OCS_STALL, duration=0.5)
         assert e.duration == 0.5
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_time_must_be_finite(self, time):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ev(time, FaultKind.LINK_DOWN, link=(0, 1))
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_stall_duration_must_be_finite(self, duration):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ev(0.0, FaultKind.OCS_STALL, duration=duration)
+
     def test_is_repair(self):
         assert ev(0.0, FaultKind.LINK_UP, link=(0, 1)).is_repair
         assert not ev(0.0, FaultKind.LINK_DOWN, link=(0, 1)).is_repair

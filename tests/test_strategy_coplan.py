@@ -20,7 +20,6 @@ from repro.collectives.ring_allreduce import generate_ring_allreduce
 from repro.config import (HierarchicalSystem, Workload, default_hierarchical,
                           default_ocs)
 from repro.core import cost_model
-from repro.core.substrates import get_substrate
 from repro.core.substrates.reconfigurable import OCSReconfigurableSubstrate
 from repro.core.topoplan import (default_leader_indices, plan_strategy,
                                  profile_demands, strategy_plan_table,
@@ -74,26 +73,6 @@ class TestExecuteDemands:
                      for ph in prof.phases)
         assert len(demands) == expect
         assert len(schedules) == prof.num_phases
-
-
-class TestSubsetPlacementInExecuteMany:
-    def test_identity_nodes_are_bit_for_bit(self):
-        sub = get_substrate("electrical-ring")
-        sched = generate_ring_allreduce(4)
-        wl = Workload(data_bytes=1 << 20)
-        plain, placed = sub.execute_many([
-            (sched, wl),
-            (sched, wl, {"nodes": [0, 1, 2, 3], "total_nodes": 4})])
-        assert placed == plain
-
-    def test_subset_nodes_rename_and_run(self):
-        sub = get_substrate("electrical-ring")
-        sched = generate_ring_allreduce(4)
-        wl = Workload(data_bytes=1 << 20)
-        (rep,) = sub.execute_many([
-            (sched, wl, {"nodes": [2, 5, 7, 9]})])
-        assert rep.schedule_name != sched.name
-        assert rep.num_steps == len(sched.steps)
 
 
 class TestLeaderPlacement:

@@ -18,7 +18,7 @@ from repro.collectives.ring_allreduce import generate_ring_allreduce
 from repro.config import (ElectricalSystem, OpticalRingSystem,
                           OpticalTorusSystem, Workload, default_torus)
 from repro.core.planner import plan_wrht
-from repro.core.substrates import (ElectricalSubstrate, ExecutionJob,
+from repro.core.substrates import (ElectricalSubstrate,
                                    OpticalRingSubstrate,
                                    OpticalTorusSubstrate, Substrate,
                                    SubstrateInfo, available_substrates,
@@ -326,11 +326,9 @@ class TestExecuteMany:
         reports = sub.execute_many([
             (SCHED, WL),
             (SCHED, wl2, {"striping": "off"}),
-            ExecutionJob(SCHED, WL, options=(("striping", "off"),)),
         ])
         assert reports[0] == sub.execute(SCHED, WL)
         assert reports[1] == sub.execute(SCHED, wl2, striping="off")
-        assert reports[2] == sub.execute(SCHED, WL, striping="off")
 
     def test_electrical_batch(self):
         sub = ElectricalSubstrate(topology="ring")
