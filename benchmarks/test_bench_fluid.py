@@ -251,8 +251,9 @@ def test_bench_sparse_large_batch(once):
         import numpy as np
         assert np.array_equal(sparse.step_profile(pairs).finish_times,
                               dense.step_profile(pairs).finish_times)
-        t_dense = _time(lambda: dense.step_profile(pairs), 3)
-        t_sparse = _time(lambda: sparse.step_profile(pairs), 3)
+        t_dense, t_sparse = interleaved_best_times(
+            [lambda: dense.step_profile(pairs),
+             lambda: sparse.step_profile(pairs)], 3)
         return t_dense, t_sparse
 
     t_dense, t_sparse = once(run)

@@ -19,7 +19,7 @@ Two claims the lookahead/delta layer makes:
   with bit-for-bit parity asserted first.
 """
 
-from conftest import (BENCH_OCS_JSON, best_time as _time,
+from conftest import (BENCH_OCS_JSON, interleaved_best_times,
                       record_bench as _record)
 
 from repro.collectives.recursive_doubling import generate_recursive_doubling
@@ -121,8 +121,8 @@ def test_bench_delta_decompose(once):
         assert got == want
         assert delta.patched == len(steps) - 1  # cold solve, then patches
         assert delta.fallbacks == 0
-        t_scratch = _time(scratch, 3)
-        t_delta = _time(lambda: patched()[0], 3)
+        t_scratch, t_delta = interleaved_best_times(
+            [scratch, lambda: patched()[0]], 3)
         return delta, t_scratch, t_delta
 
     delta, t_scratch, t_delta = once(run)

@@ -15,11 +15,14 @@ feasibility checks already absorb the +p/4.
 
 import pytest
 
-from conftest import BENCH_RWA_JSON, best_time as _time, record_bench
+from conftest import BENCH_RWA_JSON, interleaved_best_times, record_bench
 
 from repro.analysis.ascii_plot import simple_table
 from repro.collectives.alltoall_wdm import alltoall_wavelength_requirement
-from repro.config import OpticalRingSystem
+from repro.collectives.placement import place_schedule
+from repro.collectives.ring_allreduce import generate_ring_allreduce
+from repro.config import OpticalRingSystem, Workload, default_optical
+from repro.core.substrates import OpticalRingSubstrate
 from repro.optical import (AssignmentPolicy, OpticalRingNetwork,
                            TransferRequest, assign_wavelengths)
 from repro.optical.rwa import RwaDelta, assign_wavelengths_delta
@@ -135,9 +138,7 @@ def test_bench_rwa_incremental_step(once):
     def run():
         want, got = full(), incremental()
         assert [w.assignments for w in want] == [g.assignments for g in got]
-        t_full = _time(full, 5)
-        t_inc = _time(incremental, 5)
-        return t_full, t_inc
+        return interleaved_best_times([full, incremental], 5)
 
     t_full, t_inc = once(run)
     speedup = t_full / t_inc
@@ -163,8 +164,6 @@ def test_rwa_step_execution_speed(benchmark, cache):
     """
     from repro.collectives.schedule import (Schedule, Transfer,
                                             TransferOp)
-    from repro.config import Workload
-    from repro.core.substrates import OpticalRingSubstrate
 
     n = 96
     nodes = [i * (n // 16) for i in range(16)]
@@ -179,3 +178,37 @@ def test_rwa_step_execution_speed(benchmark, cache):
 
     report = benchmark(sub.execute, sched, wl)
     assert report.total_time > 0
+
+
+def test_bench_ring_step_scaling(once):
+    """Per-step cost of a warm 4-rank ring all-reduce vs ring size.
+
+    The collective is placed on warm 32/128/512/1024-node rings (64
+    wavelengths), so every step hits the RWA cache: its cost should
+    follow the step's 4 transfers, not the ring's nodes (the per-call
+    ``reset`` is the only O(N) part left).  Times are interleaved
+    across ring sizes.  Records the ``ring_step_scaling`` curve in
+    ``BENCH_rwa.json`` (not gated).
+    """
+    sizes = (32, 128, 512, 1024)
+    wl = Workload(data_bytes=1e6)
+    arms = []
+    for n in sizes:
+        sub = OpticalRingSubstrate(default_optical(n, num_wavelengths=64))
+        sched = place_schedule(generate_ring_allreduce(4),
+                               range(n // 2, n // 2 + 4), n)
+        sub.execute(sched, wl)  # warm the network and both memos
+        arms.append(lambda sub=sub, sched=sched: sub.execute(sched, wl))
+    steps = len(sched.steps)
+
+    times = once(lambda: interleaved_best_times(arms, 15))
+    per_step_us = [t / steps * 1e6 for t in times]
+    growth = per_step_us[-1] / per_step_us[0]
+    print("\nwarm 4-rank ring all-reduce, us/step: " + ", ".join(
+        f"N={n} {us:.0f}" for n, us in zip(sizes, per_step_us))
+          + f" ({growth:.1f}x from N={sizes[0]} to N={sizes[-1]})")
+    record_bench("ring_step_scaling", {
+        "nodes": list(sizes), "ranks": 4, "wavelengths": 64,
+        "steps": steps, "us_per_step": per_step_us, "growth": growth},
+        path=BENCH_RWA_JSON, benchmark="rwa")
+    assert growth < 8.0

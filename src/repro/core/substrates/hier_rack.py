@@ -52,7 +52,8 @@ from .base import (ExecutionReport, FaultReplay, FluidCacheMixin, StepReport,
                    Substrate, SubstrateInfo)
 from .optical_ring import (DEFAULT_RWA_CACHE_MAX_TRANSFERS,
                            DEFAULT_RWA_CACHE_SIZE, OpticalRingSubstrate,
-                           RwaCacheStats, Striping, _hint_direction)
+                           RwaCacheStats, Striping, _check_striping,
+                           _hint_direction)
 
 
 class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
@@ -68,8 +69,10 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
         Leader-ring wavelength-assignment policy (per-call override via
         ``execute(..., policy=...)``).
     striping:
-        Leader-ring striping mode (``"auto"``/``"off"``/``int``;
-        per-call override via ``execute(..., striping=...)``).
+        Leader-ring striping mode (``"auto"``/``"off"``/``int`` >= 1;
+        per-call override via ``execute(..., striping=...)``); anything
+        else raises :class:`~repro.errors.ConfigurationError` before any
+        step runs.
     cache / cache_size / cache_max_transfers:
         The leader-level RWA memoization cache, with the same semantics
         (and admission bound) as the flat optical ring's.
@@ -165,6 +168,8 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
                 policy: Optional[AssignmentPolicy] = None,
                 ) -> ExecutionReport:
         """Execute ``schedule`` on the hierarchy (see module docstring)."""
+        if striping is not None:
+            _check_striping(striping)
         return self._run(self._resolve_system(schedule), schedule, workload,
                          striping, policy)
 
@@ -187,6 +192,8 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
         composite step starts; a partition at either level raises
         :class:`~repro.errors.DegradedError`.
         """
+        if striping is not None:
+            _check_striping(striping)
         system = self._resolve_system(schedule)
         replay = FaultReplay(plan, system.num_nodes, system.num_wavelengths)
         healthy = self._run(system, schedule, workload, striping, policy)

@@ -16,23 +16,29 @@ What the substrate keeps across calls:
   the step's routed transfer pattern, the striping factor, and the
   policy — not on transfer sizes — so the planner's ``m x variant``
   sweep and the ablation grids, which re-pose the same per-step RWA
-  subproblem hundreds of times, resolve it once.  Cached and cold runs
-  produce identical reports (pinned by the test suite).
+  subproblem hundreds of times, resolve it once.  Each entry also
+  carries the step's MRR selection and per-transfer timing constants,
+  and a **pattern memo** (same switch, bound and admission policy)
+  keeps each input pattern's longest-arc-first order and path demand,
+  so a cache hit costs O(transfers in the step), not O(ring size).
+  Cached and cold runs produce identical reports (pinned by the test
+  suite).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ...collectives.primitives import transfer_bytes
 from ...collectives.schedule import Schedule
 from ...config import OpticalRingSystem, Workload, default_optical
 from ...errors import ConfigurationError, WavelengthAllocationError
 from ...optical.ring_network import OpticalRingNetwork
-from ...optical.rwa import (AssignmentPolicy, RwaDelta, TransferRequest,
-                            assign_wavelengths, assign_wavelengths_delta,
-                            compute_striping_factor)
+from ...optical.rwa import (AssignmentPolicy, RwaDelta, RwaResult,
+                            TransferRequest, assign_wavelengths,
+                            assign_wavelengths_delta, max_link_demand,
+                            striping_for_demand)
 from ...topology.ring import Direction
 from .base import (CacheStats, ExecutionReport, FaultReplay, LruCache,
                    StepReport, Substrate, SubstrateInfo)
@@ -58,6 +64,19 @@ class RwaCacheStats(CacheStats):
     """
 
     max_size: int = DEFAULT_RWA_CACHE_SIZE
+
+
+def _check_striping(striping: object) -> None:
+    """Reject anything but ``"auto"``, ``"off"`` or an ``int`` >= 1."""
+    if isinstance(striping, str):
+        ok = striping in ("auto", "off")
+    else:
+        ok = (isinstance(striping, int) and not isinstance(striping, bool)
+              and striping >= 1)
+    if not ok:
+        raise ConfigurationError(
+            f"striping must be 'auto', 'off' or an int >= 1, "
+            f"got {striping!r}")
 
 
 def _hint_direction(hint: Optional[str]) -> Optional[Direction]:
@@ -105,16 +124,20 @@ class OpticalRingSubstrate(Substrate):
     striping:
         Default striping mode — ``"auto"`` (per-step WDM exploitation),
         ``"off"`` (one wavelength per flow, the O-Ring convention), or a
-        fixed ``int`` factor.  Per-call override via
-        ``execute(..., striping=...)``.
+        fixed ``int`` factor >= 1.  Per-call override via
+        ``execute(..., striping=...)``; anything else raises
+        :class:`~repro.errors.ConfigurationError` before any step runs.
     cache:
-        Enable the RWA memoization cache (identical results either way).
+        Enable the RWA memoization cache and the pattern memo
+        (identical results either way).
     cache_size:
-        Bound on memoized RWA solutions (LRU eviction).
+        Bound on memoized RWA solutions (LRU eviction), and on memoized
+        step patterns.
     cache_max_transfers:
         Admission bound: steps with more routed transfers than this are
         solved but not memoized (``None`` admits everything); skipped
         solves surface as ``rwa_cache_skipped`` in :meth:`describe`.
+        The pattern memo admits the same steps.
     incremental:
         Enable the delta RWA path: on a memo-cache miss, patch the
         network's previous step assignment
@@ -137,6 +160,7 @@ class OpticalRingSubstrate(Substrate):
             raise ConfigurationError(
                 f"optical-ring substrate needs an OpticalRingSystem, "
                 f"got {type(system).__name__}")
+        _check_striping(striping)
         self._system = system
         self._policy = policy
         self._striping = striping
@@ -144,6 +168,8 @@ class OpticalRingSubstrate(Substrate):
         self._cache_enabled = cache
         self._cache = LruCache(cache_size,
                                admit_cost_bound=cache_max_transfers)
+        self._patterns = LruCache(cache_size,
+                                  admit_cost_bound=cache_max_transfers)
         self._incremental = incremental
         self._delta_patched = 0
         self._delta_fallbacks = 0
@@ -179,8 +205,10 @@ class OpticalRingSubstrate(Substrate):
                              skipped=self._cache.skipped)
 
     def clear_rwa_cache(self) -> None:
-        """Drop every memoized RWA solution (counters reset too)."""
+        """Drop every memoized RWA solution and step pattern (counters
+        reset too)."""
         self._cache.clear()
+        self._patterns.clear()
 
     # -- substrate interface ------------------------------------------------
 
@@ -218,6 +246,8 @@ class OpticalRingSubstrate(Substrate):
                 policy: Optional[AssignmentPolicy] = None,
                 ) -> ExecutionReport:
         """Execute ``schedule`` on the ring (see class docstring)."""
+        if striping is not None:
+            _check_striping(striping)
         return self._run(self._resolve_system(schedule), schedule, workload,
                          striping, policy)
 
@@ -240,6 +270,8 @@ class OpticalRingSubstrate(Substrate):
         link cuts reroute arcs the other way (full re-solve); a
         partition raises :class:`~repro.errors.DegradedError`.
         """
+        if striping is not None:
+            _check_striping(striping)
         system = self._resolve_system(schedule)
         replay = FaultReplay(plan, system.num_nodes, system.num_wavelengths)
         healthy = self._run(system, schedule, workload, striping, policy)
@@ -310,10 +342,24 @@ class OpticalRingSubstrate(Substrate):
         network's carried tuning state, slowest-transfer timing — and
         stay bit-for-bit comparable with the flat ring.  ``net`` must
         belong to ``system`` (see :meth:`_network`) and carries channel
-        state across consecutive calls; ``base_requests`` may be
-        reordered in place (longest arcs first).
+        state across consecutive calls; ``striping`` must be a mode the
+        substrate accepted.
+
+        Both memos are exact.  The pattern memo (:meth:`_pattern`)
+        holds what the step's (src, dst, direction hint) sequence alone
+        decides: its longest-arc-first order, the RWA key and the path
+        demand; the striping factor is still derived every step from
+        that demand and the live wavelength budget.  An RWA cache entry
+        holds the assignment plus its :meth:`_shape` — the MRR selection
+        and per-transfer timing constants — which, like the assignment,
+        are pure functions of (pattern, k, fault key) on a given system
+        and policy, i.e. of the cache key.  Banks are
+        retuned only through :meth:`OpticalRingNetwork.retune`, which
+        diffs against the selection it last installed, so a hit charges
+        the tuning a retune of every bank would and times the step from
+        the transfer sizes alone.
         """
-        ring = net.topology
+        order, pattern, demand = self._pattern(net, system, base_requests)
         # -- decide striping -------------------------------------------
         if striping == "off" or not system.allow_striping:
             k = 1
@@ -322,50 +368,23 @@ class OpticalRingSubstrate(Substrate):
             # degraded ring stripes over what actually survives (the
             # healthy path subtracts zero and is unchanged).
             budget = system.num_wavelengths - len(net.failed_wavelengths)
-            k = compute_striping_factor(base_requests, ring, budget)
+            k = striping_for_demand(demand, budget)
         else:
-            k = int(striping)
-            if k < 1:
-                raise ConfigurationError(f"striping factor {k} < 1")
+            k = striping
 
         # -- wavelength assignment (conflict-exact, memoized) --------
-        # Longest arcs are placed first (the classic circular-arc
-        # colouring heuristic); even so First-Fit can occasionally
-        # need more than demand*k channels, so on failure fall back
-        # to thinner striping before giving up at k=1.
-        def arc_len(r: TransferRequest) -> int:
-            d = r.direction if r.direction is not None \
-                else ring.shortest_direction(r.src, r.dst)
-            return ring.distance(r.src, r.dst, d)
+        k, rwa, (selection, timing) = self._assign(
+            net, system, policy, base_requests, order, pattern, k)
 
-        base_requests.sort(key=lambda r: (-arc_len(r), r.src, r.dst))
-        k, requests, rwa = self._assign(net, system, policy,
-                                        base_requests, k)
-
-        # -- retuning: each node's new channel selection -------------
-        tx: Dict[int, Dict[str, Set[int]]] = {}
-        rx: Dict[int, Dict[str, Set[int]]] = {}
-        for req_idx, (direction, chans) in rwa.assignments.items():
-            req = requests[req_idx]
-            dkey = direction.value
-            tx.setdefault(req.src, {}).setdefault(dkey,
-                                                  set()).update(chans)
-            rx.setdefault(req.dst, {}).setdefault(dkey,
-                                                  set()).update(chans)
-        tuning = 0.0
-        for node in net.nodes:
-            tuning = max(tuning, node.retune_for_step(
-                tx.get(node.node_id, {}), rx.get(node.node_id, {})))
+        # -- retuning: only the banks whose selection changes --------
+        tuning = net.retune(selection)
 
         # -- timing: slowest transfer bounds the step ----------------
         serialization = 0.0
         propagation = 0.0
         slowest = 0.0
-        for req_idx, (direction, chans) in rwa.assignments.items():
-            req = requests[req_idx]
-            hops = ring.distance(req.src, req.dst, direction)
-            ser = req.size / (len(chans) * system.wavelength_rate)
-            prop = system.propagation_delay(hops)
+        for idx, rate, prop in timing:
+            ser = base_requests[order[idx]].size / rate
             if ser + prop > slowest:
                 slowest = ser + prop
                 serialization = ser
@@ -390,33 +409,60 @@ class OpticalRingSubstrate(Substrate):
             self._networks[system] = net
         return net
 
-    @staticmethod
-    def _signature(system: OpticalRingSystem, policy: AssignmentPolicy,
-                   base_requests: List[TransferRequest], k: int) -> Tuple:
-        """Canonical key of one step's RWA subproblem.
+    def _pattern(self, net: OpticalRingNetwork, system: OpticalRingSystem,
+                 base_requests: List[TransferRequest]) -> Tuple:
+        """``(order, pattern, demand)`` of one step's requests, memoized.
 
-        Wavelength assignment depends on the *sorted* routed pattern
-        (src, dst, direction per request), the striping factor, the
-        policy, and the system — transfer sizes only enter the timing,
-        which is computed outside the cache.
+        ``order`` lists the request indices longest arc first, ties by
+        ``(src, dst)`` and then input order: the classic circular-arc
+        colouring heuristic (even so First-Fit can occasionally need
+        more than demand*k channels, hence :meth:`_assign`'s fallback).
+        ``pattern`` is the routed ``(src, dst, direction)`` sequence in
+        that order, the RWA cache key; ``demand`` is the unstriped
+        worst-segment flow count.  All three depend only on the ring and
+        on the requests' (src, dst, direction hint) sequence.
         """
-        return (system, policy, k,
-                tuple((r.src, r.dst, r.direction) for r in base_requests))
+        hints = tuple((r.src, r.dst, r.direction) for r in base_requests)
+        key = (system, hints)
+        if self._cache_enabled:
+            hit = self._patterns.get(key)
+            if hit is not None:
+                return hit
+        ring = net.topology
+
+        def arc_len(i: int) -> int:
+            src, dst, d = hints[i]
+            if d is None:
+                d = ring.shortest_direction(src, dst)
+            return ring.distance(src, dst, d)
+
+        order = tuple(sorted(range(len(hints)),
+                             key=lambda i: (-arc_len(i), hints[i][0],
+                                            hints[i][1])))
+        entry = (order, tuple(hints[i] for i in order),
+                 max_link_demand(base_requests, ring, count_stripes=False))
+        if self._cache_enabled:
+            self._patterns.put(key, entry, cost=len(hints))
+        return entry
 
     def _assign(self, net: OpticalRingNetwork, system: OpticalRingSystem,
                 policy: AssignmentPolicy,
-                base_requests: List[TransferRequest], k: int):
+                base_requests: List[TransferRequest],
+                order: Sequence[int], pattern: Tuple, k: int) -> Tuple:
         """Striping-fallback RWA for one step, memoized.
 
-        Returns ``(k_final, requests, rwa)`` where ``requests`` carry
-        ``num_wavelengths=k_final`` and ``rwa`` is the (possibly cached)
-        assignment.  Infeasible steps raise
+        Returns ``(k_final, rwa, shape)``: the final striping factor,
+        the (possibly cached) assignment of the requests taken in
+        ``order``, and its :meth:`_shape`.  The cache key is the sorted
+        routed ``pattern``, ``k``, the policy, the system and the fault
+        masks — transfer sizes only enter the timing, which the caller
+        computes.  Infeasible steps raise
         :class:`~repro.errors.WavelengthAllocationError` exactly as the
         cold path does (failures are not cached).
         """
         key = None
         if self._cache_enabled:
-            key = self._signature(system, policy, base_requests, k)
+            key = (system, policy, k, pattern)
             fault_key = net.fault_key()
             if fault_key:
                 # Degraded solutions are memoized apart from healthy
@@ -427,27 +473,37 @@ class OpticalRingSubstrate(Substrate):
             if hit is not None:
                 # The network occupancy is untouched on a hit, so its
                 # rwa_delta patch base (last *solved* step) stays valid.
-                k_final, rwa = hit
-                requests = [
-                    TransferRequest(src=r.src, dst=r.dst, size=r.size,
-                                    direction=r.direction,
-                                    num_wavelengths=k_final)
-                    for r in base_requests]
-                return k_final, requests, rwa
+                return hit
 
+        k, requests, rwa = self._solve(
+            net, policy, [base_requests[i] for i in order], k)
+        value = (k, rwa, self._shape(net, system, requests, rwa))
+        if key is not None:
+            # Admission policy: very large steps are solved but not
+            # memoized (`rwa_cache_skipped` counts them).
+            self._cache.put(key, value, cost=len(base_requests))
+        return value
+
+    def _solve(self, net: OpticalRingNetwork, policy: AssignmentPolicy,
+               ordered: List[TransferRequest], k: int) -> Tuple:
+        """Solve one step's RWA on ``net``: ``(k_final, requests, rwa)``.
+
+        Patches the network's previous assignment when the incremental
+        path applies, else solves from scratch, thinning the striping
+        until the step fits (raising at ``k = 1``).  ``requests`` carry
+        ``num_wavelengths=k_final``.
+        """
         prev = net.rwa_delta if self._incremental else None
         if isinstance(prev, RwaDelta):
             requests = [
                 TransferRequest(src=r.src, dst=r.dst, size=r.size,
                                 direction=r.direction, num_wavelengths=k)
-                for r in base_requests]
+                for r in ordered]
             rwa = assign_wavelengths_delta(net, requests, policy, prev)
             if rwa is not None:
                 self._delta_patched += 1
                 net.rwa_delta = RwaDelta.from_solution(
                     policy, k, requests, rwa, fault_key=net.fault_key())
-                if key is not None:
-                    self._cache.put(key, (k, rwa), cost=len(base_requests))
                 return k, requests, rwa
             # The patch contract broke (striping/demand change, direction
             # flip, or a placement failure); the cold loop's clear()
@@ -458,7 +514,7 @@ class OpticalRingSubstrate(Substrate):
             requests = [
                 TransferRequest(src=r.src, dst=r.dst, size=r.size,
                                 direction=r.direction, num_wavelengths=k)
-                for r in base_requests]
+                for r in ordered]
             net.clear()
             try:
                 rwa = assign_wavelengths(net, requests, policy)
@@ -470,8 +526,26 @@ class OpticalRingSubstrate(Substrate):
 
         net.rwa_delta = RwaDelta.from_solution(policy, k, requests, rwa,
                                                fault_key=net.fault_key())
-        if key is not None:
-            # Admission policy: very large steps are solved but not
-            # memoized (`rwa_cache_skipped` counts them).
-            self._cache.put(key, (k, rwa), cost=len(base_requests))
         return k, requests, rwa
+
+    @staticmethod
+    def _shape(net: OpticalRingNetwork, system: OpticalRingSystem,
+               requests: Sequence[TransferRequest], rwa: RwaResult) -> Tuple:
+        """``(selection, timing)`` of a solved step, for the RWA cache.
+
+        ``selection`` is the step's sparse MRR selection
+        (:meth:`OpticalRingNetwork.selection`); ``timing`` holds
+        ``(index, channels x wavelength_rate, propagation delay)`` per
+        transfer, in assignment order.  With the transfer sizes, that
+        is all :meth:`run_step` needs to retune and time the step.
+        """
+        ring = net.topology
+        arcs = []
+        timing = []
+        for idx, (direction, chans) in rwa.assignments.items():
+            req = requests[idx]
+            arcs.append((req.src, req.dst, direction, chans))
+            hops = ring.distance(req.src, req.dst, direction)
+            timing.append((idx, len(chans) * system.wavelength_rate,
+                           system.propagation_delay(hops)))
+        return net.selection(arcs), tuple(timing)

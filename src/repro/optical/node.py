@@ -2,15 +2,15 @@
 
 A TeraRack node can concurrently transmit and receive on every wavelength
 of each waveguide direction — it owns a modulator (add) bank and a filter
-(drop) bank per direction.  The node object tracks tuning state so the
-executor can charge retuning once per step, and exposes injection/ejection
-capacity for sanity checks.
+(drop) bank per direction.  The banks hold the tuning state (driven per
+step by :meth:`~repro.optical.ring_network.OpticalRingNetwork.retune`),
+and the node exposes injection/ejection capacity for sanity checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Set
+from typing import Dict
 
 from ..errors import ConfigurationError
 from .mrr import MicroRingBank
@@ -44,21 +44,6 @@ class OpticalNode:
     def injection_rate(self) -> float:
         """Peak transmit bytes/s per direction."""
         return self.num_wavelengths * self.wavelength_rate
-
-    def retune_for_step(self, tx: Dict[str, Set[int]],
-                        rx: Dict[str, Set[int]]) -> float:
-        """Retune add banks to ``tx`` and drop banks to ``rx``.
-
-        Returns the retuning time this node needs before the step can
-        start (0 when nothing changes); the executor takes the max across
-        nodes.
-        """
-        cost = 0.0
-        for direction, bank in self.add_banks.items():
-            cost = max(cost, bank.retune(tx.get(direction, set())))
-        for direction, bank in self.drop_banks.items():
-            cost = max(cost, bank.retune(rx.get(direction, set())))
-        return cost
 
     def reset(self) -> None:
         """Detune all banks (between schedules)."""

@@ -4,18 +4,29 @@ Combines a :class:`~repro.topology.ring.RingTopology` (arc routing) with
 per-segment :class:`~repro.optical.link.WaveguideLink` occupancy and
 per-node :class:`~repro.optical.node.OpticalNode` state.  This is the
 object the schedule executor and RWA operate on.
+
+MRR tuning state is driven through :meth:`OpticalRingNetwork.retune`
+with a sparse *selection* — ``{bank id: channel set}`` for the banks
+that carry channels in a step (see :meth:`OpticalRingNetwork.selection`)
+— so a step retunes only the banks whose selection actually changes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from ..config import OpticalRingSystem
 from ..errors import TopologyError, WavelengthAllocationError
 from ..topology.ring import Direction, RingTopology
 from .link import WaveguideLink
+from .mrr import MicroRingBank
 from .node import OpticalNode
 from .spectrum import WavelengthGrid
+
+#: A sparse MRR selection: ``{bank id: channel set}``, listing only the
+#: banks that carry channels (every other bank is detuned).
+Selection = Dict[int, FrozenSet[int]]
 
 
 class OpticalRingNetwork:
@@ -36,6 +47,18 @@ class OpticalRingNetwork:
             OpticalNode(i, system.num_wavelengths, system.wavelength_rate,
                         system.tuning_time, directions=directions)
             for i in range(system.num_nodes)]
+        #: Every MRR bank by bank id: node ``i``'s add banks, then its
+        #: drop banks, one per direction (see :meth:`selection`).
+        self._banks: List[MicroRingBank] = [
+            bank for node in self.nodes
+            for banks in (node.add_banks, node.drop_banks)
+            for bank in banks.values()]
+        self._direction_index = {Direction(d): i
+                                 for i, d in enumerate(directions)}
+        #: The selection the banks are tuned to (see :meth:`retune`).
+        self._selection: Selection = {}
+        #: One shared object per distinct channel set selected here.
+        self._channel_sets: Dict[FrozenSet[int], FrozenSet[int]] = {}
         self._links: Dict[Tuple[int, int, str], WaveguideLink] = {}
         #: Patch base for the incremental RWA path (an
         #: :class:`~repro.optical.rwa.RwaDelta`).  Only valid while the
@@ -89,6 +112,58 @@ class OpticalRingNetwork:
     def all_waveguides(self) -> List[WaveguideLink]:
         """Every waveguide segment."""
         return list(self._links.values())
+
+    # -- MRR tuning ------------------------------------------------------------
+
+    def selection(self, arcs: Iterable[Tuple[int, int, Direction,
+                                             Sequence[int]]]) -> Selection:
+        """The sparse MRR selection of one step's channel assignment.
+
+        ``arcs`` yields ``(src, dst, direction, channels)`` per transfer:
+        the source's add bank and the destination's drop bank in
+        ``direction`` tune to the union of the channels of every
+        transfer they serve.  Banks that carry nothing are left out,
+        and equal channel sets are shared, so memoized selections stay
+        small.
+        """
+        per_node = 2 * len(self._direction_index)
+        drop = len(self._direction_index)
+        chans: Dict[int, Set[int]] = {}
+        for src, dst, direction, channels in arcs:
+            d = self._direction_index[direction]
+            chans.setdefault(src * per_node + d, set()).update(channels)
+            chans.setdefault(dst * per_node + drop + d,
+                             set()).update(channels)
+        shared = self._channel_sets
+        out: Selection = {}
+        for bank, channels in chans.items():
+            key = frozenset(channels)
+            out[bank] = shared.setdefault(key, key)
+        return out
+
+    def retune(self, selection: Selection) -> float:
+        """Tune the MRR banks to ``selection``; returns the tuning time.
+
+        Returns 0.0 when ``selection`` equals the one last installed
+        (:meth:`reset` restores the empty one).  Otherwise only the
+        banks whose selection changes are retuned
+        (:meth:`MicroRingBank.retune`, with its range and ring-count
+        checks) and the cost is the max over them, exactly what
+        retuning every bank would charge, since unchanged banks cost 0.
+        """
+        last = self._selection
+        if selection == last:
+            return 0.0
+        cost = 0.0
+        banks = self._banks
+        for bank in last:
+            if bank not in selection:
+                cost = max(cost, banks[bank].retune(frozenset()))
+        for bank, channels in selection.items():
+            if last.get(bank) != channels:
+                cost = max(cost, banks[bank].retune(channels))
+        self._selection = selection
+        return cost
 
     # -- fault masks -----------------------------------------------------------
 
@@ -186,6 +261,7 @@ class OpticalRingNetwork:
         self.clear_faults()
         for node in self.nodes:
             node.reset()
+        self._selection = {}
 
     # -- capacity summaries ----------------------------------------------------
 

@@ -126,7 +126,19 @@ def compute_striping_factor(requests: Sequence[TransferRequest],
     budget ``w``.  Returns at least 1; raises when even one wavelength per
     flow cannot fit (the step is infeasible).
     """
-    demand = max_link_demand(requests, ring, count_stripes=False)
+    return striping_for_demand(
+        max_link_demand(requests, ring, count_stripes=False),
+        num_wavelengths)
+
+
+def striping_for_demand(demand: int, num_wavelengths: int) -> int:
+    """:func:`compute_striping_factor` from a step's path demand.
+
+    ``demand`` is the step's unstriped worst-segment flow count
+    (``max_link_demand(..., count_stripes=False)``), which depends only
+    on the routed pattern, so callers that memoize it per pattern derive
+    the factor against the live wavelength budget in O(1).
+    """
     if demand == 0:
         return num_wavelengths
     if demand > num_wavelengths:

@@ -1,13 +1,18 @@
-"""Edge-case tests for the optical executor: policies, retry, direction."""
+"""Edge-case tests for the optical executor: policies, retry, direction,
+striping validation."""
+
+import re
 
 import pytest
 
 from repro import units
 from repro.collectives.schedule import Schedule, Transfer, TransferOp
 from repro.collectives import generate_ring_allreduce
-from repro.config import OpticalRingSystem, Workload
-from repro.core.substrates import OpticalRingSubstrate
-from repro.errors import WavelengthAllocationError
+from repro.config import HierarchicalSystem, OpticalRingSystem, Workload
+from repro.core.substrates import (HierarchicalRackSubstrate,
+                                   OpticalRingSubstrate)
+from repro.errors import ConfigurationError, WavelengthAllocationError
+from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.optical.rwa import AssignmentPolicy
 
 WL = Workload(data_bytes=1 * units.MB)
@@ -106,3 +111,51 @@ class TestTuningAccounting:
         assert rep.steps[0].tuning_time == pytest.approx(10e-6)
         assert rep.steps[1].tuning_time == 0.0
         assert rep.steps[2].tuning_time == 0.0
+
+
+class TestStripingValidation:
+    """A bad striping mode fails once, typed, before any step runs, on
+    the ring and on the hierarchy's leader ring alike."""
+
+    BAD = ["bogus", 2.7, True, 0]
+    SUBSTRATES = {
+        "optical-ring": (OpticalRingSubstrate,
+                         OpticalRingSystem(num_nodes=8, num_wavelengths=8)),
+        # One rack: every step is local, so no leader step would ever
+        # reach the ring's striping decision.
+        "hier-rack": (HierarchicalRackSubstrate,
+                      HierarchicalSystem(num_nodes=8, group_size=8)),
+    }
+    PLAN = FaultPlan((FaultEvent(0.0, FaultKind.WAVELENGTH_DOWN,
+                                 wavelength=0),))
+
+    @staticmethod
+    def _names(value):
+        return rf"striping must be .* got {re.escape(repr(value))}$"
+
+    @pytest.mark.parametrize("name", sorted(SUBSTRATES))
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    def test_constructor_rejects(self, name, value):
+        cls, system = self.SUBSTRATES[name]
+        with pytest.raises(ConfigurationError, match=self._names(value)):
+            cls(system, striping=value)
+
+    @pytest.mark.parametrize("name", sorted(SUBSTRATES))
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    def test_per_call_rejects(self, name, value):
+        cls, system = self.SUBSTRATES[name]
+        sub = cls(system)
+        sched = generate_ring_allreduce(8)
+        with pytest.raises(ConfigurationError, match=self._names(value)):
+            sub.execute(sched, WL, striping=value)
+        with pytest.raises(ConfigurationError, match=self._names(value)):
+            sub.execute_with_faults(sched, WL, self.PLAN, striping=value)
+        assert sub.rwa_cache_info().misses == 0
+
+    @pytest.mark.parametrize("name", sorted(SUBSTRATES))
+    @pytest.mark.parametrize("value", ["auto", "off", 1, 3])
+    def test_valid_modes_accepted(self, name, value):
+        cls, system = self.SUBSTRATES[name]
+        rep = cls(system, striping=value).execute(
+            generate_ring_allreduce(8), WL, striping=value)
+        assert rep.total_time > 0

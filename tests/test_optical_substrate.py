@@ -105,13 +105,6 @@ class TestWaveguideLink:
 
 
 class TestOpticalNode:
-    def test_retune_for_step_max_across_banks(self):
-        node = OpticalNode(0, 4, 25 * units.GBPS, tuning_time=25e-6)
-        cost = node.retune_for_step({"cw": {0, 1}}, {"ccw": {2}})
-        assert cost == pytest.approx(25e-6)
-        # Same selection again: free.
-        assert node.retune_for_step({"cw": {0, 1}}, {"ccw": {2}}) == 0.0
-
     def test_injection_rate(self):
         node = OpticalNode(0, 64, 25 * units.GBPS, tuning_time=0.0)
         assert node.injection_rate == pytest.approx(1.6 * units.TBPS)
@@ -121,6 +114,17 @@ class TestOpticalRingNetwork:
     def make(self, n=8, w=4, bidir=True):
         return OpticalRingNetwork(OpticalRingSystem(
             num_nodes=n, num_wavelengths=w, bidirectional=bidir))
+
+    def test_retune_max_across_banks(self):
+        net = OpticalRingNetwork(OpticalRingSystem(
+            num_nodes=4, num_wavelengths=4, tuning_time=25e-6))
+        # Node 0 adds {0, 1} clockwise and drops {2} counter-clockwise.
+        selection = net.selection([(0, 1, Direction.CW, (0, 1)),
+                                   (3, 0, Direction.CCW, (2,))])
+        cost = net.retune(selection)
+        assert cost == pytest.approx(25e-6)
+        # Same selection again: free.
+        assert net.retune(selection) == 0.0
 
     def test_segments_built(self):
         net = self.make()
