@@ -17,9 +17,12 @@ the documented workload for the acceptance claims:
 
 import pytest
 
+import repro.core.substrates.reconfigurable as ocs_substrate
+import repro.topology.program as ocs_program
 from repro import units
 from repro.analysis.ascii_plot import simple_table
 from repro.config import Workload, default_ocs
+from repro.core.substrates import clear_substrate_pool
 from repro.core.topoplan import plan_topology, topology_plan_table
 
 NUM_NODES = 16
@@ -87,16 +90,30 @@ def test_reconfiguration_delay_ablation(once, workload):
     assert frozen_best.num_reconfigurations == 0
 
 
-def test_decomposition_modes_agree_on_matchings(once):
-    """Matching-shaped demands need one round under either mode, so the
-    co-planned times coincide; the modes only diverge on demands whose
-    greedy first-fit overshoots the degree bound."""
+def test_decomposition_modes_agree_on_matchings(once, monkeypatch):
+    """Matching-shaped demands need one round under either algorithm, so
+    the co-planned times coincide; they only diverge on demands whose
+    greedy first-fit overshoots the degree bound.  The greedy arm
+    patches the size limit to 0 (every step greedy) and the step-cache
+    admission bound to 0 (its pooled instances memoize nothing), and
+    each arm starts from an empty substrate pool."""
     system = default_ocs(NUM_NODES)
 
+    def plan(mode):
+        clear_substrate_pool()
+        if mode == "greedy":
+            monkeypatch.setattr(ocs_program,
+                                "OPTIMAL_DECOMPOSITION_LIMIT", 0)
+            monkeypatch.setattr(ocs_substrate,
+                                "DEFAULT_STEP_CACHE_MAX_PAIRS", 0)
+        try:
+            return plan_topology(system, WORKLOADS[-1])
+        finally:
+            monkeypatch.undo()
+            clear_substrate_pool()
+
     def run():
-        return {mode: plan_topology(system, WORKLOADS[-1],
-                                    decomposition=mode)
-                for mode in ("greedy", "optimal")}
+        return {mode: plan(mode) for mode in ("greedy", "optimal")}
 
     plans = once(run)
     print()

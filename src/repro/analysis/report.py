@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from ..core.comparison import ALGORITHMS
 from .figure2 import (PAPER_MODELS, PAPER_SCALES, Figure2Panel, figure2)
 from .headline import HeadlineResult, headline_reductions
 from .tables import step_count_table

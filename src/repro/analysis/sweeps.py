@@ -31,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..config import (OpticalRingSystem, Workload, default_hierarchical,
-                      default_optical, hier_group_candidates)
+from ..config import (Workload, default_hierarchical, default_optical,
+                      hier_group_candidates)
 from ..core import cost_model
 from ..core.comparison import compare_algorithms
 from ..core.planner import plan_wrht

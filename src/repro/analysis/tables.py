@@ -24,7 +24,7 @@ from ..collectives.recursive_doubling import recursive_doubling_step_count
 from ..collectives.ring_allreduce import ring_step_count
 from ..collectives.wrht import (WrhtParameters, generate_wrht,
                                 wrht_last_level_survivors,
-                                wrht_theoretical_steps, wrht_tree_levels)
+                                wrht_theoretical_steps)
 from ..topology.ring import RingTopology
 from ..collectives.analysis import peak_wavelength_demand
 from .ascii_plot import simple_table

@@ -20,6 +20,7 @@ experiment fails at construction, not deep inside a sweep.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from . import units
@@ -459,6 +460,8 @@ class Workload:
 
     def __post_init__(self) -> None:
         _require(self.data_bytes > 0, "data_bytes must be > 0")
+        _require(math.isfinite(self.data_bytes),
+                 f"data_bytes must be finite, got {self.data_bytes}")
         _require(self.dtype_bytes > 0, "dtype_bytes must be > 0")
 
     @classmethod

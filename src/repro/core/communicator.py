@@ -18,7 +18,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..collectives.binomial_tree import generate_binomial_tree
-from ..collectives.ring_allreduce import generate_ring_allreduce
 from ..collectives.schedule import Schedule, Transfer, TransferOp
 from ..config import (ElectricalSystem, OpticalRingSystem, Workload,
                       default_electrical, default_optical)

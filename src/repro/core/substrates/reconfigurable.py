@@ -9,10 +9,11 @@ a schedule means deciding, per synchronous step, whether to
   store-and-forward) over the circuits that already exist, sharing
   circuit bandwidth max-min fairly under the fluid model; or
 * **reconfigure** — decompose the step's demand into port-feasible
-  circuit *rounds* (greedy first-fit, or optimal bipartite edge
-  colouring meeting the ``ceil(Δ/ports)`` bound) and serve each round
-  on dedicated direct circuits, paying the reconfiguration delay for
-  every round that is not already a subset of the live configuration.
+  circuit *rounds* (optimal bipartite edge colouring meeting the
+  ``ceil(Δ/ports)`` bound, greedy first-fit on very large steps) and
+  serve each round on dedicated direct circuits, paying the
+  reconfiguration delay for every round that is not already a subset
+  of the live configuration.
 
 The cheaper option wins (ties stay, avoiding pointless switching), so
 ``reconfiguration_delay = inf`` degrades the fabric exactly to its
@@ -23,12 +24,14 @@ recorded as a :class:`~repro.topology.program.TopologyProgram`
 
 Demand decomposition depends only on the step's *ordered* transfer
 pattern and the port budget — not on transfer sizes — so it is memoized
-(the "step cache"), mirroring the optical ring's RWA cache; statistics
-surface through :meth:`describe` and the CLI.
+(the "step cache", keyed by (ports, ordered pattern)), mirroring the
+optical ring's RWA cache; statistics surface through :meth:`describe`
+and the CLI.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple, Union
 
 from ...collectives.primitives import transfer_bytes
@@ -38,23 +41,21 @@ from ...errors import ConfigurationError, TopologyError
 from ...simulation.fluid import FluidNetworkSimulator
 from ...topology.program import (CircuitConfig, CircuitPair,
                                  CircuitTopology, DecompositionDelta,
-                                 RoundsPlan, SynthesizedStep,
-                                 TopologyProgram,
-                                 demand_aware_boot_config, intern_steps,
-                                 max_pair_degree, price_demand_rounds,
-                                 ring_circuit_config, synthesize_program)
+                                 StepPricer, TopologyProgram, boot_config,
+                                 intern_steps, max_pair_degree,
+                                 synthesize_program)
 from .base import (CacheStats, ExecutionReport, FluidCacheMixin, LruCache,
                    StepReport, Substrate, SubstrateInfo)
 
 Initial = Union[str, CircuitConfig]
 
-#: Default bound on memoized demand decompositions per instance.
+#: Bound on memoized demand decompositions per instance (LRU).
 DEFAULT_STEP_CACHE_SIZE = 4096
 
-#: Default admission bound: steps with more distinct transfer pairs
-#: than this are decomposed but not memoized (their keys and round
-#: lists are large, and steps that size rarely repeat) — the same
-#: policy the RWA and fluid pattern caches apply.
+#: Admission bound: steps with more distinct transfer pairs than this
+#: are decomposed but not memoized (their keys and round lists are
+#: large, and steps that size rarely repeat) — the same policy the RWA
+#: and fluid pattern caches apply.
 DEFAULT_STEP_CACHE_MAX_PAIRS = 1024
 
 #: Bound on cached per-configuration fluid simulators.
@@ -73,33 +74,25 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
     initial:
         Boot circuit configuration: ``"ring"`` (default — a
         bidirectional neighbour ring when the port budget allows, else
-        unidirectional) or an explicit
+        unidirectional), ``"demand"`` (seeded from the schedule's
+        aggregate demand) or an explicit
         :class:`~repro.topology.program.CircuitConfig`.
-    decomposition:
-        Demand-decomposition mode — ``"auto"`` (optimal for small
-        steps, greedy beyond), ``"greedy"``, or ``"optimal"``.
-        Per-call override via ``execute(..., decomposition=...)``.
-    cache:
-        Enable the decomposition step cache (identical results either
-        way).
-    cache_size:
-        Bound on memoized decompositions (LRU eviction).
-    cache_max_pairs:
-        Admission bound: steps with more distinct transfer pairs than
-        this are decomposed but not memoized (``None`` admits
-        everything); skipped solves surface as ``step_cache_skipped``
-        in :meth:`describe`.
+    lookahead:
+        Plan the whole schedule's circuit program by DP instead of the
+        myopic per-step choice (per-call override via ``execute``).
+    stripe_leftover:
+        Let the DP price rounds and installs with leftover-port
+        striping (cost model only).
+
+    Steps with more than :data:`DEFAULT_STEP_CACHE_MAX_PAIRS` distinct
+    transfer pairs are decomposed but not memoized; they surface as
+    ``step_cache_skipped`` in :meth:`describe`.
     """
 
     name = "ocs-reconfig"
 
     def __init__(self, system: Optional[ReconfigurableOCSSystem] = None,
                  initial: Initial = "ring",
-                 decomposition: str = "auto",
-                 cache: bool = True,
-                 cache_size: int = DEFAULT_STEP_CACHE_SIZE,
-                 cache_max_pairs: Optional[int]
-                 = DEFAULT_STEP_CACHE_MAX_PAIRS,
                  lookahead: bool = False,
                  stripe_leftover: bool = False) -> None:
         if system is not None \
@@ -107,19 +100,15 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
             raise ConfigurationError(
                 f"ocs-reconfig substrate needs a ReconfigurableOCSSystem, "
                 f"got {type(system).__name__}")
-        if isinstance(initial, str) and initial not in ("ring", "demand"):
+        if not isinstance(initial, CircuitConfig) \
+                and initial not in ("ring", "demand"):
             raise ConfigurationError(
                 f"initial must be 'ring', 'demand' or a CircuitConfig, "
                 f"got {initial!r}")
-        if decomposition not in ("auto", "greedy", "optimal"):
-            raise ConfigurationError(
-                f"decomposition must be 'auto', 'greedy' or 'optimal', "
-                f"got {decomposition!r}")
         self._system = system
         self._initial = initial
-        self._decomposition = decomposition
-        self._cache_enabled = cache
-        self._cache = LruCache(cache_size, admit_cost_bound=cache_max_pairs)
+        self._cache = LruCache(DEFAULT_STEP_CACHE_SIZE,
+                               admit_cost_bound=DEFAULT_STEP_CACHE_MAX_PAIRS)
         self._sims = LruCache(_SIM_CACHE_MAX)
         self._last_program: Optional[TopologyProgram] = None
         self._lookahead = lookahead
@@ -128,11 +117,6 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
         self._lookahead_saved = 0
 
     # -- cache management ---------------------------------------------------
-
-    @property
-    def cache_enabled(self) -> bool:
-        """Whether demand decompositions are being memoized."""
-        return self._cache_enabled
 
     def step_cache_info(self) -> CacheStats:
         """Current decomposition-cache counters."""
@@ -157,10 +141,8 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
         """Metadata: fabric model, policies, and step-cache statistics."""
         stats = self.step_cache_info()
         params: List[Tuple[str, object]] = [
-            ("decomposition", self._decomposition),
             ("initial", self._initial if isinstance(self._initial, str)
              else "custom"),
-            ("step_cache", self._cache_enabled),
             ("step_cache_hits", stats.hits),
             ("step_cache_misses", stats.misses),
             ("step_cache_hit_rate", round(stats.hit_rate, 4)),
@@ -188,7 +170,6 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
             parameters=tuple(params))
 
     def execute(self, schedule: Schedule, workload: Workload,
-                decomposition: Optional[str] = None,
                 lookahead: Optional[bool] = None) -> ExecutionReport:
         """Execute ``schedule`` on the OCS fabric (see class docstring).
 
@@ -199,11 +180,6 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
         (``delay=inf``) the DP has no moves, so the greedy path runs
         either way — bit-for-bit identical reports and errors.
         """
-        mode = self._decomposition if decomposition is None else decomposition
-        if mode not in ("auto", "greedy", "optimal"):
-            raise ConfigurationError(
-                f"decomposition must be 'auto', 'greedy' or 'optimal', "
-                f"got {mode!r}")
         use_lookahead = self._lookahead if lookahead is None else lookahead
         system = self._resolve_system(schedule)
         demands: List[Dict[CircuitPair, float]] = []
@@ -217,13 +193,12 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
         counts = [len(step) for step in schedule.steps]
         classes, index = intern_steps(demands)
         return self._run_demands(system, classes, index, schedule.name,
-                                 counts, mode, use_lookahead)
+                                 counts, use_lookahead)
 
     def execute_demands(self, demands: List[Dict[CircuitPair, float]],
                         name: str = "demand-program",
                         transfer_counts: Optional[List[int]] = None,
                         num_nodes: Optional[int] = None,
-                        decomposition: Optional[str] = None,
                         lookahead: Optional[bool] = None) -> ExecutionReport:
         """Execute a raw per-step demand sequence — the strategy planner's
         entry point.
@@ -239,11 +214,6 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
         substrate was built without a system (defaults to the largest
         rank mentioned plus one).
         """
-        mode = self._decomposition if decomposition is None else decomposition
-        if mode not in ("auto", "greedy", "optimal"):
-            raise ConfigurationError(
-                f"decomposition must be 'auto', 'greedy' or 'optimal', "
-                f"got {mode!r}")
         use_lookahead = self._lookahead if lookahead is None else lookahead
         classes, index = intern_steps(demands)
         if not index:
@@ -252,6 +222,18 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
             if not sizes:
                 raise ConfigurationError(
                     f"step {index.index(k)} of {name!r} has no demand")
+            for (s, d), b in sizes.items():
+                if s == d:
+                    problem = "is a self-loop"
+                elif s < 0 or d < 0:
+                    problem = "names a negative node"
+                elif not (b > 0 and math.isfinite(b)):
+                    problem = f"carries {b!r} bytes; need a finite count > 0"
+                else:
+                    continue
+                raise ConfigurationError(
+                    f"step {index.index(k)} of {name!r}: pair ({s}, {d}) "
+                    f"{problem}")
         if transfer_counts is None:
             counts = [len(classes[k]) for k in index]
         else:
@@ -261,13 +243,13 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
                     f"transfer_counts has {len(counts)} entries for "
                     f"{len(index)} demand steps")
         system = self._resolve_demand_system(classes, num_nodes)
-        return self._run_demands(system, classes, index, name, counts, mode,
+        return self._run_demands(system, classes, index, name, counts,
                                  use_lookahead)
 
     def _run_demands(self, system: ReconfigurableOCSSystem,
                      classes: List[Dict[CircuitPair, float]],
                      index: List[int], name: str,
-                     transfer_counts: List[int], mode: str,
+                     transfer_counts: List[int],
                      use_lookahead: bool) -> ExecutionReport:
         """The demand-driven core shared by :meth:`execute` and
         :meth:`execute_demands` (identical floats, order, and errors).
@@ -277,11 +259,20 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
         the distinct step matrices and step ``t`` serves
         ``classes[index[t]]``.  A policy plans one
         :class:`~repro.topology.program.SynthesizedStep` per step — the
-        myopic :meth:`_greedy_steps`, or under ``lookahead`` the
-        whole-schedule DP — and one loop turns either plan into the
-        report and :attr:`last_program`.
+        myopic :meth:`~repro.topology.program.StepPricer.greedy_steps`,
+        or under ``lookahead`` the whole-schedule DP — and one loop
+        turns either plan into the report and :attr:`last_program`.
         """
-        start = self._resolve_initial(system, classes, index)
+        try:
+            start = boot_config(self._initial, system, classes, index)
+        except TopologyError as exc:
+            raise ConfigurationError(
+                f"initial circuit configuration invalid for this "
+                f"fabric: {exc}") from exc
+
+        def stay_cost(cfg, sizes):
+            return self._stay_time(system, cfg, sizes)
+
         if use_lookahead and system.can_reconfigure:
             # The synthesized steps carry their exact chosen cost, so the
             # report accumulates the same floats the DP compared
@@ -290,18 +281,22 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
             # over.  The DP receives the interned step objects, so its
             # own interning matches every repeat by identity.
             program = synthesize_program(
-                [classes[k] for k in index], system,
-                initial=start,
-                stay_cost=lambda cfg, sizes: self._stay_time(system, cfg,
-                                                             sizes),
-                decompose=lambda ordered, ports: self._rounds(ordered, ports,
-                                                              mode),
+                [classes[k] for k in index], system, initial=start,
+                stay_cost=stay_cost, decompose=self._rounds,
                 stripe_leftover=self._stripe_leftover)
             self._lookahead_saved += program.reconfigurations_saved
             steps = program.steps
         else:
-            steps = self._greedy_steps(system, classes, index, name, start,
-                                       mode)
+            pricer = StepPricer(classes, system, stay_cost, self._rounds)
+            steps = []
+            for idx, st in enumerate(pricer.greedy_steps(index, start)):
+                if st.total == float("inf"):
+                    raise ConfigurationError(
+                        f"step {idx} of {name!r} has transfers "
+                        f"unroutable on the current circuit configuration "
+                        f"and reconfiguration is disabled "
+                        f"(reconfiguration_delay=inf)")
+                steps.append(st)
         degrees = [max_pair_degree(sizes) for sizes in classes]
         history: List[CircuitConfig] = [start]
         report = ExecutionReport(schedule_name=name,
@@ -328,55 +323,6 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
             name=f"{name}@{self.name}")
         return report
 
-    def _greedy_steps(self, system: ReconfigurableOCSSystem,
-                      classes: List[Dict[CircuitPair, float]],
-                      index: List[int], name: str, current: CircuitConfig,
-                      mode: str) -> List[SynthesizedStep]:
-        """The myopic policy: per step, the cheaper of staying on the
-        live circuits and reconfiguring through the decomposition's
-        rounds (ties stay), as the same records the lookahead DP plans.
-
-        The choice is a function of the step matrix and the live
-        configuration alone, so it is made once per (step class, live
-        config) and replayed for every repeat.
-        """
-        chosen: Dict[Tuple[int, CircuitConfig], SynthesizedStep] = {}
-        steps: List[SynthesizedStep] = []
-        for idx, k in enumerate(index):
-            st = chosen.get((k, current))
-            if st is None:
-                sizes = classes[k]
-                makespan, prop = self._stay_time(system, current, sizes)
-                st = SynthesizedStep(
-                    action="stay", config=current, total=makespan,
-                    serialization=makespan - prop, propagation=prop,
-                    reconfig_time=0.0)
-                if system.can_reconfigure:
-                    ordered = tuple(sorted(sizes,
-                                           key=lambda p: (-sizes[p], p)))
-                    plan = self._reconfigure_plan(system, current, ordered,
-                                                  sizes, mode)
-                    if plan.total < makespan:
-                        st = SynthesizedStep(
-                            action="rounds",
-                            config=(plan.new_configs[-1] if plan.new_configs
-                                    else current),
-                            total=plan.total,
-                            serialization=plan.serialization,
-                            propagation=plan.propagation,
-                            reconfig_time=plan.reconfig_time,
-                            new_configs=tuple(plan.new_configs))
-                chosen[k, current] = st
-            if st.total == float("inf"):
-                raise ConfigurationError(
-                    f"step {idx} of {name!r} has transfers "
-                    f"unroutable on the current circuit configuration "
-                    f"and reconfiguration is disabled "
-                    f"(reconfiguration_delay=inf)")
-            steps.append(st)
-            current = st.config
-        return steps
-
     # -- internals ----------------------------------------------------------
 
     def _default_system(self, num_nodes: int) -> ReconfigurableOCSSystem:
@@ -401,30 +347,6 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
                 f"demand mentions node {top}; num_nodes is {num_nodes}")
         return self._default_system(num_nodes)
 
-    def _resolve_initial(self, system: ReconfigurableOCSSystem,
-                         classes: List[Dict[CircuitPair, float]],
-                         index: List[int]) -> CircuitConfig:
-        if isinstance(self._initial, CircuitConfig):
-            cfg = self._initial
-        elif self._initial == "demand" and index:
-            aggregate: Dict[CircuitPair, float] = {}
-            for k in index:
-                for pair, b in classes[k].items():
-                    aggregate[pair] = aggregate.get(pair, 0.0) + b
-            cfg = demand_aware_boot_config(aggregate, system.num_nodes,
-                                           system.ports_per_node)
-        else:
-            cfg = ring_circuit_config(
-                system.num_nodes,
-                bidirectional=system.ports_per_node >= 2)
-        try:
-            cfg.validate(system.num_nodes, system.ports_per_node)
-        except TopologyError as exc:
-            raise ConfigurationError(
-                f"initial circuit configuration invalid for this "
-                f"fabric: {exc}") from exc
-        return cfg
-
     def _stay_time(self, system: ReconfigurableOCSSystem,
                    config: CircuitConfig,
                    sizes: Dict[CircuitPair, float],
@@ -444,31 +366,14 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
             return float("inf"), 0.0
         return profile.makespan, profile.propagation
 
-    def _reconfigure_plan(self, system: ReconfigurableOCSSystem,
-                          current: CircuitConfig,
-                          ordered: Tuple[CircuitPair, ...],
-                          sizes: Dict[CircuitPair, float],
-                          mode: str) -> RoundsPlan:
-        rounds = self._rounds(ordered, system.ports_per_node, mode)
-        # Rounds already covered by the live circuits are served for
-        # free (without touching the switch); the rest each install a
-        # fresh configuration and pay the delay.  Pricing tracks the
-        # *evolving* live set — a round is only free against the
-        # circuits actually up when it runs, not the step's entry
-        # config (which earlier rounds in the same step tear down).
-        return price_demand_rounds(
-            rounds, sizes, current,
-            circuit_rate=system.circuit_rate,
-            circuit_latency=system.circuit_latency,
-            reconfiguration_delay=system.reconfiguration_delay)
-
-    def _rounds(self, ordered: Tuple[CircuitPair, ...], ports: int,
-                mode: str) -> List[Tuple[CircuitPair, ...]]:
+    def _rounds(self, ordered: Tuple[CircuitPair, ...],
+                ports: int) -> List[Tuple[CircuitPair, ...]]:
         """Memoized demand decomposition for one step.
 
-        The decomposition depends only on the ordered pair pattern, the
-        port budget, and the mode — transfer sizes enter the cost only
-        through the ordering, which the key captures.
+        The decomposition depends only on the ordered pair pattern and
+        the port budget (the algorithm is chosen by the pattern's size)
+        — transfer sizes enter the cost only through the ordering, which
+        the key captures.
 
         On cache misses the solve goes through the instance's
         :class:`~repro.topology.program.DecompositionDelta`, which
@@ -477,12 +382,10 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
         ``decompose_demand`` output), so memoizing patched results is
         as pure as memoizing cold ones.
         """
-        if not self._cache_enabled:
-            return self._delta.solve(ordered, ports, mode)
-        key = (ports, mode, ordered)
+        key = (ports, ordered)
         rounds = self._cache.get(key)
         if rounds is None:
-            rounds = self._delta.solve(ordered, ports, mode)
+            rounds = self._delta.solve(ordered, ports)
             # Admission policy: very large steps are decomposed but not
             # memoized (`step_cache_skipped` counts them).
             self._cache.put(key, rounds, cost=len(ordered))

@@ -95,7 +95,6 @@ def _check_candidate(algorithm: str) -> None:
 def plan_topology(system: ReconfigurableOCSSystem, workload: Workload,
                   algorithms: Iterable[str] = CANDIDATE_ALGORITHMS,
                   policies: Iterable[str] = POLICIES,
-                  decomposition: str = "auto",
                   ) -> TopologyPlan:
     """Pick the fastest (algorithm, policy) pair for ``system``.
 
@@ -109,8 +108,7 @@ def plan_topology(system: ReconfigurableOCSSystem, workload: Workload,
     be generated or executed.
     """
     plans = topology_plan_table(system, workload, algorithms=algorithms,
-                                policies=policies,
-                                decomposition=decomposition)
+                                policies=policies)
     if not plans:
         raise PlanningError(
             f"no feasible (algorithm, policy) candidate for "
@@ -122,7 +120,6 @@ def topology_plan_table(system: ReconfigurableOCSSystem,
                         workload: Workload,
                         algorithms: Iterable[str] = CANDIDATE_ALGORITHMS,
                         policies: Iterable[str] = POLICIES,
-                        decomposition: str = "auto",
                         ) -> List[TopologyPlan]:
     """Every candidate's outcome (the co-planner's full search grid).
 
@@ -131,7 +128,7 @@ def topology_plan_table(system: ReconfigurableOCSSystem,
     plan against the best static plan at each reconfiguration delay.
     """
     policies = tuple(policies)
-    substrates = _policy_substrates(system, policies, decomposition)
+    substrates = _policy_substrates(system, policies)
     plans: List[TopologyPlan] = []
     for algorithm in algorithms:
         try:
@@ -213,7 +210,7 @@ def profile_demands(profile: DemandProfile, algorithm: str,
 
 
 def _policy_substrates(system: ReconfigurableOCSSystem,
-                       policies: Tuple[str, ...], decomposition: str,
+                       policies: Tuple[str, ...],
                        ) -> Dict[str, OCSReconfigurableSubstrate]:
     for policy in policies:
         if policy not in POLICIES:
@@ -224,17 +221,11 @@ def _policy_substrates(system: ReconfigurableOCSSystem,
     for policy in policies:
         sys_p = (system.with_(reconfiguration_delay=float("inf"))
                  if policy == "static" else system)
-        # Pooled per (system, decomposition[, lookahead]): repeated
-        # co-planning on one fabric — the comparison harness, the delay
-        # ablation — reuses warm instances and their decomposition step
-        # caches.
-        if policy == "lookahead":
-            sub = pooled_substrate("ocs-reconfig", sys_p,
-                                   decomposition=decomposition,
-                                   lookahead=True)
-        else:
-            sub = pooled_substrate("ocs-reconfig", sys_p,
-                                   decomposition=decomposition)
+        # Pooled per (system[, lookahead]): repeated co-planning on one
+        # fabric — the comparison harness, the delay ablation — reuses
+        # warm instances and their decomposition step caches.
+        extra = {"lookahead": True} if policy == "lookahead" else {}
+        sub = pooled_substrate("ocs-reconfig", sys_p, **extra)
         if not isinstance(sub, OCSReconfigurableSubstrate):
             raise PlanningError(
                 f"policy {policy!r} pooled a {type(sub).__name__}, not an "
@@ -326,7 +317,6 @@ def strategy_plan_table(num_nodes: int, model: Union[str, object],
                         top_k: int = 4,
                         ocs: Optional[ReconfigurableOCSSystem] = None,
                         hier: Optional[HierarchicalSystem] = None,
-                        decomposition: str = "auto",
                         **lower_kwargs) -> List[StrategyPlan]:
     """The full co-planning grid: every (strategy × fabric shape ×
     collective × policy) candidate's predicted time.
@@ -421,8 +411,7 @@ def strategy_plan_table(num_nodes: int, model: Union[str, object],
         return plans
     survivors = candidates if fidelity == "simulate" \
         else candidates[:max(top_k, 1)]
-    substrates = _policy_substrates(ocs_system, tuple(policies),
-                                    decomposition)
+    substrates = _policy_substrates(ocs_system, tuple(policies))
     for _, strat, profile, algorithm in survivors:
         try:
             demands, counts, name, _ = profile_demands(

@@ -21,7 +21,7 @@ the faithful architecture — the discrepancy is documented, not hidden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..config import Workload

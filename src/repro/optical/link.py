@@ -8,7 +8,7 @@ so the RWA layer can detect conflicts exactly rather than by formula.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional
 
 from ..errors import WavelengthAllocationError
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from ..errors import SimulationError
 

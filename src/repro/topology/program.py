@@ -17,16 +17,20 @@ fabrics plan over:
   view of one configuration, so the fluid simulator can route traffic
   (possibly multi-hop) over the circuits that currently exist;
 * demand decomposition — :func:`decompose_demand` splits one synchronous
-  step's transfer demand into port-feasible circuit rounds, either
-  greedily or optimally (bipartite edge colouring achieves the
-  ``ceil(max_degree / ports)`` lower bound, König's theorem).
+  step's transfer demand into port-feasible circuit rounds: optimally
+  (bipartite edge colouring achieves the ``ceil(max_degree / ports)``
+  lower bound, König's theorem) up to
+  :data:`OPTIMAL_DECOMPOSITION_LIMIT` demand edges, greedily beyond;
+* program synthesis — :class:`StepPricer` prices one call's steps and
+  holds the myopic stay-vs-rounds policy, which the substrate runs
+  step by step and :func:`synthesize_program` shadows in its DP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
 from ..errors import TopologyError
 from .base import Link, Topology
@@ -34,8 +38,8 @@ from .base import Link, Topology
 #: A directed circuit request: (src node, dst node).
 CircuitPair = Tuple[int, int]
 
-#: Above this many demand edges the "auto" decomposition mode falls back
-#: from optimal edge colouring to the greedy heuristic.
+#: Above this many demand edges the decomposition falls back from
+#: optimal edge colouring to the greedy heuristic.
 OPTIMAL_DECOMPOSITION_LIMIT = 2048
 
 
@@ -455,36 +459,18 @@ def _pack_color_rounds(pairs: Sequence[CircuitPair], colors: Sequence[int],
     return [tuple(r) for r in rounds if r]
 
 
-def decompose_demand(pairs: Sequence[CircuitPair], ports_per_node: int,
-                     mode: str = "auto") -> List[Tuple[CircuitPair, ...]]:
+def decompose_demand(pairs: Sequence[CircuitPair],
+                     ports_per_node: int) -> List[Tuple[CircuitPair, ...]]:
     """Split one step's demand pairs into port-feasible circuit rounds.
 
-    ``mode``: ``"greedy"`` (first-fit), ``"optimal"`` (bipartite edge
-    colouring, exact round minimum), or ``"auto"`` — optimal up to
-    :data:`OPTIMAL_DECOMPOSITION_LIMIT` demand edges, greedy beyond.
+    Optimal (bipartite edge colouring, exact round minimum) up to
+    :data:`OPTIMAL_DECOMPOSITION_LIMIT` demand edges, greedy first-fit
+    beyond — the one size rule :class:`DecompositionDelta` shares, so
+    the delta falls back when a growing demand crosses it.
     """
-    if resolve_decomposition_mode(mode, len(pairs)) == "optimal":
+    if len(pairs) <= OPTIMAL_DECOMPOSITION_LIMIT:
         return optimal_demand_rounds(pairs, ports_per_node)
     return greedy_demand_rounds(pairs, ports_per_node)
-
-
-def resolve_decomposition_mode(mode: str, num_pairs: int) -> str:
-    """The concrete algorithm a mode resolves to at this demand size.
-
-    ``"auto"`` is optimal up to :data:`OPTIMAL_DECOMPOSITION_LIMIT`
-    demand edges and greedy beyond — the one threshold
-    :func:`decompose_demand` and :class:`DecompositionDelta` share, so
-    the delta can detect a resolved-mode flip (and fall back) when a
-    growing demand crosses it.
-    """
-    if mode not in ("auto", "greedy", "optimal"):
-        raise TopologyError(
-            f"decomposition mode must be 'auto', 'greedy' or 'optimal', "
-            f"got {mode!r}")
-    if mode == "optimal" or (mode == "auto"
-                             and num_pairs <= OPTIMAL_DECOMPOSITION_LIMIT):
-        return "optimal"
-    return "greedy"
 
 
 # ---------------------------------------------------------------------------
@@ -563,14 +549,14 @@ class DecompositionDelta:
     recreates the state a from-scratch run holds after the shared
     prefix — *provided* no suffix insertion's alternating-path flip
     recoloured a prefix edge, which ``flip_low`` detects.  When that
-    condition (or the port budget / resolved mode) breaks, the solve
-    falls back to a full decomposition and counts it.
+    condition (or the port budget / the size-chosen algorithm) breaks,
+    the solve falls back to a full decomposition and counts it.
     """
 
     def __init__(self) -> None:
         self._pairs: Optional[Tuple[CircuitPair, ...]] = None
         self._ports = 0
-        self._resolved = ""
+        self._optimal = True
         self._color: Optional[_ColorState] = None
         self._greedy: Optional[_GreedyState] = None
         self._last: List[Tuple[CircuitPair, ...]] = []
@@ -580,27 +566,27 @@ class DecompositionDelta:
         self.fallbacks = 0
 
     def solve(self, pairs: Sequence[CircuitPair], ports_per_node: int,
-              mode: str = "auto") -> List[Tuple[CircuitPair, ...]]:
+              ) -> List[Tuple[CircuitPair, ...]]:
         """Rounds for ``pairs`` — identical to :func:`decompose_demand`."""
         pairs = tuple(pairs)
-        resolved = resolve_decomposition_mode(mode, len(pairs))
+        optimal = len(pairs) <= OPTIMAL_DECOMPOSITION_LIMIT
         if ports_per_node < 1:
             raise TopologyError(
                 f"ports_per_node must be >= 1, got {ports_per_node}")
         if self._pairs is not None:
-            rounds = self._patch(pairs, ports_per_node, resolved)
+            rounds = self._patch(pairs, ports_per_node, optimal)
             if rounds is not None:
                 self.patched += 1
                 self._last = rounds
                 return list(rounds)
             self.fallbacks += 1
-        return self._solve_full(pairs, ports_per_node, resolved)
+        return self._solve_full(pairs, ports_per_node, optimal)
 
     # -- internals ----------------------------------------------------------
 
     def _solve_full(self, pairs: Tuple[CircuitPair, ...], ports: int,
-                    resolved: str) -> List[Tuple[CircuitPair, ...]]:
-        if resolved == "optimal":
+                    optimal: bool) -> List[Tuple[CircuitPair, ...]]:
+        if optimal:
             state = _ColorState()
             state.colors = [-1] * len(pairs)
             state.flip_low = list(range(len(pairs)))
@@ -616,16 +602,16 @@ class DecompositionDelta:
             self._color, self._greedy = None, gstate
         self._pairs = pairs
         self._ports = ports
-        self._resolved = resolved
+        self._optimal = optimal
         self._last = rounds
         return list(rounds)
 
     def _patch(self, pairs: Tuple[CircuitPair, ...], ports: int,
-               resolved: str) -> Optional[List[Tuple[CircuitPair, ...]]]:
+               optimal: bool) -> Optional[List[Tuple[CircuitPair, ...]]]:
         old = self._pairs
         if old is None:
             raise TopologyError("no previous decomposition to patch")
-        if ports != self._ports or resolved != self._resolved:
+        if ports != self._ports or optimal != self._optimal:
             return None
         if pairs == old:
             return list(self._last)
@@ -635,7 +621,7 @@ class DecompositionDelta:
             k += 1
         if k == 0:
             return None
-        if resolved == "optimal":
+        if optimal:
             state = self._color
             if state is None:
                 raise TopologyError("optimal patch without a colouring")
@@ -676,24 +662,24 @@ class DecompositionDelta:
 # ---------------------------------------------------------------------------
 
 
-class RoundsPlan:
-    """Costed outcome of serving one step as decomposition rounds."""
+@dataclass(frozen=True)
+class SynthesizedStep:
+    """One planned step of an OCS program: how the fabric serves it.
 
-    __slots__ = ("serialization", "propagation", "reconfig_time",
-                 "new_configs", "stripe_factor")
+    ``total`` is the step's serving cost exactly as accumulated by the
+    DP (and by the greedy policy for the same action) — replaying
+    ``overhead + total`` per step reproduces :attr:`SynthesizedProgram.
+    total_time` bit for bit, which the greedy-equality pins rely on.
+    """
 
-    def __init__(self, serialization: float, propagation: float,
-                 reconfig_time: float, new_configs: List[CircuitConfig],
-                 stripe_factor: int = 1) -> None:
-        self.serialization = serialization
-        self.propagation = propagation
-        self.reconfig_time = reconfig_time
-        self.new_configs = new_configs
-        self.stripe_factor = stripe_factor
-
-    @property
-    def total(self) -> float:
-        return self.serialization + self.propagation + self.reconfig_time
+    action: str  # "stay" | "rounds" | "install"
+    config: CircuitConfig
+    total: float
+    serialization: float
+    propagation: float
+    reconfig_time: float
+    new_configs: Tuple[CircuitConfig, ...] = ()
+    stripe_factor: int = 1
 
 
 def price_demand_rounds(rounds: Sequence[Tuple[CircuitPair, ...]],
@@ -702,7 +688,7 @@ def price_demand_rounds(rounds: Sequence[Tuple[CircuitPair, ...]],
                         circuit_rate: float, circuit_latency: float,
                         reconfiguration_delay: float,
                         stripe_leftover: bool = False,
-                        ports_per_node: int = 0) -> RoundsPlan:
+                        ports_per_node: int = 0) -> SynthesizedStep:
     """Cost one step's decomposition rounds against the live circuits.
 
     Rounds already covered by what the switch is holding are served for
@@ -710,7 +696,9 @@ def price_demand_rounds(rounds: Sequence[Tuple[CircuitPair, ...]],
     configuration and pay the delay.  The live set *evolves* round to
     round — installing a round's configuration tears the previous
     circuits down, so later rounds are priced against the last
-    installed configuration, not the step-entry one.
+    installed configuration, not the step-entry one.  Returns the
+    ``"rounds"`` record, whose ``config`` is the last installed
+    configuration (``current`` when every round was covered).
     """
     live = set(current.circuits)
     serialization = 0.0
@@ -729,11 +717,14 @@ def price_demand_rounds(rounds: Sequence[Tuple[CircuitPair, ...]],
             cfg = CircuitConfig.of(rnd)
             new_configs.append(cfg)
             live = set(cfg.circuits)
-    return RoundsPlan(
-        serialization=serialization,
-        propagation=len(rounds) * circuit_latency,
-        reconfig_time=len(new_configs) * reconfiguration_delay,
-        new_configs=new_configs,
+    propagation = len(rounds) * circuit_latency
+    reconfig_time = len(new_configs) * reconfiguration_delay
+    return SynthesizedStep(
+        action="rounds",
+        config=new_configs[-1] if new_configs else current,
+        total=serialization + propagation + reconfig_time,
+        serialization=serialization, propagation=propagation,
+        reconfig_time=reconfig_time, new_configs=tuple(new_configs),
         stripe_factor=stripe)
 
 
@@ -826,7 +817,7 @@ def demand_aware_boot_config(aggregate: Mapping[CircuitPair, float],
 
 
 # ---------------------------------------------------------------------------
-# lookahead program synthesis (DP over the whole schedule)
+# step pricing, the greedy policy, and lookahead synthesis (DP)
 # ---------------------------------------------------------------------------
 
 #: (config, sizes) -> (fluid makespan, propagation); inf when unroutable.
@@ -837,7 +828,7 @@ StayCost = Callable[[CircuitConfig, Mapping[CircuitPair, float]],
 Decompose = Callable[[Tuple[CircuitPair, ...], int],
                      List[Tuple[CircuitPair, ...]]]
 
-#: Boot-config spec accepted by :func:`synthesize_program`.
+#: Boot-config spec: ``"ring"``/``None``, ``"demand"`` or a config.
 InitialSpec = Union[str, CircuitConfig, None]
 
 
@@ -871,41 +862,31 @@ def intern_steps(steps: Sequence[Mapping[CircuitPair, float]],
     return classes, index
 
 
-@dataclass(frozen=True)
-class SynthesizedStep:
-    """One planned step of a synthesized OCS program.
-
-    ``total`` is the step's serving cost exactly as accumulated by the
-    DP (and by the greedy executor for the same action) — replaying
-    ``overhead + total`` per step reproduces :attr:`SynthesizedProgram.
-    total_time` bit for bit, which the greedy-equality pins rely on.
-    """
-
-    action: str  # "stay" | "rounds" | "install"
-    config: CircuitConfig
-    total: float
-    serialization: float
-    propagation: float
-    reconfig_time: float
-    new_configs: Tuple[CircuitConfig, ...] = ()
-    stripe_factor: int = 1
-
-
-@dataclass(frozen=True)
-class SynthesizedProgram:
-    """The outcome of :func:`synthesize_program` for one schedule."""
-
-    initial: CircuitConfig
-    steps: Tuple[SynthesizedStep, ...]
-    total_time: float
-    greedy_time: float
-    reconfigurations: int
-    greedy_reconfigurations: int
-
-    @property
-    def reconfigurations_saved(self) -> int:
-        """Switches the lookahead plan avoids vs the greedy policy."""
-        return max(0, self.greedy_reconfigurations - self.reconfigurations)
+def boot_config(initial: InitialSpec, system,
+                classes: Sequence[Mapping[CircuitPair, float]],
+                index: Sequence[int]) -> CircuitConfig:
+    """The validated boot configuration ``initial`` names: the static
+    ring (``"ring"``/``None``), :func:`demand_aware_boot_config` over
+    the aggregate of steps ``classes[k]`` for ``k`` in ``index``
+    (``"demand"``), or a given :class:`CircuitConfig`."""
+    ports = system.ports_per_node
+    if initial is None or initial == "ring":
+        start = ring_circuit_config(system.num_nodes,
+                                    bidirectional=ports >= 2)
+    elif initial == "demand":
+        agg: Dict[CircuitPair, float] = {}
+        for k in index:
+            for p, b in classes[k].items():
+                agg[p] = agg.get(p, 0.0) + b
+        start = demand_aware_boot_config(agg, system.num_nodes, ports)
+    elif isinstance(initial, CircuitConfig):
+        start = initial
+    else:
+        raise TopologyError(
+            f"initial must be 'ring', 'demand' or a CircuitConfig, "
+            f"got {initial!r}")
+    start.validate(system.num_nodes, ports)
+    return start
 
 
 def _default_stay_cost(system) -> StayCost:
@@ -935,6 +916,124 @@ def _default_stay_cost(system) -> StayCost:
         return profile.makespan, profile.propagation
 
     return cost
+
+
+class StepPricer:
+    """One planning call's step prices on an OCS fabric, memoized.
+
+    ``classes`` are the call's distinct step matrices
+    (:func:`intern_steps`).  Every price is a function of the step class
+    and the live configuration alone (``stay_cost`` and ``decompose``
+    must be pure), so each is computed once per call: the decomposition
+    per class, the stay, rounds and install records per (class,
+    config).  :meth:`greedy_steps` is the myopic policy over these
+    prices — the substrate's policy without lookahead, and the
+    trajectory :func:`synthesize_program` force-merges into its DP.
+    """
+
+    def __init__(self, classes: Sequence[Mapping[CircuitPair, float]],
+                 system, stay_cost: StayCost, decompose: Decompose) -> None:
+        self.classes = classes
+        #: Each class's pairs, heaviest first (ties by pair).
+        self.ordered = [tuple(sorted(d, key=lambda p: (-d[p], p)))
+                        for d in classes]
+        self.system = system
+        self._stay_cost = stay_cost
+        self._decompose = decompose
+        self._rounds_of: Dict[int, List[Tuple[CircuitPair, ...]]] = {}
+        self._stays: Dict[tuple, Tuple[float, SynthesizedStep]] = {}
+        self._plans: Dict[tuple, SynthesizedStep] = {}
+        self._installs: Dict[tuple, SynthesizedStep] = {}
+
+    def stay(self, k: int, cfg: CircuitConfig,
+             ) -> Tuple[float, SynthesizedStep]:
+        """``(makespan, record)`` of serving class ``k`` on the live
+        circuits ``cfg``; the makespan is inf when a pair is unroutable."""
+        got = self._stays.get((k, cfg))
+        if got is None:
+            makespan, prop = self._stay_cost(cfg, self.classes[k])
+            got = self._stays[k, cfg] = (makespan, SynthesizedStep(
+                action="stay", config=cfg, total=makespan,
+                serialization=makespan - prop, propagation=prop,
+                reconfig_time=0.0))
+        return got
+
+    def rounds(self, k: int, cfg: CircuitConfig,
+               striped: bool) -> SynthesizedStep:
+        """Class ``k`` served through its decomposition rounds from the
+        live circuits ``cfg`` (:func:`price_demand_rounds`)."""
+        rec = self._plans.get((k, cfg, striped))
+        if rec is None:
+            system, ordered = self.system, self.ordered[k]
+            rounds = self._rounds_of.get(k)
+            if rounds is None:
+                rounds = self._rounds_of[k] = (
+                    self._decompose(ordered, system.ports_per_node)
+                    if ordered else [])
+            rec = self._plans[k, cfg, striped] = price_demand_rounds(
+                rounds, self.classes[k], cfg, circuit_rate=system.circuit_rate,
+                circuit_latency=system.circuit_latency,
+                reconfiguration_delay=system.reconfiguration_delay,
+                stripe_leftover=striped, ports_per_node=system.ports_per_node)
+        return rec
+
+    def install(self, k: int, cand: CircuitConfig, cfg: CircuitConfig,
+                striped: bool) -> SynthesizedStep:
+        """Class ``k`` served on direct circuits after installing
+        ``cand`` from ``cfg`` (free when ``cand`` is already live)."""
+        same = cand == cfg
+        rec = self._installs.get((k, cand, same))
+        if rec is None:
+            system = self.system
+            ordered, sizes = self.ordered[k], self.classes[k]
+            if striped:
+                ser, split = stripe_round_serialization(
+                    ordered, sizes, system.ports_per_node, system.circuit_rate,
+                    occupancy=degree_counts(cand.circuits))
+            else:
+                ser = max(sizes[p] for p in ordered) / system.circuit_rate
+                split = 1
+            pay = 0.0 if same else system.reconfiguration_delay
+            rec = self._installs[k, cand, same] = SynthesizedStep(
+                action="install", config=cand,
+                total=ser + system.circuit_latency + pay, serialization=ser,
+                propagation=system.circuit_latency, reconfig_time=pay,
+                new_configs=() if same else (cand,), stripe_factor=split)
+        return rec
+
+    def greedy_steps(self, index: Sequence[int],
+                     start: CircuitConfig) -> Iterator[SynthesizedStep]:
+        """The myopic policy from ``start`` over steps ``index``: per
+        step, the cheaper of staying on the live circuits and
+        reconfiguring through the decomposition's rounds (ties stay;
+        rounds never stripe).  A stay with ``total == inf`` is an
+        unroutable step on a frozen fabric: the caller raises."""
+        cfg, can_reconf = start, self.system.can_reconfigure
+        for k in index:
+            makespan, step = self.stay(k, cfg)
+            if can_reconf:
+                rounds = self.rounds(k, cfg, False)
+                if rounds.total < makespan:
+                    step = rounds
+            yield step
+            cfg = step.config
+
+
+@dataclass(frozen=True)
+class SynthesizedProgram:
+    """The outcome of :func:`synthesize_program` for one schedule."""
+
+    initial: CircuitConfig
+    steps: Tuple[SynthesizedStep, ...]
+    total_time: float
+    greedy_time: float
+    reconfigurations: int
+    greedy_reconfigurations: int
+
+    @property
+    def reconfigurations_saved(self) -> int:
+        """Switches the lookahead plan avoids vs the greedy policy."""
+        return max(0, self.greedy_reconfigurations - self.reconfigurations)
 
 
 def synthesize_program(
@@ -968,66 +1067,37 @@ def synthesize_program(
       for free, amortising the delay.
 
     The frontier is beam-pruned to ``beam_width`` states, but the
-    greedy per-step trajectory is simulated alongside **with identical
-    arithmetic** and force-merged into the frontier every step, so
-    ``total_time <= greedy_time`` holds on every schedule by
-    construction — never worse than the myopic policy, bit-for-bit
-    equal where greedy is already optimal (``delay=0`` matchings) and
-    trivially at ``delay=inf`` (no reconfiguration branches exist).
+    greedy policy's trajectory (:meth:`StepPricer.greedy_steps`, over
+    the same prices) runs alongside and is force-merged into the
+    frontier every step, so ``total_time <= greedy_time`` holds on
+    every schedule by construction — never worse than the myopic
+    policy, bit-for-bit equal where greedy is already optimal
+    (``delay=0`` matchings) and trivially at ``delay=inf`` (no
+    reconfiguration branches exist).
 
-    ``initial`` seeds the DP's boot state: a config, ``"ring"``/
-    ``None`` (the static ring), or ``"demand"``
-    (:func:`demand_aware_boot_config` over the aggregate demand).
+    ``initial`` seeds the DP's boot state (:func:`boot_config`).
     ``stripe_leftover`` prices rounds/installs with
     :func:`stripe_round_serialization` (cost model only, default off;
-    the greedy shadow never stripes).
+    the greedy trajectory never stripes).
 
-    Steps are interned once per call (:func:`intern_steps`), so each
-    distinct step matrix is priced once per configuration it meets:
-    its decomposition once, and its stay cost, rounds plan, install
-    price and :class:`SynthesizedStep` record once per (step class,
-    config); install candidates are built once per window of step
-    classes, and paths are back-pointer chains, so the DP is linear in
-    the number of steps.  The memo is exact — every memoized value is a
-    function of the step matrix and the config alone (``stay_cost`` and
-    ``decompose`` must be pure, as the substrate's fluid pattern cache
-    and :class:`DecompositionDelta` are by contract) and costs still
-    accumulate step by step as ``cost + (overhead + total)`` — so the
-    program is bit-for-bit the one that pricing every step afresh finds.
+    Steps are interned once per call (:func:`intern_steps`) and priced
+    by one :class:`StepPricer`; install candidates are built once per
+    window of step classes, and paths are back-pointer chains, so the
+    DP is linear in the number of steps.  Costs still accumulate step
+    by step as ``cost + (overhead + total)``, so the program is
+    bit-for-bit the one that pricing every step afresh finds.
     """
     ports = system.ports_per_node
-    rate = system.circuit_rate
-    latency = system.circuit_latency
-    delay = system.reconfiguration_delay
     overhead = system.step_overhead
     can_reconf = system.can_reconfigure
     inf = float("inf")
 
     classes, index = intern_steps(schedule_demands)
-    ordered_of = [tuple(sorted(d, key=lambda p: (-d[p], p)))
-                  for d in classes]
-
-    if initial is None or initial == "ring":
-        start = ring_circuit_config(system.num_nodes,
-                                    bidirectional=ports >= 2)
-    elif initial == "demand":
-        agg: Dict[CircuitPair, float] = {}
-        for k in index:
-            for p, b in classes[k].items():
-                agg[p] = agg.get(p, 0.0) + b
-        start = demand_aware_boot_config(agg, system.num_nodes, ports)
-    elif isinstance(initial, CircuitConfig):
-        start = initial
-    else:
-        raise TopologyError(
-            f"initial must be 'ring', 'demand' or a CircuitConfig, "
-            f"got {initial!r}")
-    start.validate(system.num_nodes, ports)
-
-    if stay_cost is None:
-        stay_cost = _default_stay_cost(system)
-    if decompose is None:
-        decompose = lambda o, p: decompose_demand(o, p, "auto")  # noqa: E731
+    start = boot_config(initial, system, classes, index)
+    pricer = StepPricer(classes, system,
+                        stay_cost or _default_stay_cost(system),
+                        decompose or decompose_demand)
+    ordered_of = pricer.ordered
 
     # Install candidates per step: unions of this and the next steps'
     # demand pairs, extended while they stay port-feasible.  Installing
@@ -1052,79 +1122,19 @@ def synthesize_program(
                     cands.append(cfg)
         candidates.append(cands)
 
-    # -- per-call memos, keyed by step class (and config) --
-    rounds_of: Dict[int, List[Tuple[CircuitPair, ...]]] = {}
-    stays: Dict[Tuple[int, CircuitConfig],
-                Tuple[float, SynthesizedStep]] = {}
-    plans: Dict[Tuple[int, CircuitConfig, bool], SynthesizedStep] = {}
-    installs: Dict[Tuple[int, CircuitConfig, bool], SynthesizedStep] = {}
-    tops: Dict[int, float] = {}
-
-    def stay_of(k: int, cfg: CircuitConfig) -> Tuple[float, SynthesizedStep]:
-        got = stays.get((k, cfg))
-        if got is None:
-            makespan, prop = stay_cost(cfg, classes[k])
-            got = stays[k, cfg] = (makespan, SynthesizedStep(
-                action="stay", config=cfg, total=makespan,
-                serialization=makespan - prop, propagation=prop,
-                reconfig_time=0.0))
-        return got
-
-    def rounds_step(k: int, cfg: CircuitConfig,
-                    striped: bool) -> SynthesizedStep:
-        rec = plans.get((k, cfg, striped))
-        if rec is None:
-            plan = price_demand_rounds(
-                rounds_of[k], classes[k], cfg, circuit_rate=rate,
-                circuit_latency=latency, reconfiguration_delay=delay,
-                stripe_leftover=striped, ports_per_node=ports)
-            rec = plans[k, cfg, striped] = SynthesizedStep(
-                action="rounds",
-                config=plan.new_configs[-1] if plan.new_configs else cfg,
-                total=plan.total, serialization=plan.serialization,
-                propagation=plan.propagation,
-                reconfig_time=plan.reconfig_time,
-                new_configs=tuple(plan.new_configs),
-                stripe_factor=plan.stripe_factor)
-        return rec
-
-    def install_step(k: int, cand: CircuitConfig,
-                     cfg: CircuitConfig) -> SynthesizedStep:
-        same = cand == cfg
-        rec = installs.get((k, cand, same))
-        if rec is None:
-            if stripe_leftover:
-                ser, split = stripe_round_serialization(
-                    ordered_of[k], classes[k], ports, rate,
-                    occupancy=degree_counts(cand.circuits))
-            else:
-                ser = tops.get(k)
-                if ser is None:
-                    sizes = classes[k]
-                    ser = tops[k] = max(sizes[p] for p in ordered_of[k]) / rate
-                split = 1
-            pay = 0.0 if same else delay
-            rec = installs[k, cand, same] = SynthesizedStep(
-                action="install", config=cand, total=ser + latency + pay,
-                serialization=ser, propagation=latency, reconfig_time=pay,
-                new_configs=() if same else (cand,), stripe_factor=split)
-        return rec
-
     def by_cost(kv):
         return kv[1][0], kv[0].circuits
 
     #: config -> (cumulative cost, back-pointer chain ``(step, parent)``)
     frontier: Dict[CircuitConfig, Tuple[float, Optional[tuple]]]
     frontier = {start: (0.0, None)}
-    greedy_cfg, greedy_cost = start, 0.0
+    greedy = pricer.greedy_steps(index, start)
+    greedy_cost = 0.0
     greedy_path: Optional[tuple] = None
     greedy_reconfigs = 0
 
     for t, k in enumerate(index):
         ordered = ordered_of[k]
-        if k not in rounds_of:
-            rounds_of[k] = decompose(ordered, ports) if ordered else []
-
         nxt: Dict[CircuitConfig, Tuple[float, Optional[tuple]]] = {}
 
         def offer(rec, cost, path):
@@ -1133,44 +1143,37 @@ def synthesize_program(
                 nxt[rec.config] = (cost, (rec, path))
 
         for cfg, (cost, path) in sorted(frontier.items(), key=by_cost):
-            makespan, rec = stay_of(k, cfg)
+            makespan, rec = pricer.stay(k, cfg)
             if makespan < inf:
                 offer(rec, cost + (overhead + makespan), path)
             if not can_reconf or not ordered:
                 continue
-            rec = rounds_step(k, cfg, stripe_leftover)
+            rec = pricer.rounds(k, cfg, stripe_leftover)
             offer(rec, cost + (overhead + rec.total), path)
             for cand in candidates[t]:
-                rec = install_step(k, cand, cfg)
+                rec = pricer.install(k, cand, cfg, stripe_leftover)
                 offer(rec, cost + (overhead + rec.total), path)
 
-        # -- greedy shadow: the substrate's per-step policy, replicated
-        # with the same callbacks and the same accumulation order, so
-        # its totals are float-identical to a plain execute().
-        g_makespan, g_stay = stay_of(k, greedy_cfg)
-        g_rounds = rounds_step(k, greedy_cfg, False) if can_reconf else None
-        if g_rounds is not None and g_rounds.total < g_makespan:
-            greedy_path = (g_rounds, greedy_path)
-            greedy_cost = greedy_cost + (overhead + g_rounds.total)
-            greedy_reconfigs += len(g_rounds.new_configs)
-            greedy_cfg = g_rounds.config
-        else:
-            if g_makespan == inf:
-                raise TopologyError(
-                    f"step {t} is unroutable on the current circuit "
-                    f"configuration and reconfiguration is disabled "
-                    f"(reconfiguration_delay=inf)")
-            greedy_path = (g_stay, greedy_path)
-            greedy_cost = greedy_cost + (overhead + g_makespan)
+        # The greedy trajectory accumulates its totals in the same order
+        # as a plain substrate execute(), so they are float-identical.
+        step = next(greedy)
+        if step.total == inf:
+            raise TopologyError(
+                f"step {t} is unroutable on the current circuit "
+                f"configuration and reconfiguration is disabled "
+                f"(reconfiguration_delay=inf)")
+        greedy_path = (step, greedy_path)
+        greedy_cost = greedy_cost + (overhead + step.total)
+        greedy_reconfigs += len(step.new_configs)
 
         frontier = dict(sorted(nxt.items(), key=by_cost)[:beam_width])
         # Force-merge the greedy trajectory: with its state always in
         # the frontier at no more than its own cost, the final minimum
         # can never exceed greedy_cost — the dominance guarantee
         # survives beam pruning.
-        held = frontier.get(greedy_cfg)
+        held = frontier.get(step.config)
         if held is None or held[0] > greedy_cost:
-            frontier[greedy_cfg] = (greedy_cost, greedy_path)
+            frontier[step.config] = (greedy_cost, greedy_path)
 
     _, (best_cost, chain) = min(frontier.items(), key=by_cost)
     best_path: List[SynthesizedStep] = []

@@ -190,6 +190,10 @@ class TestErrorBoundary:
         ["plan", "--nodes", "16", "--strategy", "bogus"],
         ["plan", "--nodes", "13", "--wavelengths", "8",
          "--substrate", "optical-torus"],
+        ["plan", "--nodes", "16", "--bytes", "inf"],
+        ["plan", "--nodes", "16", "--bytes", "inf",
+         "--substrate", "ocs-reconfig"],
+        ["sweep", "substrates", "--nodes", "8", "--bytes", "inf"],
     ])
     def test_library_error_is_one_line_exit_2(self, argv):
         env = dict(os.environ, PYTHONPATH=SRC)

@@ -90,6 +90,12 @@ class TestWorkload:
         with pytest.raises(ConfigurationError):
             Workload.from_parameters(0)
 
+    def test_infinite_payload_rejected(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            Workload(data_bytes=float("inf"))
+        with pytest.raises(ConfigurationError, match="finite"):
+            Workload.from_parameters(float("inf"))
+
 
 class TestFactories:
     def test_default_optical(self):

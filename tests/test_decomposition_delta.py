@@ -5,21 +5,35 @@ computational shortcut: every ``solve`` returns **bit-for-bit** the
 rounds a cold :func:`~repro.topology.program.decompose_demand` would —
 whether the call patched the previous solve or fell back — so caching
 its results is as pure as caching cold ones.  Hypothesis drives random
-churn chains (append/truncate/replace) through both modes, pins the
-``ceil(Δ/ports)`` optimality bound under churn, and forces the
-fallback conditions (port-budget change, resolved-mode change,
+churn chains (append/truncate/replace) through both algorithms — the
+size limit that picks one is patched to 0 (all greedy), to 5 (chains
+flip between the two) or left as is (all optimal on these sizes) —
+pins the ``ceil(Δ/ports)`` optimality bound under churn, and forces
+the fallback conditions (port-budget change, algorithm change,
 no-shared-prefix) explicitly.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.topology.program as ocs_program
 from repro.errors import TopologyError
 from repro.topology.program import (OPTIMAL_DECOMPOSITION_LIMIT,
                                     DecompositionDelta, decompose_demand,
-                                    max_pair_degree,
-                                    resolve_decomposition_mode)
+                                    greedy_demand_rounds, max_pair_degree,
+                                    optimal_demand_rounds)
+
+#: Size limits to run the chains under (see the module docstring).
+LIMITS = st.sampled_from([OPTIMAL_DECOMPOSITION_LIMIT, 5, 0])
+
+
+def _limit(value):
+    """Patch the size limit below which decomposition is optimal."""
+    return mock.patch.object(ocs_program, "OPTIMAL_DECOMPOSITION_LIMIT",
+                             value)
 
 
 def _pairs_strategy(n=8, max_len=14):
@@ -36,13 +50,14 @@ _chain = st.lists(
 
 class TestChurnParity:
     @settings(max_examples=120, deadline=None)
-    @given(chain=_chain, mode=st.sampled_from(["auto", "greedy", "optimal"]))
-    def test_solve_equals_cold_decompose(self, chain, mode):
+    @given(chain=_chain, limit=LIMITS)
+    def test_solve_equals_cold_decompose(self, chain, limit):
         """Every link of a churn chain is bit-for-bit the cold solve."""
         delta = DecompositionDelta()
-        for pairs, ports in chain:
-            got = delta.solve(pairs, ports, mode)
-            assert got == decompose_demand(tuple(pairs), ports, mode)
+        with _limit(limit):
+            for pairs, ports in chain:
+                got = delta.solve(pairs, ports)
+                assert got == decompose_demand(tuple(pairs), ports)
 
     @settings(max_examples=80, deadline=None)
     @given(chain=_chain)
@@ -50,7 +65,7 @@ class TestChurnParity:
         """Patched solves still meet the ``ceil(Δ/ports)`` bound."""
         delta = DecompositionDelta()
         for pairs, ports in chain:
-            rounds = delta.solve(pairs, ports, "optimal")
+            rounds = delta.solve(pairs, ports)
             if pairs:
                 degree = max_pair_degree(pairs)
                 assert len(rounds) == -(-degree // ports)
@@ -60,14 +75,15 @@ class TestChurnParity:
     @settings(max_examples=60, deadline=None)
     @given(base=_pairs_strategy(), suffix=_pairs_strategy(max_len=6),
            keep=st.integers(0, 14), ports=st.integers(1, 3),
-           mode=st.sampled_from(["greedy", "optimal"]))
-    def test_prefix_churn_is_exact(self, base, suffix, keep, ports, mode):
+           limit=st.sampled_from([OPTIMAL_DECOMPOSITION_LIMIT, 0]))
+    def test_prefix_churn_is_exact(self, base, suffix, keep, ports, limit):
         """Tail-only churn — the patch's home turf — stays exact."""
         delta = DecompositionDelta()
-        delta.solve(base, ports, mode)
-        new = base[:keep] + [p for p in suffix if p not in base[:keep]]
-        got = delta.solve(new, ports, mode)
-        assert got == decompose_demand(tuple(new), ports, mode)
+        with _limit(limit):
+            delta.solve(base, ports)
+            new = base[:keep] + [p for p in suffix if p not in base[:keep]]
+            got = delta.solve(new, ports)
+            assert got == decompose_demand(tuple(new), ports)
 
 
 class TestCountersAndFallbacks:
@@ -102,11 +118,13 @@ class TestCountersAndFallbacks:
         assert got == decompose_demand(tuple(self.BASE), 1)
 
     def test_resolved_mode_change_forces_fallback(self):
+        """The same pairs on the other side of the size limit."""
         delta = DecompositionDelta()
-        delta.solve(self.BASE, 2, "optimal")
-        got = delta.solve(self.BASE, 2, "greedy")
+        delta.solve(self.BASE, 2)
+        with _limit(len(self.BASE) - 1):
+            got = delta.solve(self.BASE, 2)
         assert delta.fallbacks == 1
-        assert got == decompose_demand(tuple(self.BASE), 2, "greedy")
+        assert got == greedy_demand_rounds(self.BASE, 2)
 
     def test_no_shared_prefix_forces_fallback(self):
         delta = DecompositionDelta()
@@ -120,20 +138,20 @@ class TestCountersAndFallbacks:
         delta = DecompositionDelta()
         with pytest.raises(TopologyError):
             delta.solve(self.BASE, 0)
-        with pytest.raises(TopologyError):
-            delta.solve(self.BASE, 2, "magic")
 
 
 class TestModeResolution:
-    def test_auto_threshold(self):
-        assert resolve_decomposition_mode("auto", 10) == "optimal"
-        assert resolve_decomposition_mode(
-            "auto", OPTIMAL_DECOMPOSITION_LIMIT) == "optimal"
-        assert resolve_decomposition_mode(
-            "auto", OPTIMAL_DECOMPOSITION_LIMIT + 1) == "greedy"
+    #: First-fit needs 3 rounds here; the degree bound (and König) 2.
+    ADVERSARIAL = ((5, 1), (5, 2), (4, 5), (4, 2))
 
-    def test_explicit_modes(self):
-        assert resolve_decomposition_mode("optimal", 10 ** 6) == "optimal"
-        assert resolve_decomposition_mode("greedy", 1) == "greedy"
-        with pytest.raises(TopologyError):
-            resolve_decomposition_mode("magic", 1)
+    def test_auto_threshold(self):
+        """Optimal up to the size limit, greedy beyond it."""
+        pairs = self.ADVERSARIAL
+        greedy = greedy_demand_rounds(pairs, 1)
+        optimal = optimal_demand_rounds(pairs, 1)
+        assert len(greedy) > len(optimal) == max_pair_degree(pairs)
+        assert decompose_demand(pairs, 1) == optimal
+        with _limit(len(pairs)):
+            assert decompose_demand(pairs, 1) == optimal
+        with _limit(len(pairs) - 1):
+            assert decompose_demand(pairs, 1) == greedy

@@ -2,17 +2,20 @@
 
 :func:`~repro.topology.program.synthesize_program` and the substrate's
 static/reconfigure loop intern a schedule's steps once per call and
-price each distinct (step matrix, circuit config) once.  These tests
-pin that the memo is a shortcut, never an approximation: on schedules
-built from a few repeated step matrices, the memoized planners return
-objects that compare ``==`` to per-step reference implementations (the
-DP below is the pre-memo synthesizer, kept verbatim), and the stay cost
-is evaluated at most once per distinct (step, config).
+price each distinct (step matrix, circuit config) once, through one
+:class:`~repro.topology.program.StepPricer`.  These tests pin that the
+memo is a shortcut, never an approximation: on schedules built from a
+few repeated step matrices, the memoized planners return objects that
+compare ``==`` to per-step reference implementations (the DP below is
+the pre-memo synthesizer, kept verbatim; the loop below is the
+substrate's pre-memo greedy loop), and the stay cost is evaluated at
+most once per distinct (step, config).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,7 +24,9 @@ from repro.config import default_ocs
 from repro.core.substrates.base import ExecutionReport, StepReport
 from repro.core.substrates.reconfigurable import OCSReconfigurableSubstrate
 from repro.errors import ConfigurationError, TopologyError
-from repro.topology.program import (CircuitConfig, CircuitPair,
+import repro.topology.program as ocs_program
+from repro.topology.program import (OPTIMAL_DECOMPOSITION_LIMIT,
+                                    CircuitConfig, CircuitPair,
                                     SynthesizedProgram, SynthesizedStep,
                                     TopologyProgram, _default_stay_cost,
                                     decompose_demand, degree_counts,
@@ -126,7 +131,7 @@ def _reference_synthesize_program(
     if stay_cost is None:
         stay_cost = _default_stay_cost(system)
     if decompose is None:
-        decompose = lambda o, p: decompose_demand(o, p, "auto")  # noqa: E731
+        decompose = lambda o, p: decompose_demand(o, p)  # noqa: E731
 
     # Install candidates per step: unions of this and the next steps'
     # demand pairs, extended while they stay port-feasible.  Installing
@@ -272,9 +277,13 @@ def _reference_synthesize_program(
         greedy_reconfigurations=greedy_reconfigs)
 
 
-def _reference_run(sub, system, demands, name, transfer_counts, mode,
-                   current):
-    """The substrate's static/reconfigure loop, one step at a time."""
+def _reference_run(sub, system, demands, name, transfer_counts, current):
+    """The substrate's static/reconfigure loop, one step at a time.
+
+    Stay costs come from the substrate's fluid evaluator; the rounds
+    plan is the pre-memo substrate's: a cold decomposition priced
+    against the live circuits.
+    """
     history: List[CircuitConfig] = [current]
     report = ExecutionReport(schedule_name=name, substrate=sub.name)
     now = 0.0
@@ -284,8 +293,11 @@ def _reference_run(sub, system, demands, name, transfer_counts, mode,
 
         stay_time, stay_prop = sub._stay_time(system, current, sizes)
         if system.can_reconfigure:
-            plan = sub._reconfigure_plan(system, current, ordered,
-                                         sizes, mode)
+            plan = price_demand_rounds(
+                decompose_demand(ordered, system.ports_per_node), sizes,
+                current, circuit_rate=system.circuit_rate,
+                circuit_latency=system.circuit_latency,
+                reconfiguration_delay=system.reconfiguration_delay)
         else:
             plan = None
 
@@ -421,28 +433,32 @@ class TestStaticReconfigureDifferential:
     @settings(max_examples=60, deadline=None)
     @given(sched=schedules(), delay=DELAYS,
            initial=st.sampled_from(["ring", "demand"]),
-           mode=st.sampled_from(["auto", "greedy"]))
-    def test_equals_per_step_loop(self, sched, delay, initial, mode):
+           limit=st.sampled_from([OPTIMAL_DECOMPOSITION_LIMIT, 0]))
+    def test_equals_per_step_loop(self, sched, delay, initial, limit):
+        """``limit=0`` decomposes every step greedily: both sides read
+        the size limit at call time."""
         system = ocs(reconfiguration_delay=delay)
         counts = [len(sizes) for sizes in sched]
-        sub = OCSReconfigurableSubstrate(system, initial=initial,
-                                         decomposition=mode)
-        got = _outcome(sub.execute_demands, sched, name="memo",
-                       transfer_counts=counts)
-        if not isinstance(got, tuple):
-            got = (got, sub.last_program)
-        if initial == "demand":
-            agg: Dict[CircuitPair, float] = {}
-            for sizes in sched:
-                for pair, b in sizes.items():
-                    agg[pair] = agg.get(pair, 0.0) + b
-            start = demand_aware_boot_config(agg, N, system.ports_per_node)
-        else:
-            start = ring_circuit_config(
-                N, bidirectional=system.ports_per_node >= 2)
-        ref = OCSReconfigurableSubstrate(system, decomposition=mode)
-        want = _outcome(_reference_run, ref, system, sched, "memo", counts,
-                        mode, start)
+        with mock.patch.object(ocs_program, "OPTIMAL_DECOMPOSITION_LIMIT",
+                               limit):
+            sub = OCSReconfigurableSubstrate(system, initial=initial)
+            got = _outcome(sub.execute_demands, sched, name="memo",
+                           transfer_counts=counts)
+            if not isinstance(got, tuple):
+                got = (got, sub.last_program)
+            if initial == "demand":
+                agg: Dict[CircuitPair, float] = {}
+                for sizes in sched:
+                    for pair, b in sizes.items():
+                        agg[pair] = agg.get(pair, 0.0) + b
+                start = demand_aware_boot_config(agg, N,
+                                                 system.ports_per_node)
+            else:
+                start = ring_circuit_config(
+                    N, bidirectional=system.ports_per_node >= 2)
+            ref = OCSReconfigurableSubstrate(system)
+            want = _outcome(_reference_run, ref, system, sched, "memo",
+                            counts, start)
         assert got == want
 
 

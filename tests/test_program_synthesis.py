@@ -15,14 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.topology.program as ocs_program
 from repro.collectives.recursive_doubling import generate_recursive_doubling
 from repro.collectives.ring_allreduce import generate_ring_allreduce
 from repro.config import Workload, default_ocs
 from repro.core.substrates.reconfigurable import OCSReconfigurableSubstrate
 from repro.core.topoplan import POLICIES, plan_topology, topology_plan_table
 from repro.errors import ConfigurationError, TopologyError
-from repro.topology.program import (CircuitConfig, decompose_demand,
-                                    degree_counts, demand_aware_boot_config,
+from repro.topology.program import (CircuitConfig, degree_counts,
+                                    demand_aware_boot_config,
+                                    greedy_demand_rounds,
                                     max_pair_degree, price_demand_rounds,
                                     ring_circuit_config,
                                     stripe_round_serialization,
@@ -144,7 +146,7 @@ class TestPriceDemandRounds:
         circuits)."""
         boot = ring_circuit_config(3, bidirectional=False)
         sizes = {(0, 2): 1e6, (1, 2): 1e3}
-        rounds = decompose_demand(((0, 2), (1, 2)), 1, "greedy")
+        rounds = greedy_demand_rounds(((0, 2), (1, 2)), 1)
         assert rounds == [((0, 2),), ((1, 2),)]
         plan = price_demand_rounds(
             rounds, sizes, boot, circuit_rate=1e9, circuit_latency=1e-6,
@@ -154,11 +156,14 @@ class TestPriceDemandRounds:
         assert len(plan.new_configs) == 2
         assert plan.reconfig_time == pytest.approx(2e-3)
 
-    def test_substrate_regression_no_free_ride_on_torn_down_circuits(self):
+    def test_substrate_regression_no_free_ride_on_torn_down_circuits(
+            self, monkeypatch):
         """The frozen-live undercount through the substrate: with the
         boot config holding only (1, 2), a forced two-round greedy
         reconfiguration must charge *both* rounds — the old code
         priced round two free against the torn-down boot circuit."""
+        # A size limit of 0 decomposes every step greedily.
+        monkeypatch.setattr(ocs_program, "OPTIMAL_DECOMPOSITION_LIMIT", 0)
         from repro.collectives.schedule import Schedule, Transfer, TransferOp
         sched = Schedule(num_nodes=3, num_chunks=2, name="undercount")
         sched.add_step([
@@ -169,8 +174,7 @@ class TestPriceDemandRounds:
         system = default_ocs(3).with_(ports_per_node=1,
                                       reconfiguration_delay=delay)
         sub = OCSReconfigurableSubstrate(
-            system, initial=CircuitConfig.of([(1, 2)]),
-            decomposition="greedy")
+            system, initial=CircuitConfig.of([(1, 2)]))
         report = sub.execute(sched, WL)
         # stay is unroutable ((0, 2) has no path), so the two greedy
         # rounds [(0, 2)], [(1, 2)] each install a configuration
@@ -182,7 +186,8 @@ class TestPriceDemandRounds:
         plan = price_demand_rounds(
             [((0, 1), (1, 2))], sizes, boot, circuit_rate=1e9,
             circuit_latency=1e-6, reconfiguration_delay=1e-3)
-        assert plan.new_configs == []
+        assert plan.new_configs == ()
+        assert plan.config == boot
         assert plan.reconfig_time == 0.0
 
 

@@ -15,6 +15,9 @@ Covers the subsystem's acceptance criteria:
 
 import pytest
 
+import repro.core.substrates.reconfigurable as ocs_substrate
+import repro.topology.program as ocs_program
+
 from repro import units
 from repro.collectives.halving_doubling import generate_halving_doubling
 from repro.collectives.recursive_doubling import \
@@ -54,14 +57,11 @@ class TestBasics:
         with pytest.raises(ConfigurationError):
             OCSReconfigurableSubstrate(OpticalRingSystem(num_nodes=N))
 
-    def test_bad_initial_and_mode_rejected(self):
+    def test_bad_initial_rejected(self):
         with pytest.raises(ConfigurationError):
             OCSReconfigurableSubstrate(initial="mesh")
-        with pytest.raises(ConfigurationError):
-            OCSReconfigurableSubstrate(decomposition="magic")
-        with pytest.raises(ConfigurationError):
-            OCSReconfigurableSubstrate(ocs()).execute(
-                RING, WL, decomposition="magic")
+        with pytest.raises(ConfigurationError, match="initial"):
+            OCSReconfigurableSubstrate(initial=3)
 
     def test_schedule_too_large_rejected(self):
         with pytest.raises(ConfigurationError,
@@ -186,25 +186,28 @@ class TestReconfigurationChoice:
         for s in switched:
             assert s.tuning_time == pytest.approx(delay)
 
-    def test_decomposition_modes_identical_on_matchings(self):
-        base = OCSReconfigurableSubstrate(ocs(), decomposition="optimal")
-        greedy = OCSReconfigurableSubstrate(ocs(), decomposition="greedy")
-        assert base.execute(RD, WL) == greedy.execute(RD, WL)
+    def test_decomposition_modes_identical_on_matchings(self,
+                                                         monkeypatch):
+        base = OCSReconfigurableSubstrate(ocs()).execute(RD, WL)
+        # A size limit of 0 decomposes every step greedily.
+        monkeypatch.setattr(ocs_program, "OPTIMAL_DECOMPOSITION_LIMIT", 0)
+        greedy = OCSReconfigurableSubstrate(ocs())
+        assert greedy.execute(RD, WL) == base
 
 
 class TestStepCache:
     def test_cached_equals_cold(self):
-        cached = OCSReconfigurableSubstrate(ocs(), cache=True)
-        cold = OCSReconfigurableSubstrate(ocs(), cache=False)
+        cached = OCSReconfigurableSubstrate(ocs())
         warm = cached.execute(RD, WL)
         hit = cached.execute(RD, WL)
-        ref = cold.execute(RD, WL)
+        assert cached.step_cache_info().hits > 0
+        cached.clear_step_cache()
+        ref = cached.execute(RD, WL)  # every decomposition solved again
         assert warm == ref
         assert hit == ref
         info = cached.step_cache_info()
-        assert info.hits > 0
+        assert info.hits == 0
         assert info.misses >= 1
-        assert cold.step_cache_info().lookups == 0
 
     def test_cache_is_size_independent(self):
         sub = OCSReconfigurableSubstrate(ocs())
@@ -215,8 +218,7 @@ class TestStepCache:
         after = sub.step_cache_info()
         assert after.misses == before.misses
         assert after.hits > before.hits
-        assert rep == OCSReconfigurableSubstrate(
-            ocs(), cache=False).execute(RD, bigger)
+        assert rep == OCSReconfigurableSubstrate(ocs()).execute(RD, bigger)
 
     def test_clear_resets_counters(self):
         sub = OCSReconfigurableSubstrate(ocs())
@@ -239,14 +241,17 @@ class TestStepCache:
         assert info.parameter("step_cache_hit_rate") > 0
         assert info.parameter("ports_per_node") == 2
 
-    def test_admission_bound_skips_large_steps(self):
-        """The ROADMAP gap: steps above ``cache_max_pairs`` distinct
+    def test_admission_bound_skips_large_steps(self, monkeypatch):
+        """Steps above ``DEFAULT_STEP_CACHE_MAX_PAIRS`` distinct
         transfer pairs are decomposed but not memoized — identical
         results, nothing stored, ``step_cache_skipped`` counts them."""
         # Every RD step of N=8 exchanges 8 pairs; a bound of 4 rejects
-        # them all, a bound of 8 admits them all.
-        bounded = OCSReconfigurableSubstrate(ocs(), cache_max_pairs=4)
-        admitting = OCSReconfigurableSubstrate(ocs(), cache_max_pairs=8)
+        # them all, a bound of 8 admits them all.  The bound is read
+        # when an instance is built.
+        monkeypatch.setattr(ocs_substrate, "DEFAULT_STEP_CACHE_MAX_PAIRS", 4)
+        bounded = OCSReconfigurableSubstrate(ocs())
+        monkeypatch.setattr(ocs_substrate, "DEFAULT_STEP_CACHE_MAX_PAIRS", 8)
+        admitting = OCSReconfigurableSubstrate(ocs())
         rep_b = bounded.execute(RD, WL)
         rep_a = admitting.execute(RD, WL)
         assert rep_b == rep_a

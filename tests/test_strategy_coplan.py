@@ -12,6 +12,8 @@ worse than any fixed cell, and strided multi-phase profiles win by
 reconfiguring.
 """
 
+import re
+
 import pytest
 
 from repro.collectives.hierarchical_ring import (
@@ -62,6 +64,30 @@ class TestExecuteDemands:
             sub.execute_demands([])
         with pytest.raises(ConfigurationError):
             sub.execute_demands([{}])
+
+    #: One bad entry in step 1, after a valid step 0.
+    BAD_ENTRIES = {
+        "nan-bytes": ((0, 2), float("nan")),
+        "inf-bytes": ((0, 2), float("inf")),
+        "zero-bytes": ((0, 2), 0.0),
+        "negative-bytes": ((0, 2), -1.0),
+        "self-loop": ((3, 3), 1e6),
+        "negative-node": ((-1, 2), 1e6),
+    }
+
+    @pytest.mark.parametrize("lookahead", [False, True])
+    @pytest.mark.parametrize("bad", sorted(BAD_ENTRIES))
+    def test_rejects_bad_entry_before_planning(self, bad, lookahead):
+        pair, size = self.BAD_ENTRIES[bad]
+        sub = OCSReconfigurableSubstrate(system=default_ocs(N),
+                                         lookahead=lookahead)
+        fresh = sub.describe()
+        demands = [{(0, 1): 1e6}, {(1, 2): 1e6, pair: size}]
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"step 1 of 'demand-program': pair {pair}")):
+            sub.execute_demands(demands)
+        assert sub.describe() == fresh  # no step was priced
+        assert sub.last_program is None
 
     def test_profile_demands_concatenates_phases(self):
         prof = ParallelStrategy(data_parallel=2, tensor_parallel=4).lower(

@@ -129,25 +129,26 @@ class TestCircuitTopology:
 class TestDecomposition:
     def test_matching_is_single_round(self):
         pairs = [(0, 1), (1, 0), (2, 3), (3, 2)]
-        for mode in ("greedy", "optimal", "auto"):
-            rounds = decompose_demand(pairs, 1, mode=mode)
+        for decompose in (greedy_demand_rounds, optimal_demand_rounds,
+                          decompose_demand):
+            rounds = decompose(pairs, 1)
             assert len(rounds) == 1
             assert sorted(rounds[0]) == sorted(pairs)
 
     def test_fanout_splits_by_ports(self):
         pairs = [(0, d) for d in (1, 2, 3, 4)]
-        assert len(decompose_demand(pairs, 1, mode="optimal")) == 4
-        assert len(decompose_demand(pairs, 2, mode="optimal")) == 2
-        assert len(decompose_demand(pairs, 4, mode="optimal")) == 1
+        assert len(decompose_demand(pairs, 1)) == 4
+        assert len(decompose_demand(pairs, 2)) == 2
+        assert len(decompose_demand(pairs, 4)) == 1
 
     def test_empty_demand(self):
         assert decompose_demand([], 2) == []
         assert greedy_demand_rounds([], 2) == []
         assert optimal_demand_rounds([], 2) == []
 
-    def test_bad_mode_and_ports(self):
+    def test_bad_ports(self):
         with pytest.raises(TopologyError):
-            decompose_demand([(0, 1)], 1, mode="magic")
+            decompose_demand([(0, 1)], 0)
         with pytest.raises(TopologyError):
             greedy_demand_rounds([(0, 1)], 0)
         with pytest.raises(TopologyError):
