@@ -39,20 +39,23 @@ def best_time(fn, repeats):
     return best
 
 
-def interleaved_best_times(arms, rounds):
-    """Best-of-``rounds`` wall time of each callable in ``arms``.
+def interleaved_best_times(arms, rounds, clock=time.perf_counter):
+    """Best-of-``rounds`` time of each callable in ``arms``.
 
     The arms run round by round (every arm once per round, in order),
     so a burst of load on a shared host slows all arms alike instead of
     only the one it happens to overlap — the ratio benches compare the
-    returned times, listed in arm order.
+    returned times, listed in arm order.  ``clock`` defaults to wall
+    time; arms that stay in this process may pass
+    ``time.process_time``, whose CPU seconds do not count the time the
+    host spends on other processes.
     """
     best = [float("inf")] * len(arms)
     for _ in range(rounds):
         for i, fn in enumerate(arms):
-            t0 = time.perf_counter()
+            t0 = clock()
             fn()
-            best[i] = min(best[i], time.perf_counter() - t0)
+            best[i] = min(best[i], clock() - t0)
     return best
 
 

@@ -77,7 +77,8 @@ def test_verifier_wrht_256(benchmark):
 def test_planner_paper_point(benchmark):
     """One cold Wrht planning pass (the unit of every Fig. 2 cell): the
     step-summary memo is emptied before each round, so every round
-    generates and summarizes the whole candidate sweep."""
+    derives the whole candidate sweep's summaries from the level
+    structure and generates only the winner."""
     system = OpticalRingSystem(num_nodes=512)
     plan = benchmark.pedantic(plan_wrht,
                               args=(system, paper_workload("resnet50")),

@@ -21,10 +21,10 @@ broadcast level, giving the paper's ``2⌈log_m N⌉ − 1`` step count.
 *Broadcast stage.*  The exact mirror of the tree levels, representatives
 COPY-ing the result back to their group members.
 
-The generated schedule carries per-level metadata
-(:class:`WrhtScheduleInfo`) so the planner, the executor and the tests
-can reason about wavelength demand per step without re-deriving the
-grouping.
+:func:`wrht_structure` walks the levels once and returns that grouping
+(:class:`WrhtScheduleInfo`) without building a transfer;
+:func:`generate_wrht` builds its steps from it, and the analytic model
+prices a candidate from it directly.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError, ScheduleError
+from ..errors import ConfigurationError
 from .alltoall_wdm import alltoall_transfers, alltoall_wavelength_requirement
 from .schedule import Schedule, Transfer, TransferOp
 
@@ -182,7 +182,7 @@ def _middle_index(group_len: int) -> int:
     return group_len // 2
 
 
-def _partition(live: Sequence[int], m: int) -> List[List[int]]:
+def _partition(live: Sequence[int], m: int) -> List[Tuple[int, ...]]:
     """Consecutive runs of ``m`` live nodes (ring order, last may be short).
 
     A trailing *singleton* run is kept as its own group: its node is its
@@ -191,25 +191,21 @@ def _partition(live: Sequence[int], m: int) -> List[List[int]]:
     group's wavelength demand past the paper's ``⌊m/2⌋``.)  The recursion
     still terminates because ``⌈p/m⌉ < p`` for ``p ≥ 2, m ≥ 2``.
     """
-    return [list(live[k:k + m]) for k in range(0, len(live), m)]
+    return [tuple(live[k:k + m]) for k in range(0, len(live), m)]
 
 
-def generate_wrht(params: WrhtParameters) -> Tuple[Schedule, WrhtScheduleInfo]:
-    """Build the Wrht schedule; returns ``(schedule, info)``."""
+def wrht_structure(params: WrhtParameters) -> WrhtScheduleInfo:
+    """The level walk of :func:`generate_wrht`, without any transfer.
+
+    Returns the groups and representatives of every tree level, the
+    all-to-all participants (if the shortcut fires) and the final root:
+    all the analytic model needs to price the schedule.
+    """
     n = params.num_nodes
     m = params.group_size
     w = params.num_wavelengths
-    sched = Schedule(num_nodes=n, num_chunks=1,
-                     name=f"wrht-n{n}-m{m}-w{w}")
     info = WrhtScheduleInfo(params=params)
-    if n == 1:
-        info.final_root = 0
-        return sched, info
-    full = range(1)
-
     live: List[int] = list(range(n))
-
-    # ---- reduce stage -------------------------------------------------------
     while len(live) > 1:
         p = len(live)
         if (params.allow_alltoall_shortcut
@@ -217,54 +213,61 @@ def generate_wrht(params: WrhtParameters) -> Tuple[Schedule, WrhtScheduleInfo]:
                 and (params.alltoall_threshold is None
                      or p <= params.alltoall_threshold)
                 and alltoall_actual_demand(live, n) <= w):
-            sched.add_step(alltoall_transfers(live, full))
             info.alltoall_participants = tuple(live)
-            break
-
+            return info
         groups = _partition(live, m)
-        transfers: List[Transfer] = []
-        reps: List[int] = []
-        for g in groups:
-            rep_idx = _middle_index(len(g))
-            rep = g[rep_idx]
-            reps.append(rep)
-            for pos, member in enumerate(g):
-                if member == rep:
-                    continue
-                # Ring positions in a group ascend (no wraparound), so
-                # members below the rep travel CW, above travel CCW.
-                hint = "cw" if pos < rep_idx else "ccw"
-                transfers.append(Transfer(src=member, dst=rep, chunks=full,
-                                          op=TransferOp.REDUCE,
-                                          direction_hint=hint))
-        if not transfers:  # pragma: no cover - p >= 2 gives >=1 pair group
-            raise ScheduleError("Wrht level produced no transfers")
-        sched.add_step(transfers)
-        info.levels.append(GroupLevel(
-            groups=tuple(tuple(g) for g in groups),
-            representatives=tuple(reps)))
+        reps = [g[_middle_index(len(g))] for g in groups]
+        info.levels.append(GroupLevel(groups=tuple(groups),
+                                      representatives=tuple(reps)))
         live = reps
+    info.final_root = live[0]
+    return info
 
-    if not info.used_alltoall:
-        info.final_root = live[0]
 
-    # ---- broadcast stage ------------------------------------------------------
-    # Mirror of the tree levels (deepest level last built = first to
-    # broadcast).  Levels terminated by the all-to-all need no mirror for
-    # the all-to-all itself: every participant already has the sum.
+def _level_transfers(level: GroupLevel, reduce: bool) -> List[Transfer]:
+    """One tree level's REDUCE step (members to representative) or its
+    broadcast mirror (COPY back).  Ring positions in a group ascend (no
+    wraparound), so flows toward the representative travel CW from below
+    and CCW from above, and the mirror reverses both."""
+    full = range(1)
+    transfers: List[Transfer] = []
+    for g, rep in zip(level.groups, level.representatives):
+        rep_idx = g.index(rep)
+        for pos, member in enumerate(g):
+            if pos == rep_idx:
+                continue
+            below = pos < rep_idx
+            if reduce:
+                transfers.append(Transfer(
+                    src=member, dst=rep, chunks=full, op=TransferOp.REDUCE,
+                    direction_hint="cw" if below else "ccw"))
+            else:
+                transfers.append(Transfer(
+                    src=rep, dst=member, chunks=full, op=TransferOp.COPY,
+                    direction_hint="ccw" if below else "cw"))
+    return transfers
+
+
+def generate_wrht(params: WrhtParameters) -> Tuple[Schedule, WrhtScheduleInfo]:
+    """Build the Wrht schedule; returns ``(schedule, info)``.
+
+    The steps follow :func:`wrht_structure`: one reduce step per tree
+    level, the all-to-all (if the shortcut fired), then the broadcast
+    mirror of the levels, deepest first.  The all-to-all needs no
+    mirror: every participant already holds the sum.
+    """
+    n = params.num_nodes
+    sched = Schedule(num_nodes=n, num_chunks=1,
+                     name=f"wrht-n{n}-m{params.group_size}"
+                          f"-w{params.num_wavelengths}")
+    info = wrht_structure(params)
+    for level in info.levels:
+        sched.add_step(_level_transfers(level, reduce=True))
+    if info.used_alltoall:
+        sched.add_step(alltoall_transfers(info.alltoall_participants,
+                                          range(1)))
     for level in reversed(info.levels):
-        transfers = []
-        for g, rep in zip(level.groups, level.representatives):
-            rep_idx = g.index(rep)
-            for pos, member in enumerate(g):
-                if member == rep:
-                    continue
-                hint = "ccw" if pos < rep_idx else "cw"  # rep -> member
-                transfers.append(Transfer(src=rep, dst=member, chunks=full,
-                                          op=TransferOp.COPY,
-                                          direction_hint=hint))
-        sched.add_step(transfers)
-
+        sched.add_step(_level_transfers(level, reduce=False))
     return sched, info
 
 

@@ -29,11 +29,12 @@ from ..collectives import analysis as can
 from ..collectives.registry import STEP_COUNTS
 from ..collectives.schedule import Schedule
 from ..collectives.wrht import (WrhtParameters, WrhtScheduleInfo,
-                                generate_wrht, wrht_tree_levels)
+                                alltoall_actual_demand, generate_wrht,
+                                wrht_structure, wrht_tree_levels)
 from ..config import (ElectricalSystem, HierarchicalSystem,
                       OpticalRingSystem, OpticalTorusSystem,
                       ReconfigurableOCSSystem, Workload)
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, TopologyError
 from ..models.strategies import CollectivePhase, DemandProfile
 from ..topology.ring import RingTopology
 
@@ -365,6 +366,49 @@ def _summarize(schedule: Schedule, ring: RingTopology) -> WrhtStepSummary:
                            demands=tuple(demands), loads=tuple(loads))
 
 
+def _structure_summary(params: WrhtParameters,
+                       bidirectional: bool) -> WrhtStepSummary:
+    """``_summarize(generate_wrht(params)[0], ring)`` from the level
+    structure alone; it raises :class:`TopologyError` where that does.
+
+    A tree level's flows stay inside their groups' arcs, so its demand
+    is :attr:`GroupLevel.max_side` and its hops are each member's offset
+    from its representative; the broadcast mirror repeats both.  The
+    all-to-all takes the shortest arc on a two-way ring and the
+    clockwise arc on a one-way ring.
+    """
+    n = params.num_nodes
+    if n < 2:
+        raise TopologyError(f"a ring needs >=2 nodes, got {n}")
+    info = wrht_structure(params)
+    if info.levels and not bidirectional:
+        # Each level's broadcast sends CCW to the members below a rep.
+        raise TopologyError("ring is unidirectional; no CCW travel")
+    demands = [level.max_side for level in info.levels]
+    loads = [tuple(sorted({(1, abs(member - rep))
+                           for g, rep in zip(level.groups,
+                                             level.representatives)
+                           for member in g if member != rep}))
+             for level in info.levels]
+    middle_demands, middle_loads = [], []
+    if info.used_alltoall:
+        parts = info.alltoall_participants
+        hops = {(b - a) % n for a in parts for b in parts if a != b}
+        if bidirectional:
+            hops = {min(h, n - h) for h in hops}
+            middle_demands.append(alltoall_actual_demand(parts, n))
+        else:
+            # All flows run clockwise, and the arcs a->b and b->a cover
+            # each link once between them: every link carries one flow
+            # per unordered pair.
+            middle_demands.append(len(parts) * (len(parts) - 1) // 2)
+        middle_loads.append(tuple(sorted((1, h) for h in hops)))
+    return WrhtStepSummary(
+        num_chunks=1,
+        demands=tuple(demands + middle_demands + demands[::-1]),
+        loads=tuple(loads + middle_loads + loads[::-1]))
+
+
 def _price(summary: WrhtStepSummary, system: OpticalRingSystem,
            workload: Workload) -> WrhtCostDetail:
     """The one Wrht pricing path (see :func:`wrht_time_from_schedule`)."""
@@ -411,10 +455,11 @@ def wrht_time_from_schedule(schedule: Schedule,
     return _price(_summarize(schedule, ring), system, workload)
 
 
-#: Step summaries of generated Wrht schedules, process-wide, keyed by
+#: Step summaries of Wrht schedules, process-wide, keyed by
 #: ``(WrhtParameters, bidirectional)`` — everything a summary depends
-#: on.  Only summaries are kept, never schedules: a Fig. 2 run holds
-#: 276 of them, which as schedules would pin about 275k transfers.
+#: on.  A miss derives its summary from the level structure
+#: (:func:`_structure_summary`) and builds no schedule; a Fig. 2 run
+#: holds 276 summaries.
 _WRHT_SUMMARIES = LruCache(1024)
 
 
@@ -424,13 +469,12 @@ def wrht_candidate_costs(system: OpticalRingSystem, workload: Workload,
     """Analytic cost of the Wrht schedule of each of ``candidates``.
 
     Each result equals ``wrht_time_from_schedule(generate_wrht(p)[0],
-    system, workload)`` field for field, but the schedule of a
-    ``(params, bidirectional)`` pair is generated and summarized once
-    per process: later calls, for any rates or payload, only re-price
-    the memoized summary.  Misses in one call share one ring.  This is
-    how the planner ranks its sweep; it materializes only the winner.
+    system, workload)`` field for field, but no schedule is built: the
+    step summary of a ``(params, bidirectional)`` pair is derived from
+    its level structure once per process, and later calls, for any
+    rates or payload, only re-price the memoized summary.  This is how
+    the planner ranks its sweep; it materializes only the winner.
     """
-    ring: Optional[RingTopology] = None
     costs = []
     for params in candidates:
         if params.num_nodes != system.num_nodes:
@@ -440,10 +484,7 @@ def wrht_candidate_costs(system: OpticalRingSystem, workload: Workload,
         key = (params, system.bidirectional)
         summary = _WRHT_SUMMARIES.get(key)
         if summary is None:
-            if ring is None:
-                ring = RingTopology(system.num_nodes, capacity=1.0,
-                                    bidirectional=system.bidirectional)
-            summary = _summarize(generate_wrht(params)[0], ring)
+            summary = _structure_summary(params, system.bidirectional)
             _WRHT_SUMMARIES.put(key, summary)
         costs.append(_price(summary, system, workload))
     return costs

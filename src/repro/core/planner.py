@@ -121,11 +121,13 @@ def plan_wrht(system: OpticalRingSystem, workload: Workload,
     test suite, so the true optimum survives a small-``k`` cut while
     most of the simulation cost disappears.
 
-    The analytic ranking prices step summaries memoized per process
-    (:func:`~repro.core.cost_model.wrht_candidate_costs`): planning a
-    ring size again, for another payload or rate, re-prices summaries
-    instead of regenerating schedules.  Only the winner (hybrid: the
-    ``top_k``) is materialized.
+    The analytic ranking prices step summaries derived from each
+    candidate's level structure and memoized per process
+    (:func:`~repro.core.cost_model.wrht_candidate_costs`), so ranking
+    builds no schedule, and planning a ring size again, for another
+    payload or rate, only re-prices.  Only the winner (hybrid: the
+    ``top_k``) is generated, and the analytic winner is priced again
+    from its schedule.
 
     Ties break toward fewer steps, then smaller ``m`` (deterministic).
     Raises :class:`PlanningError` if nothing is feasible (cannot happen

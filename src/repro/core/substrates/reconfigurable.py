@@ -32,7 +32,8 @@ and the CLI.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple, Union
+from numbers import Integral, Real
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ...collectives.primitives import transfer_bytes
 from ...collectives.schedule import Schedule
@@ -60,6 +61,20 @@ DEFAULT_STEP_CACHE_MAX_PAIRS = 1024
 
 #: Bound on cached per-configuration fluid simulators.
 _SIM_CACHE_MAX = 64
+
+
+def _is_node_pair(pair) -> bool:
+    """Whether a demand key is a ``(src, dst)`` tuple of integer node ids
+    (``int`` or numpy integers, never ``bool``)."""
+    return (isinstance(pair, tuple) and len(pair) == 2
+            and all(isinstance(v, Integral) and not isinstance(v, bool)
+                    for v in pair))
+
+
+def _is_byte_count(b) -> bool:
+    """Whether a demand value is a finite real byte count > 0 (never a
+    ``bool``)."""
+    return isinstance(b, Real) and not isinstance(b, bool) and 0 < b < math.inf
 
 
 class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
@@ -215,6 +230,12 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
         rank mentioned plus one).
         """
         use_lookahead = self._lookahead if lookahead is None else lookahead
+        demands = list(demands)
+        for t, sizes in enumerate(demands):
+            if type(sizes) is not dict and not isinstance(sizes, Mapping):
+                raise ConfigurationError(
+                    f"step {t} of {name!r} is a {type(sizes).__name__}, "
+                    f"not a {{(src, dst): bytes}} mapping")
         classes, index = intern_steps(demands)
         if not index:
             raise ConfigurationError(f"demand program {name!r} is empty")
@@ -222,17 +243,24 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
             if not sizes:
                 raise ConfigurationError(
                     f"step {index.index(k)} of {name!r} has no demand")
-            for (s, d), b in sizes.items():
-                if s == d:
+            # Exact-type tests first: the ABC checks cost ~1 µs a call,
+            # and this loop sees every pair of every distinct step.
+            for pair, b in sizes.items():
+                if not ((type(pair) is tuple and len(pair) == 2
+                         and type(pair[0]) is type(pair[1]) is int)
+                        or _is_node_pair(pair)):
+                    problem = "is not a (src, dst) pair of integer node ids"
+                elif pair[0] == pair[1]:
                     problem = "is a self-loop"
-                elif s < 0 or d < 0:
+                elif pair[0] < 0 or pair[1] < 0:
                     problem = "names a negative node"
-                elif not (b > 0 and math.isfinite(b)):
+                elif not ((type(b) is float and 0 < b < math.inf)
+                          or _is_byte_count(b)):
                     problem = f"carries {b!r} bytes; need a finite count > 0"
                 else:
                     continue
                 raise ConfigurationError(
-                    f"step {index.index(k)} of {name!r}: pair ({s}, {d}) "
+                    f"step {index.index(k)} of {name!r}: pair {pair!r} "
                     f"{problem}")
         if transfer_counts is None:
             counts = [len(classes[k]) for k in index]

@@ -50,6 +50,7 @@ pre-refactor implementation in ``repro.simulation._reference``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -114,9 +115,10 @@ class Flow:
     finish_time: float = field(default=float("nan"), init=False)
 
     def __post_init__(self) -> None:
-        if self.size <= 0:
+        if not 0 < self.size < inf:
             raise SimulationError(
-                f"flow {self.src}->{self.dst} size must be > 0")
+                f"flow {self.src}->{self.dst} size must be > 0 and finite, "
+                f"got {self.size!r}")
         if not self.path and self.src != self.dst:
             raise SimulationError(
                 f"flow {self.src}->{self.dst} has an empty path")

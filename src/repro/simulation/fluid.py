@@ -54,6 +54,7 @@ stored (counted in the cache's ``skipped`` statistic).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -502,8 +503,9 @@ class FluidNetworkSimulator:
         """
         step = sorted((int(s), int(d), float(z)) for s, d, z in pairs)
         for s, d, z in step:
-            if z <= 0:
-                raise SimulationError(f"flow {s}->{d} size must be > 0")
+            if not 0 < z < inf:
+                raise SimulationError(
+                    f"flow {s}->{d} size must be > 0 and finite, got {z!r}")
         if not step:
             return None
         pattern = tuple((s, d) for s, d, _ in step)
@@ -625,8 +627,9 @@ class FluidNetworkSimulator:
         """A step profile through the raw (traced) engine."""
         step = sorted((int(s), int(d), float(z)) for s, d, z in pairs)
         for s, d, z in step:
-            if z <= 0:
-                raise SimulationError(f"flow {s}->{d} size must be > 0")
+            if not 0 < z < inf:
+                raise SimulationError(
+                    f"flow {s}->{d} size must be > 0 and finite, got {z!r}")
         if not step:
             return _empty_profile()
         flows = [self.make_flow(s, d, z) for s, d, z in step]

@@ -1,5 +1,8 @@
 """Tests for the pattern-keyed fluid step cache and its surfacing."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,24 @@ class TestStepCache:
         sim = FluidNetworkSimulator(SwitchedStar(4, GB100))
         with pytest.raises(SimulationError, match="size must be > 0"):
             sim.step_time([(0, 1, 0.0)])
+
+    @pytest.mark.parametrize("size", [float("inf"), float("nan")])
+    def test_non_finite_size_rejected_without_warning(self, size):
+        from repro.errors import SimulationError
+
+        bad = [(0, 1, size)]
+        plain = FluidNetworkSimulator(RingTopology(4, GB100))
+        traced = FluidNetworkSimulator(RingTopology(4, GB100),
+                                       keep_trace=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (plain.step_profile, plain.step_time,
+                        traced.step_time,
+                        lambda pairs: traced.run_schedule([pairs])):
+                with pytest.raises(SimulationError, match=re.escape(
+                        f"flow 0->1 size must be > 0 and finite, "
+                        f"got {size!r}")):
+                    run(bad)
 
     def test_trace_mode_bypasses_cache(self):
         sim = FluidNetworkSimulator(SwitchedStar(4, GB100),

@@ -14,6 +14,7 @@ reconfiguring.
 
 import re
 
+import numpy as np
 import pytest
 
 from repro.collectives.hierarchical_ring import (
@@ -73,6 +74,11 @@ class TestExecuteDemands:
         "negative-bytes": ((0, 2), -1.0),
         "self-loop": ((3, 3), 1e6),
         "negative-node": ((-1, 2), 1e6),
+        "float-node": ((0, 1.5), 1e6),
+        "bool-node": ((0, True), 1e6),
+        "short-key": ((0,), 1e6),
+        "string-bytes": ((0, 2), "5"),
+        "bool-bytes": ((0, 2), True),
     }
 
     @pytest.mark.parametrize("lookahead", [False, True])
@@ -87,6 +93,29 @@ class TestExecuteDemands:
                 f"step 1 of 'demand-program': pair {pair}")):
             sub.execute_demands(demands)
         assert sub.describe() == fresh  # no step was priced
+        assert sub.last_program is None
+
+    def test_accepts_numpy_ids_and_byte_counts(self):
+        plain = [{(0, 1): 1e6}, {(1, 2): 2e6}]
+        numpy_typed = [{(np.int64(s), np.int32(d)): np.float64(b)
+                        for (s, d), b in step.items()} for step in plain]
+        want = OCSReconfigurableSubstrate(
+            system=default_ocs(N)).execute_demands(plain)
+        assert OCSReconfigurableSubstrate(
+            system=default_ocs(N)).execute_demands(numpy_typed) == want
+
+    def test_rejects_float_node_without_a_system(self):
+        sub = OCSReconfigurableSubstrate()
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "step 0 of 'demand-program': pair (0, 1.5)")):
+            sub.execute_demands([{(0, 1.5): 1e6}])
+        assert sub.last_program is None
+
+    def test_rejects_a_step_that_is_not_a_mapping(self):
+        sub = OCSReconfigurableSubstrate(system=default_ocs(N))
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "step 1 of 'demand-program' is a list")):
+            sub.execute_demands([{(0, 1): 1e6}, [(1, 2, 1e6)]])
         assert sub.last_program is None
 
     def test_profile_demands_concatenates_phases(self):
