@@ -17,6 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.caching import LruCache
+from repro.core.substrates.optical_ring import OpticalRingSubstrate
+
 #: Where the machine-readable speedup summaries accumulate (repo root).
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_fluid.json"
 BENCH_RWA_JSON = Path(__file__).resolve().parent.parent / "BENCH_rwa.json"
@@ -27,6 +30,26 @@ BENCH_FAULTS_JSON = (Path(__file__).resolve().parent.parent
 BENCH_OCS_JSON = Path(__file__).resolve().parent.parent / "BENCH_ocs.json"
 BENCH_COPLAN_JSON = (Path(__file__).resolve().parent.parent
                      / "BENCH_coplan.json")
+
+
+class UncachedRing(OpticalRingSubstrate):
+    """The optical ring with both step memos admitting nothing: every
+    step is ordered, routed and assigned afresh.  The cache-off arm of
+    the ring benches (the memos are always on in the library)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._cache = LruCache(1, admit_cost_bound=-1)
+        self._patterns = LruCache(1, admit_cost_bound=-1)
+
+
+class ResolvingRing(UncachedRing):
+    """:class:`UncachedRing` without the delta RWA path: every step is
+    a full re-solve."""
+
+    def _solve(self, net, policy, ordered, k):
+        net.rwa_delta = None
+        return super()._solve(net, policy, ordered, k)
 
 
 def best_time(fn, repeats):

@@ -16,12 +16,12 @@ Two claims the fault subsystem makes:
   retries, and capacity conservation holds throughout.
 """
 
-from conftest import (BENCH_FAULTS_JSON, best_time as _time,
-                      interleaved_best_times, record_bench as _record)
+from conftest import (BENCH_FAULTS_JSON, ResolvingRing, UncachedRing,
+                      best_time as _time, interleaved_best_times,
+                      record_bench as _record)
 
 from repro.collectives.ring_allreduce import generate_ring_allreduce
 from repro.config import Workload, default_optical
-from repro.core.substrates.optical_ring import OpticalRingSubstrate
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.serving import RetryPolicy, ServingEngine, poisson_traffic
 
@@ -35,28 +35,29 @@ LOSS = FaultPlan.of([FaultEvent(time=0.0, kind=FaultKind.WAVELENGTH_DOWN,
                                 wavelength=0)])
 
 
-def _degraded_run(incremental):
-    sub = OpticalRingSubstrate(SYSTEM, cache=False, incremental=incremental)
+def _degraded_run(ring):
+    sub = ring(SYSTEM)
     return sub.execute_with_faults(SCHEDULE, WORKLOAD, LOSS), sub
 
 
 def test_bench_fault_repair_vs_resolve(once):
     """Delta-patched degraded RWA vs a full re-solve per masked step.
 
-    Folds the ``fault_repair_vs_resolve`` section into
-    ``BENCH_faults.json`` — a CI-gated summary (see
-    ``check_bench_regression.py``).
+    Both arms keep the step memos out of the way (every step is
+    assigned afresh), so the ratio is the delta path's alone.  Folds the
+    ``fault_repair_vs_resolve`` section into ``BENCH_faults.json`` — a
+    CI-gated summary (see ``check_bench_regression.py``).
     """
 
     def resolve():
-        return _degraded_run(incremental=False)[0]
+        return _degraded_run(ResolvingRing)[0]
 
     def repair():
-        return _degraded_run(incremental=True)[0]
+        return _degraded_run(UncachedRing)[0]
 
     def run():
         want = resolve()
-        got, sub = _degraded_run(incremental=True)
+        got, sub = _degraded_run(UncachedRing)
         # Patching under the mask must not change answers.
         assert got.report.steps == want.report.steps
         assert got.report.total_time == want.report.total_time

@@ -14,13 +14,14 @@ Three levels compare against the frozen pre-refactor engine
   engine.
 
 Three more compare the active-set engine against its own previous
-generation (the PR 3 paths, reachable via constructor flags):
+generation, rebuilt here from the library (the engine has no switches):
 
 * **warm-start solver** — a cold (cache-miss) 64-flow incast-staircase
   step: warm-started event solves vs refilling every event from zero
-  (``warm_start=False``, the PR 3 behaviour);
+  (:class:`_ColdSim`);
 * **sparse large batch** — a 1024-flow step: scipy CSR incidence vs
-  the dense matrix the PR 3 engine always used;
+  the dense matrix every batch used before the sparse backend (picked
+  by patching ``SPARSE_FLOW_THRESHOLD`` while the dense arm compiles);
 * **fused schedule** — a whole ring all-reduce schedule through
   ``step_time_many``'s fused path vs the per-step ``step_time`` loop.
 
@@ -39,14 +40,19 @@ and gates against the committed baseline
 (``benchmarks/BENCH_fluid.json``, see ``check_bench_regression.py``).
 """
 
+import sys
+from unittest import mock
+
 import pytest
 
 from conftest import (best_time as _time, interleaved_best_times,
                       record_bench as _record)
 
 from repro import units
+from repro.simulation import flows as flows_mod
+from repro.simulation import fluid as fluid_mod
 from repro.simulation._reference import ReferenceFluidSimulator
-from repro.simulation.flows import have_sparse
+from repro.simulation.flows import have_sparse, progressive_fill
 from repro.simulation.fluid import FluidNetworkSimulator
 from repro.topology.ring import RingTopology
 from repro.topology.switched import SwitchedStar
@@ -56,6 +62,42 @@ from repro.topology.switched import SwitchedStar
 #: force one allocation event per completion — the worst case).
 NODES = 64
 PAIRS = [(i, (i + 8) % NODES, 1.0 * units.MB + i) for i in range(NODES)]
+
+
+def _cold_fill(batch, active=None, *, warm=None, removed=None, added=None,
+               record=False):
+    """``progressive_fill`` with the warm state dropped: a refill from
+    zero at every event."""
+    rates = progressive_fill(batch, active)
+    return (rates, None) if record else rates
+
+
+class _ResolvingSim(FluidNetworkSimulator):
+    """Every ``step_profile`` re-solves: the pattern cache is emptied
+    before each one (the compiled pattern stays), so a timed call
+    measures the solver, not the cache."""
+
+    def _profile_for(self, key, s_ref):
+        self.pattern_cache.clear()
+        return super()._profile_for(key, s_ref)
+
+
+class _ColdSim(_ResolvingSim):
+    """Reference: :class:`_ResolvingSim` refilling every event from
+    zero (the solver before warm starts)."""
+
+    def _drive(self, *args, **kwargs):
+        fluid_mod.progressive_fill = _cold_fill
+        try:
+            return super()._drive(*args, **kwargs)
+        finally:
+            fluid_mod.progressive_fill = progressive_fill
+
+
+def _backend_of(sim):
+    """The incidence backend of ``sim``'s one compiled step pattern."""
+    (compiled,) = sim._compiled_patterns.values()
+    return compiled.batch.backend
 
 
 def _ring():
@@ -195,20 +237,19 @@ def test_bench_sweep_cell_end_to_end(once):
 
 def test_bench_solver_warm_start(once):
     """Cold (cache-miss) 64-flow staircase step: warm-started active-set
-    solves vs the PR 3 engine's from-zero refill at every event.
+    solves vs a from-zero refill at every event.
 
-    Pattern caching is off on both sides (this measures the *solver*,
-    not the cache) and the compiled pattern is shared, so the only
-    difference is replaying unchanged bottleneck rounds vs re-deriving
-    them.  The ≥1.5x acceptance bound is asserted here (it lands ~1.9x).
+    Pattern caching is defeated on both sides (this measures the
+    *solver*, not the cache) and each side keeps its compiled pattern,
+    so the only difference is replaying unchanged bottleneck rounds vs
+    re-deriving them.  The ≥1.5x acceptance bound is asserted here (it
+    lands ~1.9x).
     """
     pairs = _staircase(64, 10)
 
     def run():
-        warm = FluidNetworkSimulator(_star_for(pairs), warm_start=True,
-                                     pattern_cache=False)
-        cold = FluidNetworkSimulator(_star_for(pairs), warm_start=False,
-                                     pattern_cache=False)
+        warm = _ResolvingSim(_star_for(pairs))
+        cold = _ColdSim(_star_for(pairs))
         # identical results first (warm starts must not buy wrong answers)
         import numpy as np
         assert np.array_equal(warm.step_profile(pairs).finish_times,
@@ -232,25 +273,28 @@ def test_bench_sparse_large_batch(once):
     """1024-flow staircase step: scipy CSR incidence vs the dense
     matrix backend on the same cold solves.
 
-    Warm starts are off on both sides so every event exercises the
-    backend's per-round products (counts + freeze detection) — the
-    regime the sparse backend exists for.  The ≥3x acceptance bound
-    for the ≥512-flow case is asserted here (it lands ~6-8x).
+    Warm starts and pattern caching are defeated on both sides
+    (:class:`_ColdSim`) so every event exercises the backend's
+    per-round products (counts + freeze detection) — the regime the
+    sparse backend exists for.  The dense arm compiles its pattern with
+    the sparse threshold out of reach.  The ≥3x acceptance bound for
+    the ≥512-flow case is asserted here (it lands ~6-8x).
     """
     if not have_sparse():  # pragma: no cover - CI installs scipy
         pytest.skip("scipy not installed")
     pairs = _staircase(1024, 45)
 
     def run():
-        dense = FluidNetworkSimulator(_star_for(pairs), backend="dense",
-                                      warm_start=False,
-                                      pattern_cache=False)
-        sparse = FluidNetworkSimulator(_star_for(pairs), backend="sparse",
-                                       warm_start=False,
-                                       pattern_cache=False)
+        dense = _ColdSim(_star_for(pairs))
+        sparse = _ColdSim(_star_for(pairs))
         import numpy as np
+        with mock.patch.object(flows_mod, "SPARSE_FLOW_THRESHOLD",
+                               sys.maxsize):
+            want = dense.step_profile(pairs).finish_times
         assert np.array_equal(sparse.step_profile(pairs).finish_times,
-                              dense.step_profile(pairs).finish_times)
+                              want)
+        assert (_backend_of(dense), _backend_of(sparse)) == \
+            ("dense", "sparse")
         t_dense, t_sparse = interleaved_best_times(
             [lambda: dense.step_profile(pairs),
              lambda: sparse.step_profile(pairs)], 3)
@@ -340,10 +384,8 @@ def test_bench_solver_warm_admission(once):
         return flows
 
     def run():
-        warm = FluidNetworkSimulator(_star_for(base + late),
-                                     warm_start=True, pattern_cache=False)
-        cold = FluidNetworkSimulator(_star_for(base + late),
-                                     warm_start=False, pattern_cache=False)
+        warm = FluidNetworkSimulator(_star_for(base + late))
+        cold = _ColdSim(_star_for(base + late))
         assert np.array_equal(
             [r.finish_time for r in warm.run(flows_for(warm))],
             [r.finish_time for r in cold.run(flows_for(cold))])
@@ -364,8 +406,8 @@ def test_bench_solver_warm_admission(once):
 
 def test_bench_schedule_fused(once):
     """A whole 64-node ring all-reduce (126 steps, one repeated
-    pattern) through ``step_time_many``'s fused path vs the PR 3
-    per-step ``step_time`` loop, both from a cold simulator."""
+    pattern) through ``step_time_many``'s fused path vs the per-step
+    ``step_time`` loop, both from a cold simulator."""
     from repro.collectives.primitives import transfer_bytes
     from repro.collectives.ring_allreduce import generate_ring_allreduce
 

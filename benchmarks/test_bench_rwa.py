@@ -15,7 +15,8 @@ feasibility checks already absorb the +p/4.
 
 import pytest
 
-from conftest import BENCH_RWA_JSON, interleaved_best_times, record_bench
+from conftest import (BENCH_RWA_JSON, UncachedRing, interleaved_best_times,
+                      record_bench)
 
 from repro.analysis.ascii_plot import simple_table
 from repro.collectives.alltoall_wdm import alltoall_wavelength_requirement
@@ -171,8 +172,8 @@ def test_rwa_step_execution_speed(benchmark, cache):
     sched.add_step(Transfer(src=a, dst=b, chunks=(0,),
                             op=TransferOp.REDUCE)
                    for a in nodes for b in nodes if a != b)
-    sub = OpticalRingSubstrate(
-        OpticalRingSystem(num_nodes=n, num_wavelengths=256), cache=cache)
+    ring = OpticalRingSubstrate if cache else UncachedRing
+    sub = ring(OpticalRingSystem(num_nodes=n, num_wavelengths=256))
     wl = Workload(data_bytes=1e6)
     sub.execute(sched, wl)  # warm the network (and cache, when on)
 

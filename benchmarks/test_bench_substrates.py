@@ -14,6 +14,8 @@ import time
 
 import pytest
 
+from conftest import UncachedRing
+
 from repro import units
 from repro.analysis.ascii_plot import simple_table
 from repro.analysis.sweeps import substrate_sweep
@@ -28,7 +30,7 @@ def test_simulated_planning_cache_speedup(once):
     wl = Workload(data_bytes=64 * units.MB)
 
     def plan_with(cache):
-        sub = OpticalRingSubstrate(system, cache=cache)
+        sub = (OpticalRingSubstrate if cache else UncachedRing)(system)
         t0 = time.perf_counter()
         plan = plan_wrht(system, wl, fidelity="simulate", substrate=sub)
         return time.perf_counter() - t0, plan, sub

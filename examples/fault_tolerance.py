@@ -36,7 +36,7 @@ RATE = 100.0
 def degraded_collective() -> None:
     schedule = generate_ring_allreduce(8)
     workload = Workload(data_bytes=64 * units.MB)
-    substrate = OpticalRingSubstrate(cache=False)
+    substrate = OpticalRingSubstrate()
     healthy = substrate.execute(schedule, workload)
 
     # The empty plan is the documented bit-for-bit no-op.

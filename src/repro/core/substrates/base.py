@@ -352,12 +352,9 @@ class FluidCacheMixin:
         signature = topology.signature()
         self._share_cache(self._topo_path_caches(), signature,
                           topology.path_cache, topology.use_path_cache)
-        if sim.compile_cache is not None:
-            self._share_cache(
-                self._fluid_compile_caches(), topology.shape_signature(),
-                sim.compile_cache, sim.use_compile_cache)
-        if sim.pattern_cache is None:
-            return
+        self._share_cache(self._fluid_compile_caches(),
+                          topology.shape_signature(),
+                          sim.compile_cache, sim.use_compile_cache)
         self._share_cache(self._fluid_pattern_caches(), signature,
                           sim.pattern_cache, sim.use_pattern_cache)
 

@@ -33,8 +33,7 @@ shares pattern caches through
 :class:`~repro.core.substrates.base.FluidCacheMixin` (keyed by the
 hierarchy topology's signature), and the optical level embeds an
 :class:`~repro.core.substrates.optical_ring.OpticalRingSubstrate`
-whose RWA cache — including the admission bound — is shared
-unchanged.
+whose RWA cache, admission bound and delta path are reused unchanged.
 """
 
 from __future__ import annotations
@@ -50,10 +49,8 @@ from ...optical.rwa import AssignmentPolicy, TransferRequest
 from ...topology.hierarchy import HierarchicalTopology
 from .base import (ExecutionReport, FaultReplay, FluidCacheMixin, StepReport,
                    Substrate, SubstrateInfo)
-from .optical_ring import (DEFAULT_RWA_CACHE_MAX_TRANSFERS,
-                           DEFAULT_RWA_CACHE_SIZE, OpticalRingSubstrate,
-                           RwaCacheStats, Striping, _check_striping,
-                           _hint_direction)
+from .optical_ring import (OpticalRingSubstrate, RwaCacheStats, Striping,
+                           _check_striping, _hint_direction)
 
 
 class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
@@ -73,21 +70,16 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
         per-call override via ``execute(..., striping=...)``); anything
         else raises :class:`~repro.errors.ConfigurationError` before any
         step runs.
-    cache / cache_size / cache_max_transfers:
-        The leader-level RWA memoization cache, with the same semantics
-        (and admission bound) as the flat optical ring's.
+
+    The leader level memoizes and delta-patches its RWA exactly as the
+    flat optical ring does (always on, same bounds).
     """
 
     name = "hier-rack"
 
     def __init__(self, system: Optional[HierarchicalSystem] = None,
                  policy: AssignmentPolicy = AssignmentPolicy.FIRST_FIT,
-                 striping: Striping = "auto",
-                 cache: bool = True,
-                 cache_size: int = DEFAULT_RWA_CACHE_SIZE,
-                 cache_max_transfers: Optional[int]
-                 = DEFAULT_RWA_CACHE_MAX_TRANSFERS,
-                 incremental: bool = True) -> None:
+                 striping: Striping = "auto") -> None:
         if system is not None and not isinstance(system, HierarchicalSystem):
             raise ConfigurationError(
                 f"hier-rack substrate needs a HierarchicalSystem, "
@@ -97,12 +89,9 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
         self._policy = policy
         # The optical level *is* an optical-ring substrate over rack
         # indices — its network pool, RWA cache (admission bound
-        # included), striping fallback and incremental delta path are
-        # reused verbatim.
-        self._ring = OpticalRingSubstrate(
-            policy=policy, striping=striping, cache=cache,
-            cache_size=cache_size, cache_max_transfers=cache_max_transfers,
-            incremental=incremental)
+        # included), striping fallback and delta path are reused
+        # verbatim.
+        self._ring = OpticalRingSubstrate(policy=policy, striping=striping)
         # Per-level counters, cumulative across execute() calls.
         self._local_steps = 0
         self._leader_steps = 0
@@ -110,11 +99,6 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
         self._relayed_transfers = 0
 
     # -- cache management ---------------------------------------------------
-
-    @property
-    def cache_enabled(self) -> bool:
-        """Whether leader-level RWA solutions are being memoized."""
-        return self._ring.cache_enabled
 
     def rwa_cache_info(self) -> RwaCacheStats:
         """Leader-level RWA cache counters."""
@@ -141,7 +125,6 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
             ("rwa_cache_misses", stats.misses),
             ("rwa_cache_hit_rate", round(stats.hit_rate, 4)),
             ("rwa_cache_skipped", stats.skipped),
-            ("rwa_incremental", self._ring.incremental),
             ("rwa_delta_patched", self._ring.delta_patched),
             ("rwa_delta_fallbacks", self._ring.delta_fallbacks),
         ]

@@ -18,11 +18,18 @@ What the substrate keeps across calls:
   sweep and the ablation grids, which re-pose the same per-step RWA
   subproblem hundreds of times, resolve it once.  Each entry also
   carries the step's MRR selection and per-transfer timing constants,
-  and a **pattern memo** (same switch, bound and admission policy)
-  keeps each input pattern's longest-arc-first order and path demand,
-  so a cache hit costs O(transfers in the step), not O(ring size).
-  Cached and cold runs produce identical reports (pinned by the test
-  suite).
+  and a **pattern memo** (same bound and admission policy) keeps each
+  input pattern's longest-arc-first order and path demand, so a cache
+  hit costs O(transfers in the step), not O(ring size).  Cached and
+  cold runs produce identical reports (pinned by the test suite);
+* the **delta RWA path**: a cache miss patches the network's previous
+  step assignment (:func:`~repro.optical.rwa.assign_wavelengths_delta`)
+  instead of solving from scratch, falling back on striping or demand
+  changes — bit-for-bit the full re-solve (parity-pinned).
+
+Both memos and the delta path change speed only, so they are always on;
+the bounds are :data:`DEFAULT_RWA_CACHE_SIZE` and
+:data:`DEFAULT_RWA_CACHE_MAX_TRANSFERS`.
 """
 
 from __future__ import annotations
@@ -45,12 +52,15 @@ from .base import (CacheStats, ExecutionReport, FaultReplay, LruCache,
 
 Striping = Union[str, int]
 
-#: Default bound on memoized RWA solutions per substrate instance.
+#: Bound on memoized RWA solutions per substrate instance, and on
+#: memoized step patterns.
 DEFAULT_RWA_CACHE_SIZE = 4096
 
-#: Default admission bound: steps with more routed transfers than this
-#: are solved but not memoized (their keys and assignments are large,
-#: and steps that size rarely repeat).
+#: Admission bound: steps with more routed transfers than this are
+#: solved but not memoized (their keys and assignments are large, and
+#: steps that size rarely repeat); skipped solves surface as
+#: ``rwa_cache_skipped`` in ``describe()``.  The pattern memo admits the
+#: same steps.
 DEFAULT_RWA_CACHE_MAX_TRANSFERS = 1024
 
 
@@ -127,35 +137,16 @@ class OpticalRingSubstrate(Substrate):
         fixed ``int`` factor >= 1.  Per-call override via
         ``execute(..., striping=...)``; anything else raises
         :class:`~repro.errors.ConfigurationError` before any step runs.
-    cache:
-        Enable the RWA memoization cache and the pattern memo
-        (identical results either way).
-    cache_size:
-        Bound on memoized RWA solutions (LRU eviction), and on memoized
-        step patterns.
-    cache_max_transfers:
-        Admission bound: steps with more routed transfers than this are
-        solved but not memoized (``None`` admits everything); skipped
-        solves surface as ``rwa_cache_skipped`` in :meth:`describe`.
-        The pattern memo admits the same steps.
-    incremental:
-        Enable the delta RWA path: on a memo-cache miss, patch the
-        network's previous step assignment
-        (:func:`~repro.optical.rwa.assign_wavelengths_delta`) instead of
-        solving from scratch, falling back on striping/demand changes.
-        Results are bit-for-bit identical either way (parity-pinned).
+
+    The RWA cache, the pattern memo and the delta RWA path are always
+    on (see the module docstring); none of them changes a result.
     """
 
     name = "optical-ring"
 
     def __init__(self, system: Optional[OpticalRingSystem] = None,
                  policy: AssignmentPolicy = AssignmentPolicy.FIRST_FIT,
-                 striping: Striping = "auto",
-                 cache: bool = True,
-                 cache_size: int = DEFAULT_RWA_CACHE_SIZE,
-                 cache_max_transfers: Optional[int]
-                 = DEFAULT_RWA_CACHE_MAX_TRANSFERS,
-                 incremental: bool = True) -> None:
+                 striping: Striping = "auto") -> None:
         if system is not None and not isinstance(system, OpticalRingSystem):
             raise ConfigurationError(
                 f"optical-ring substrate needs an OpticalRingSystem, "
@@ -165,26 +156,16 @@ class OpticalRingSubstrate(Substrate):
         self._policy = policy
         self._striping = striping
         self._networks: Dict[OpticalRingSystem, OpticalRingNetwork] = {}
-        self._cache_enabled = cache
-        self._cache = LruCache(cache_size,
-                               admit_cost_bound=cache_max_transfers)
-        self._patterns = LruCache(cache_size,
-                                  admit_cost_bound=cache_max_transfers)
-        self._incremental = incremental
+        self._cache = LruCache(
+            DEFAULT_RWA_CACHE_SIZE,
+            admit_cost_bound=DEFAULT_RWA_CACHE_MAX_TRANSFERS)
+        self._patterns = LruCache(
+            DEFAULT_RWA_CACHE_SIZE,
+            admit_cost_bound=DEFAULT_RWA_CACHE_MAX_TRANSFERS)
         self._delta_patched = 0
         self._delta_fallbacks = 0
 
     # -- cache management ---------------------------------------------------
-
-    @property
-    def cache_enabled(self) -> bool:
-        """Whether RWA solutions are being memoized."""
-        return self._cache_enabled
-
-    @property
-    def incremental(self) -> bool:
-        """Whether the delta RWA path is enabled."""
-        return self._incremental
 
     @property
     def delta_patched(self) -> int:
@@ -213,7 +194,7 @@ class OpticalRingSubstrate(Substrate):
     # -- substrate interface ------------------------------------------------
 
     def describe(self) -> SubstrateInfo:
-        """Metadata: ring model, policy, striping and cache settings.
+        """Metadata: ring model, policy, striping and cache counters.
 
         Cache *statistics* are included alongside the static settings
         (``rwa_cache_hits`` / ``_misses`` / ``_hit_rate``) so cache
@@ -224,12 +205,10 @@ class OpticalRingSubstrate(Substrate):
         params = self._fault_params()
         params += [("policy", self._policy.value),
                   ("striping", self._striping),
-                  ("rwa_cache", self._cache_enabled),
                   ("rwa_cache_hits", stats.hits),
                   ("rwa_cache_misses", stats.misses),
                   ("rwa_cache_hit_rate", round(stats.hit_rate, 4)),
                   ("rwa_cache_skipped", stats.skipped),
-                  ("rwa_incremental", self._incremental),
                   ("rwa_delta_patched", self._delta_patched),
                   ("rwa_delta_fallbacks", self._delta_fallbacks)]
         if self._system is not None:
@@ -424,10 +403,9 @@ class OpticalRingSubstrate(Substrate):
         """
         hints = tuple((r.src, r.dst, r.direction) for r in base_requests)
         key = (system, hints)
-        if self._cache_enabled:
-            hit = self._patterns.get(key)
-            if hit is not None:
-                return hit
+        hit = self._patterns.get(key)
+        if hit is not None:
+            return hit
         ring = net.topology
 
         def arc_len(i: int) -> int:
@@ -441,8 +419,7 @@ class OpticalRingSubstrate(Substrate):
                                             hints[i][1])))
         entry = (order, tuple(hints[i] for i in order),
                  max_link_demand(base_requests, ring, count_stripes=False))
-        if self._cache_enabled:
-            self._patterns.put(key, entry, cost=len(hints))
+        self._patterns.put(key, entry, cost=len(hints))
         return entry
 
     def _assign(self, net: OpticalRingNetwork, system: OpticalRingSystem,
@@ -460,40 +437,37 @@ class OpticalRingSubstrate(Substrate):
         :class:`~repro.errors.WavelengthAllocationError` exactly as the
         cold path does (failures are not cached).
         """
-        key = None
-        if self._cache_enabled:
-            key = (system, policy, k, pattern)
-            fault_key = net.fault_key()
-            if fault_key:
-                # Degraded solutions are memoized apart from healthy
-                # ones (and from other masks); healthy keys keep their
-                # exact shape, so healthy steps still hit.
-                key = key + (fault_key,)
-            hit = self._cache.get(key)
-            if hit is not None:
-                # The network occupancy is untouched on a hit, so its
-                # rwa_delta patch base (last *solved* step) stays valid.
-                return hit
+        key = (system, policy, k, pattern)
+        fault_key = net.fault_key()
+        if fault_key:
+            # Degraded solutions are memoized apart from healthy ones
+            # (and from other masks); healthy keys keep their exact
+            # shape, so healthy steps still hit.
+            key = key + (fault_key,)
+        hit = self._cache.get(key)
+        if hit is not None:
+            # The network occupancy is untouched on a hit, so its
+            # rwa_delta patch base (last *solved* step) stays valid.
+            return hit
 
         k, requests, rwa = self._solve(
             net, policy, [base_requests[i] for i in order], k)
         value = (k, rwa, self._shape(net, system, requests, rwa))
-        if key is not None:
-            # Admission policy: very large steps are solved but not
-            # memoized (`rwa_cache_skipped` counts them).
-            self._cache.put(key, value, cost=len(base_requests))
+        # Admission policy: very large steps are solved but not memoized
+        # (`rwa_cache_skipped` counts them).
+        self._cache.put(key, value, cost=len(base_requests))
         return value
 
     def _solve(self, net: OpticalRingNetwork, policy: AssignmentPolicy,
                ordered: List[TransferRequest], k: int) -> Tuple:
         """Solve one step's RWA on ``net``: ``(k_final, requests, rwa)``.
 
-        Patches the network's previous assignment when the incremental
-        path applies, else solves from scratch, thinning the striping
-        until the step fits (raising at ``k = 1``).  ``requests`` carry
+        Patches the network's previous assignment when the delta path
+        applies, else solves from scratch, thinning the striping until
+        the step fits (raising at ``k = 1``).  ``requests`` carry
         ``num_wavelengths=k_final``.
         """
-        prev = net.rwa_delta if self._incremental else None
+        prev = net.rwa_delta
         if isinstance(prev, RwaDelta):
             requests = [
                 TransferRequest(src=r.src, dst=r.dst, size=r.size,

@@ -41,8 +41,9 @@ from ...config import ReconfigurableOCSSystem, Workload, default_ocs
 from ...errors import ConfigurationError, TopologyError
 from ...simulation.fluid import FluidNetworkSimulator
 from ...topology.program import (CircuitConfig, CircuitPair,
-                                 CircuitTopology, DecompositionDelta,
-                                 StepPricer, TopologyProgram, boot_config,
+                                 DecompositionDelta, StayCost, StepPricer,
+                                 TopologyProgram, boot_config,
+                                 circuit_simulator, fluid_stay_cost,
                                  intern_steps, max_pair_degree,
                                  synthesize_program)
 from .base import (CacheStats, ExecutionReport, FluidCacheMixin, LruCache,
@@ -298,9 +299,7 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
                 f"initial circuit configuration invalid for this "
                 f"fabric: {exc}") from exc
 
-        def stay_cost(cfg, sizes):
-            return self._stay_time(system, cfg, sizes)
-
+        stay_cost = self._stay_cost(system)
         if use_lookahead and system.can_reconfigure:
             # The synthesized steps carry their exact chosen cost, so the
             # report accumulates the same floats the DP compared
@@ -375,24 +374,12 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
                 f"demand mentions node {top}; num_nodes is {num_nodes}")
         return self._default_system(num_nodes)
 
-    def _stay_time(self, system: ReconfigurableOCSSystem,
-                   config: CircuitConfig,
-                   sizes: Dict[CircuitPair, float],
-                   ) -> Tuple[float, float]:
-        """Fluid makespan of serving the demand on ``config``.
-
-        Returns ``(makespan, propagation)`` where ``propagation`` is
-        the path latency of the flow that finishes last (so step
-        reports decompose consistently with the reconfigure branch);
-        unreachable pairs yield ``(inf, 0)``.
-        """
-        sim = self._simulator(system, config)
-        try:
-            profile = sim.step_profile(
-                [(s, d, b) for (s, d), b in sorted(sizes.items())])
-        except TopologyError:
-            return float("inf"), 0.0
-        return profile.makespan, profile.propagation
+    def _stay_cost(self, system: ReconfigurableOCSSystem) -> StayCost:
+        """The fluid stay-cost evaluator
+        (:func:`~repro.topology.program.fluid_stay_cost`) over this
+        substrate's pooled per-configuration simulators."""
+        return fluid_stay_cost(
+            lambda config: self._simulator(system, config))
 
     def _rounds(self, ordered: Tuple[CircuitPair, ...],
                 ports: int) -> List[Tuple[CircuitPair, ...]]:
@@ -427,10 +414,7 @@ class OCSReconfigurableSubstrate(FluidCacheMixin, Substrate):
         key = (system, config)
         sim = self._sims.get(key)
         if sim is None:
-            topo = CircuitTopology(system.num_nodes, config,
-                                   capacity=system.circuit_rate,
-                                   latency=system.circuit_latency)
-            sim = FluidNetworkSimulator(topo)
+            sim = circuit_simulator(system, config)
             self._register_fluid_simulator(sim)
             self._sims.put(key, sim)
         return sim

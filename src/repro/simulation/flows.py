@@ -25,16 +25,15 @@ fluid event loop never rebuilds Python-side structures per event:
 
 Incidence backends
 ------------------
-``compile_paths(..., backend=...)`` selects how per-round link counts
-and freeze detection are computed:
+:func:`resolve_backend` picks, per batch, how per-round link counts and
+freeze detection are computed:
 
 * ``"dense"`` — a dense links x flows float matrix (one BLAS matvec per
   round); the right call below a few hundred flows;
 * ``"sparse"`` — a ``scipy.sparse`` CSR matrix (O(nnz) per round); the
-  right call for very large flow batches, and what ``"auto"`` picks at
-  or above :data:`SPARSE_FLOW_THRESHOLD` flows when scipy is
-  importable.  When scipy is absent, ``"sparse"``/``"auto"`` degrade
-  gracefully to dense.
+  right call for very large flow batches, picked at or above
+  :data:`SPARSE_FLOW_THRESHOLD` flows when scipy is importable.
+  Without scipy every batch is dense.
 
 Both backends are *numerically interchangeable*: the incidence is 0/1
 and the filling mask is 0/1, so per-round link counts are exact small
@@ -64,8 +63,8 @@ except ImportError:  # pragma: no cover - exercised via monkeypatch
 
 LinkId = Hashable
 
-#: Flow count at which ``backend="auto"`` switches to scipy CSR (kept
-#: dense below it: BLAS on small dense blocks beats sparse overhead).
+#: Flow count at which batches switch to scipy CSR (kept dense below
+#: it: BLAS on small dense blocks beats sparse overhead).
 SPARSE_FLOW_THRESHOLD = 512
 
 
@@ -74,25 +73,15 @@ def have_sparse() -> bool:
     return _scipy_sparse is not None
 
 
-def resolve_backend(backend: Optional[str], num_flows: int) -> str:
-    """The concrete backend (``"dense"``/``"sparse"``) for a batch.
-
-    ``None``/``"auto"`` select sparse at or above
-    :data:`SPARSE_FLOW_THRESHOLD` flows when scipy is importable;
-    an explicit ``"sparse"`` without scipy degrades to dense (the
-    results are identical either way, only the speed differs).
-    """
-    if backend in (None, "auto"):
-        if _scipy_sparse is not None and num_flows >= SPARSE_FLOW_THRESHOLD:
-            return "sparse"
-        return "dense"
-    if backend == "dense":
-        return "dense"
-    if backend == "sparse":
-        return "sparse" if _scipy_sparse is not None else "dense"
-    raise SimulationError(
-        f"unknown incidence backend {backend!r} "
-        f"(expected 'auto', 'dense' or 'sparse')")
+def resolve_backend(num_flows: int) -> str:
+    """The backend (``"dense"``/``"sparse"``) for a batch of
+    ``num_flows`` flows: sparse at or above
+    :data:`SPARSE_FLOW_THRESHOLD` when scipy is importable, dense
+    otherwise (the results are identical either way, only the speed
+    differs)."""
+    if _scipy_sparse is not None and num_flows >= SPARSE_FLOW_THRESHOLD:
+        return "sparse"
+    return "dense"
 
 
 @dataclass
@@ -303,16 +292,15 @@ class FlowBatchStructure:
         np.add.at(out, self.flow_of, lat[self.flow_links])
         return out
 
-    def bind(self, capacities: Dict[LinkId, float],
-             backend: Optional[str] = None) -> CompiledFlowBatch:
+    def bind(self, capacities: Dict[LinkId, float]) -> CompiledFlowBatch:
         """A :class:`CompiledFlowBatch` of this structure under
-        ``capacities``.
+        ``capacities``, on the :func:`resolve_backend` backend.
 
-        The first bind per concrete backend builds the incidence
-        operators; later binds reuse them and only materialize the new
-        capacity vector, so rebinding across sweep cells is O(links).
-        Raises exactly as :func:`compile_paths` does on unknown links
-        or non-positive capacities.
+        The first bind per backend builds the incidence operators;
+        later binds reuse them and only materialize the new capacity
+        vector, so rebinding across sweep cells is O(links).  Raises
+        exactly as :func:`compile_paths` does on unknown links or
+        non-positive capacities.
         """
         try:
             cap = np.array([capacities[lid] for lid in self.link_ids],
@@ -322,7 +310,7 @@ class FlowBatchStructure:
                 f"flow crosses unknown link {exc.args[0]!r}") from None
         if np.any(cap <= 0):
             raise SimulationError("link capacities must be positive")
-        concrete = resolve_backend(backend, self.num_flows)
+        concrete = resolve_backend(self.num_flows)
         proto = self._protos.get(concrete)
         if proto is None:
             proto = CompiledFlowBatch(
@@ -382,28 +370,24 @@ def compile_structure(paths: Sequence[Tuple[LinkId, ...]],
 
 
 def compile_paths(paths: Sequence[Tuple[LinkId, ...]],
-                  capacities: Dict[LinkId, float],
-                  backend: Optional[str] = None) -> CompiledFlowBatch:
+                  capacities: Dict[LinkId, float]) -> CompiledFlowBatch:
     """Compile a batch of flow paths against ``capacities``.
 
     Links are indexed in first-use order (flow-major), matching the
     historical solver exactly; a path crossing a link with no declared
-    capacity raises, as does a non-positive capacity.  ``backend``
-    picks the incidence representation (see module docstring);
-    ``None``/``"auto"`` auto-select by batch size.  One-shot
-    convenience over :func:`compile_structure` +
+    capacity raises, as does a non-positive capacity.  The incidence
+    representation follows the batch size (see module docstring).
+    One-shot convenience over :func:`compile_structure` +
     :meth:`FlowBatchStructure.bind`; callers re-posing one pattern
     under many capacity sets keep the structure and rebind instead.
     """
-    return compile_structure(paths).bind(capacities, backend=backend)
+    return compile_structure(paths).bind(capacities)
 
 
 def compile_flows(flows: Sequence[Flow],
-                  capacities: Dict[LinkId, float],
-                  backend: Optional[str] = None) -> CompiledFlowBatch:
+                  capacities: Dict[LinkId, float]) -> CompiledFlowBatch:
     """:func:`compile_paths` over ``Flow`` objects."""
-    return compile_paths([f.path for f in flows], capacities,
-                         backend=backend)
+    return compile_paths([f.path for f in flows], capacities)
 
 
 class FillState:

@@ -47,15 +47,21 @@ are pure functions of their key — a hit returns exactly what the miss
 path would compute — so warm and cold runs are byte-identical, which is
 what lets substrates share one cache between same-topology simulators.
 An *admission policy* keeps enormous steps from bloating the cache:
-patterns above ``pattern_cache_max_flows`` flows are solved but not
-stored (counted in the cache's ``skipped`` statistic).
+patterns above :data:`DEFAULT_PATTERN_CACHE_MAX_FLOWS` flows are solved
+but not stored (counted in the cache's ``skipped`` statistic).
+
+Every cache, the warm start and the incidence backend choice change
+speed only, so none of them is a switch: they are always on, bounded by
+the module constants below, and the backend follows
+:data:`~repro.simulation.flows.SPARSE_FLOW_THRESHOLD`.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import inf
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,11 +82,12 @@ MAX_EVENT_ROUNDS_FACTOR = 4
 #: Bytes of slack below which a flow counts as finished (guards float error).
 _EPS_BYTES = 1e-9
 
-#: Default bound on memoized normalized rate schedules per simulator.
+#: Bound on memoized normalized rate schedules per simulator.
 DEFAULT_PATTERN_CACHE_SIZE = 1024
 
-#: Default admission bound: steps above this many flows are solved but
-#: not memoized (pattern keys and rate schedules grow with the step).
+#: Admission bound of the pattern and compile caches: steps above this
+#: many flows are solved but not memoized (pattern keys and rate
+#: schedules grow with the step).
 DEFAULT_PATTERN_CACHE_MAX_FLOWS = 1024
 
 #: Bound on compiled (routed) pattern structures per simulator.
@@ -162,6 +169,35 @@ class _CompiledPattern:
         self.latencies = latencies
 
 
+def _node_id(x: Any) -> int:
+    """``x`` as a node id: Python and numpy integers pass; a float, a
+    bool or anything else raises instead of being truncated."""
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
+    raise SimulationError(f"flow node id must be an integer, got {x!r}")
+
+
+def _triples(pairs: Iterable[Tuple[int, int, float]],
+             ) -> List[Tuple[int, int, float]]:
+    """``pairs`` as ``(int, int, float)`` triples, node ids checked."""
+    return [(s if type(s) is int else _node_id(s),
+             d if type(d) is int else _node_id(d), float(z))
+            for s, d, z in pairs]
+
+
+def _sorted_step(pairs: Iterable[Tuple[int, int, float]],
+                 ) -> List[Tuple[int, int, float]]:
+    """One step's transfers as sorted ``(src, dst, size)`` triples,
+    every node id an integer and every size positive and finite."""
+    step = _triples(pairs)
+    step.sort()
+    for s, d, z in step:
+        if not 0 < z < inf:
+            raise SimulationError(
+                f"flow {s}->{d} size must be > 0 and finite, got {z!r}")
+    return step
+
+
 class FluidNetworkSimulator:
     """Simulates a batch of fluid flows over a :class:`Topology`.
 
@@ -173,43 +209,20 @@ class FluidNetworkSimulator:
         Record per-link utilization into :attr:`trace`.  Tracing
         disables the step-cache fast path (the trace needs the real
         byte counts), so traced runs always use the raw engine.
-    pattern_cache:
-        Memoize normalized rate schedules per step pattern (identical
-        results either way).
-    pattern_cache_size:
-        Bound on memoized rate schedules (LRU eviction).
-    pattern_cache_max_flows:
-        Admission bound: steps with more flows than this are solved but
-        not memoized (``None`` admits everything).
-    backend:
-        Incidence backend for compiled batches — ``"auto"`` (default;
-        scipy CSR at/above
-        :data:`~repro.simulation.flows.SPARSE_FLOW_THRESHOLD` flows,
-        dense below), ``"dense"``, or ``"sparse"``.  Identical results
-        either way; ``"sparse"`` degrades to dense without scipy.
-    warm_start:
-        Warm-start consecutive event solves from the previous
-        allocation's recorded trajectory (identical results either
-        way; disable only for benchmarking the cold solver).
-    compile_cache:
-        Memoize the capacity-free
-        :class:`~repro.simulation.flows.FlowBatchStructure` of each
-        step pattern.  Keyed per topology *shape*
-        (:meth:`~repro.topology.base.Topology.shape_signature`), so
-        substrates share one cache across simulators whose topologies
-        differ only in capacities/latencies — a bandwidth sweep
-        compiles each pattern once and rebinds it per cell.
+
+    Everything else is fixed: the pattern cache (LRU-bounded by
+    :data:`DEFAULT_PATTERN_CACHE_SIZE`, admitting steps of at most
+    :data:`DEFAULT_PATTERN_CACHE_MAX_FLOWS` flows), the compile cache
+    of capacity-free :class:`~repro.simulation.flows.FlowBatchStructure`
+    objects (same admission bound), the route memo, the warm-started
+    event solves, and the incidence backend, which
+    :func:`~repro.simulation.flows.resolve_backend` picks per batch.
+    None of them changes a result.  Substrates share the pattern and
+    compile caches across simulators (:meth:`use_pattern_cache`,
+    :meth:`use_compile_cache`).
     """
 
-    def __init__(self, topology: Topology, keep_trace: bool = False,
-                 pattern_cache: bool = True,
-                 pattern_cache_size: int = DEFAULT_PATTERN_CACHE_SIZE,
-                 pattern_cache_max_flows: Optional[int]
-                 = DEFAULT_PATTERN_CACHE_MAX_FLOWS,
-                 backend: Optional[str] = None,
-                 warm_start: bool = True,
-                 compile_cache: bool = True,
-                 ) -> None:
+    def __init__(self, topology: Topology, keep_trace: bool = False) -> None:
         self.topology = topology
         self.capacities: Dict[LinkId, float] = {
             l.ident: l.capacity for l in topology.links}
@@ -217,23 +230,14 @@ class FluidNetworkSimulator:
             l.ident: l.latency for l in topology.links}
         self.trace: Optional[TraceRecorder] = (
             TraceRecorder(self.capacities) if keep_trace else None)
-        self._pattern_cache: Optional[LruCache] = (
-            LruCache(pattern_cache_size,
-                     admit_cost_bound=pattern_cache_max_flows)
-            if pattern_cache else None)
+        self._pattern_cache = LruCache(
+            DEFAULT_PATTERN_CACHE_SIZE,
+            admit_cost_bound=DEFAULT_PATTERN_CACHE_MAX_FLOWS)
         self._compiled_patterns = LruCache(_COMPILED_PATTERN_MAX)
-        self._compile_cache: Optional[LruCache] = (
-            LruCache(_COMPILED_PATTERN_MAX,
-                     admit_cost_bound=pattern_cache_max_flows)
-            if compile_cache else None)
+        self._compile_cache = LruCache(
+            _COMPILED_PATTERN_MAX,
+            admit_cost_bound=DEFAULT_PATTERN_CACHE_MAX_FLOWS)
         self._routes = LruCache(_ROUTE_CACHE_MAX)
-        self._backend = backend
-        self._warm_start = warm_start
-
-    @property
-    def backend(self) -> Optional[str]:
-        """The configured incidence backend (``None`` = auto)."""
-        return self._backend
 
     # -- flow construction ----------------------------------------------------
 
@@ -257,7 +261,11 @@ class FluidNetworkSimulator:
 
     def make_flow(self, src: int, dst: int, size: float,
                   start_time: float = 0.0, tag: str = "") -> Flow:
-        """Build a flow routed by the topology's deterministic routing."""
+        """Build a flow routed by the topology's deterministic routing
+        (a node id that is not an integer raises, as in
+        :meth:`step_profile`)."""
+        if type(src) is not int or type(dst) is not int:
+            src, dst = _node_id(src), _node_id(dst)
         path, latency = self._route(src, dst)
         flow = Flow(src=src, dst=dst, size=size, path=path,
                     latency=latency, tag=tag)
@@ -276,11 +284,18 @@ class FluidNetworkSimulator:
         ``rate_log`` is a list, one ``(time, active_indices, rates)``
         entry is appended per allocation event (indices refer to the
         admission-sorted flow order) — the hook the property suite uses
-        to validate every intermediate allocation.
+        to validate every intermediate allocation.  A start time that
+        is negative, infinite or NaN raises
+        :class:`~repro.errors.SimulationError` before anything is
+        solved.
         """
         if not flows:
             return []
         for f in flows:
+            if not 0 <= f.start_time < inf:
+                raise SimulationError(
+                    f"flow {f.src}->{f.dst} start_time must be >= 0 and "
+                    f"finite, got {f.start_time!r}")
             f.remaining = float(f.size)
             f.finish_time = float("nan")
 
@@ -289,7 +304,7 @@ class FluidNetworkSimulator:
                                       flows[i].dst))
         batch_flows = [flows[i] for i in order]
         batch = compile_paths([f.path for f in batch_flows],
-                              self.capacities, backend=self._backend)
+                              self.capacities)
         sizes = np.array([f.size for f in batch_flows], dtype=float)
         starts = np.array([f.start_time for f in batch_flows], dtype=float)
         lats = np.array([f.latency for f in batch_flows], dtype=float)
@@ -344,7 +359,7 @@ class FluidNetworkSimulator:
         now = 0.0
         guard = 0
         max_rounds = MAX_EVENT_ROUNDS_FACTOR * n + 8
-        warm_start = self._warm_start
+        warm_start = True
         fill_state = None
         completed_since = None  # flows done since the recorded solve
         no_replay = 0  # consecutive completion events that replayed 0 rounds
@@ -474,19 +489,16 @@ class FluidNetworkSimulator:
         """
         compiled = self._compiled_patterns.get(pattern)
         if compiled is None:
-            structure = (self._compile_cache.get(pattern)
-                         if self._compile_cache is not None else None)
+            structure = self._compile_cache.get(pattern)
             if structure is None:
                 structure = compile_structure(
                     [self._route(src, dst)[0] for src, dst in pattern])
-                if self._compile_cache is not None:
-                    # Admission policy: enormous patterns are compiled
-                    # but not memoized (`skipped` counts them).
-                    self._compile_cache.put(pattern, structure,
-                                            cost=len(pattern))
+                # Admission policy: enormous patterns are compiled but
+                # not memoized (`skipped` counts them).
+                self._compile_cache.put(pattern, structure,
+                                        cost=len(pattern))
             compiled = _CompiledPattern(
-                batch=structure.bind(self.capacities,
-                                     backend=self._backend),
+                batch=structure.bind(self.capacities),
                 latencies=structure.path_latencies(self._latencies))
             self._compiled_patterns.put(pattern, compiled)
         return compiled
@@ -501,11 +513,7 @@ class FluidNetworkSimulator:
         max-min dynamics depend only on those ratios).  ``None`` for an
         empty step.
         """
-        step = sorted((int(s), int(d), float(z)) for s, d, z in pairs)
-        for s, d, z in step:
-            if not 0 < z < inf:
-                raise SimulationError(
-                    f"flow {s}->{d} size must be > 0 and finite, got {z!r}")
+        step = _sorted_step(pairs)
         if not step:
             return None
         pattern = tuple((s, d) for s, d, _ in step)
@@ -518,17 +526,15 @@ class FluidNetworkSimulator:
         """Solve (or fetch) one canonical step and rescale it."""
         pattern, ratios = key
         compiled = self._compiled_pattern(pattern)
-        tx_hat = (self._pattern_cache.get(key)
-                  if self._pattern_cache is not None else None)
+        tx_hat = self._pattern_cache.get(key)
         if tx_hat is None:
             _, tx_hat, _ = self._drive(
                 compiled.batch, None,
                 np.asarray(ratios, dtype=float),
                 np.zeros(len(pattern)))
-            if self._pattern_cache is not None:
-                # Admission policy: enormous steps are solved but not
-                # memoized (`skipped` counts them).
-                self._pattern_cache.put(key, tx_hat, cost=len(pattern))
+            # Admission policy: enormous steps are solved but not
+            # memoized (`skipped` counts them).
+            self._pattern_cache.put(key, tx_hat, cost=len(pattern))
         finish = tx_hat * s_ref + compiled.latencies
         return StepProfile(pairs=pattern, finish_times=finish,
                            latencies=compiled.latencies)
@@ -543,7 +549,11 @@ class FluidNetworkSimulator:
         so the normalized transmission times are memoized under
         ``(pattern, size-ratios)`` and rescaled by the step's largest
         transfer.  Both the miss and the hit path go through the same
-        normalization, so results never depend on cache history.
+        normalization, so results never depend on cache history.  A
+        node id that is not an integer, or a size that is not positive
+        and finite, raises :class:`~repro.errors.SimulationError`
+        before anything is solved (this holds for every step entry
+        point).
         """
         canon = self._canon_step(pairs)
         if canon is None:
@@ -585,7 +595,7 @@ class FluidNetworkSimulator:
         prev_raw: Optional[List[Tuple[int, int, float]]] = None
         prev_entry: Optional[Tuple[Tuple, float]] = None
         for step in steps:
-            raw = [(int(s), int(d), float(z)) for s, d, z in step]
+            raw = _triples(step)
             if prev_raw is not None and raw == prev_raw:
                 entries.append(prev_entry)
                 continue
@@ -604,7 +614,7 @@ class FluidNetworkSimulator:
             if prof is None:
                 prof = self._profile_for(*entry)
                 made[entry] = prof
-            elif self._pattern_cache is not None:
+            else:
                 # Counter/LRU parity with the per-step path: a repeat
                 # is a cache probe there, so it is one here too.
                 self._pattern_cache.get(entry[0])
@@ -625,11 +635,7 @@ class FluidNetworkSimulator:
     def _raw_profile(self, pairs: Iterable[Tuple[int, int, float]]
                      ) -> StepProfile:
         """A step profile through the raw (traced) engine."""
-        step = sorted((int(s), int(d), float(z)) for s, d, z in pairs)
-        for s, d, z in step:
-            if not 0 < z < inf:
-                raise SimulationError(
-                    f"flow {s}->{d} size must be > 0 and finite, got {z!r}")
+        step = _sorted_step(pairs)
         if not step:
             return _empty_profile()
         flows = [self.make_flow(s, d, z) for s, d, z in step]
@@ -642,29 +648,23 @@ class FluidNetworkSimulator:
     # -- cache management ---------------------------------------------------
 
     def pattern_cache_info(self) -> CacheStats:
-        """Current pattern-cache counters (zeros when disabled)."""
-        if self._pattern_cache is None:
-            return CacheStats()
+        """Current pattern-cache counters."""
         return self._pattern_cache.stats()
 
     def clear_pattern_cache(self) -> None:
         """Drop memoized rate schedules, compiled patterns and
         compiled structures."""
-        if self._pattern_cache is not None:
-            self._pattern_cache.clear()
-        if self._compile_cache is not None:
-            self._compile_cache.clear()
+        self._pattern_cache.clear()
+        self._compile_cache.clear()
         self._compiled_patterns.clear()
 
     def compile_cache_info(self) -> CacheStats:
-        """Current compile-cache counters (zeros when disabled)."""
-        if self._compile_cache is None:
-            return CacheStats()
+        """Current compile-cache counters."""
         return self._compile_cache.stats()
 
     @property
-    def compile_cache(self) -> Optional[LruCache]:
-        """The live compiled-structure cache (``None`` when disabled)."""
+    def compile_cache(self) -> LruCache:
+        """The live compiled-structure cache."""
         return self._compile_cache
 
     def use_compile_cache(self, cache: LruCache) -> None:
@@ -681,8 +681,8 @@ class FluidNetworkSimulator:
         self._compile_cache = cache
 
     @property
-    def pattern_cache(self) -> Optional[LruCache]:
-        """The live pattern cache (``None`` when disabled)."""
+    def pattern_cache(self) -> LruCache:
+        """The live pattern cache."""
         return self._pattern_cache
 
     def use_pattern_cache(self, cache: LruCache) -> None:
@@ -691,8 +691,7 @@ class FluidNetworkSimulator:
         Substrates share one cache object between simulators whose
         topologies have the same
         :meth:`~repro.topology.base.Topology.signature` — entries are
-        interchangeable there by construction.  The adopted cache's
-        admission bound wins over this simulator's configured one.
+        interchangeable there by construction.
         """
         self._pattern_cache = cache
 

@@ -29,8 +29,8 @@ fabrics plan over:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Sequence, Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    Mapping, Optional, Sequence, Tuple, Union)
 
 from ..errors import TopologyError
 from .base import Link, Topology
@@ -889,25 +889,29 @@ def boot_config(initial: InitialSpec, system,
     return start
 
 
-def _default_stay_cost(system) -> StayCost:
-    """Fluid stay-cost evaluator for standalone synthesis.
-
-    The substrate passes its own pooled evaluator instead; this builds
-    one simulator per visited configuration for direct callers (the
-    example, the property tests).
-    """
+def circuit_simulator(system, config: CircuitConfig):
+    """A fluid simulator over the live circuits ``config`` of ``system``
+    (each circuit a link of the fabric's circuit rate and latency)."""
     from ..simulation.fluid import FluidNetworkSimulator
 
-    sims: Dict[CircuitConfig, FluidNetworkSimulator] = {}
+    return FluidNetworkSimulator(CircuitTopology(
+        system.num_nodes, config, capacity=system.circuit_rate,
+        latency=system.circuit_latency))
+
+
+def fluid_stay_cost(simulator: Callable[[CircuitConfig], Any]) -> StayCost:
+    """The fluid stay-cost evaluator over ``simulator(config)``.
+
+    Serving a step on the live circuits costs the fluid makespan of its
+    demand (routed in sorted pair order); the propagation is the path
+    latency of the flow that finishes last, so step reports decompose
+    consistently with the reconfigure branch.  A pair the circuits
+    cannot route costs ``(inf, 0.0)``.
+    """
 
     def cost(config: CircuitConfig,
              sizes: Mapping[CircuitPair, float]) -> Tuple[float, float]:
-        sim = sims.get(config)
-        if sim is None:
-            topo = CircuitTopology(system.num_nodes, config,
-                                   capacity=system.circuit_rate,
-                                   latency=system.circuit_latency)
-            sim = sims[config] = FluidNetworkSimulator(topo)
+        sim = simulator(config)
         try:
             profile = sim.step_profile(
                 [(s, d, b) for (s, d), b in sorted(sizes.items())])
@@ -916,6 +920,24 @@ def _default_stay_cost(system) -> StayCost:
         return profile.makespan, profile.propagation
 
     return cost
+
+
+def _default_stay_cost(system) -> StayCost:
+    """Fluid stay-cost evaluator for standalone synthesis.
+
+    The substrate passes :func:`fluid_stay_cost` over its own pooled
+    simulators instead; this builds one simulator per visited
+    configuration for direct callers (the example, the property tests).
+    """
+    sims: Dict[CircuitConfig, Any] = {}
+
+    def simulator(config: CircuitConfig):
+        sim = sims.get(config)
+        if sim is None:
+            sim = sims[config] = circuit_simulator(system, config)
+        return sim
+
+    return fluid_stay_cost(simulator)
 
 
 class StepPricer:

@@ -112,6 +112,27 @@ class TestPipelinedWrht:
             assert sched.num_steps == base.num_steps + c - 1
             assert pipelined_step_count(p, c) == sched.num_steps
 
+    @pytest.mark.parametrize("n, m, w, shortcut", [
+        (1, 2, 8, True), (2, 2, 1, True), (16, 2, 1, True),
+        (27, 3, 64, False), (30, 3, 8, True), (64, 4, 2, True)])
+    def test_stages_follow_the_base_schedule(self, n, m, w, shortcut):
+        """Stage count and templates come from the level structure;
+        they must match the generated base schedule, with or without
+        the all-to-all shortcut."""
+        p = WrhtParameters(num_nodes=n, group_size=m, num_wavelengths=w,
+                           allow_alltoall_shortcut=shortcut)
+        base, info = generate_wrht(p)
+
+        def rows(sched):
+            return [[(t.src, t.dst, tuple(t.chunks), t.op, t.direction_hint)
+                     for t in step] for step in sched.steps]
+
+        for c in (1, 3):
+            sched, piped_info = generate_wrht_pipelined(p, c)
+            assert piped_info == info
+            assert pipelined_step_count(p, c) == sched.num_steps
+        assert rows(generate_wrht_pipelined(p, 1)[0]) == rows(base)
+
     def test_steady_state_concurrency(self):
         """Mid-pipeline steps run several levels at once."""
         p = self.params()

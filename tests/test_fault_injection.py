@@ -23,6 +23,8 @@ from repro.errors import (ConfigurationError, DegradedError,
                           SimulationStallError)
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 
+from ring_references import UncachedFullResolveRing, UncachedRing
+
 WL = Workload(data_bytes=1 << 24)
 RING8 = generate_ring_allreduce(8)
 RD8 = generate_recursive_doubling(8)
@@ -38,8 +40,8 @@ class TestZeroEventPassthrough:
     @pytest.mark.parametrize("none_plan", [None, FaultPlan.none()])
     @pytest.mark.parametrize("make", [
         lambda: ElectricalSubstrate(topology="ring"),
-        lambda: OpticalRingSubstrate(cache=False),
-        lambda: HierarchicalRackSubstrate(cache=False),
+        lambda: OpticalRingSubstrate(),
+        lambda: HierarchicalRackSubstrate(),
         lambda: OpticalTorusSubstrate(),
     ], ids=["e-ring", "o-ring", "hier-rack", "o-torus"])
     def test_bit_for_bit(self, make, none_plan):
@@ -105,7 +107,7 @@ class TestElectricalDegraded:
 
 class TestOpticalRingDegraded:
     def test_wavelength_loss_patches_and_recovers(self):
-        sub = OpticalRingSubstrate(cache=False, incremental=True)
+        sub = UncachedRing()
         ref = sub.execute(RING8, WL)
         plan = FaultPlan.of([
             ev(0.0, FaultKind.WAVELENGTH_DOWN, wavelength=0),
@@ -119,8 +121,8 @@ class TestOpticalRingDegraded:
     def test_wavelength_loss_matches_full_resolve(self):
         """The delta patch under a lost wavelength must equal a cold
         solve under the same mask — identical reports, cheaper work."""
-        ref = OpticalRingSubstrate(cache=False, incremental=False)
-        inc = OpticalRingSubstrate(cache=False, incremental=True)
+        ref = UncachedFullResolveRing()
+        inc = UncachedRing()
         plan = FaultPlan.of([ev(0.0, FaultKind.WAVELENGTH_DOWN,
                                 wavelength=0)])
         a = ref.execute_with_faults(RING8, WL, plan)
@@ -129,7 +131,7 @@ class TestOpticalRingDegraded:
         assert inc.delta_patched > 0
 
     def test_ocs_stall_adds_exactly_stall_time(self):
-        sub = OpticalRingSubstrate(cache=False)
+        sub = OpticalRingSubstrate()
         ref = sub.execute(RING8, WL)
         t0 = ref.steps[0].duration
         plan = FaultPlan.of([ev(t0 * 0.5, FaultKind.OCS_STALL,
@@ -142,13 +144,13 @@ class TestOpticalRingDegraded:
         assert run.outcome.repair_overhead == pytest.approx(0.0, abs=1e-12)
 
     def test_node_failure_is_fatal_for_its_flows(self):
-        sub = OpticalRingSubstrate(cache=False)
+        sub = OpticalRingSubstrate()
         plan = FaultPlan.of([ev(0.0, FaultKind.NODE_DOWN, node=3)])
         with pytest.raises(DegradedError):
             sub.execute_with_faults(RING8, WL, plan)
 
     def test_link_cut_forces_opposite_direction(self):
-        sub = OpticalRingSubstrate(cache=False)
+        sub = OpticalRingSubstrate()
         ref = sub.execute(RING8, WL)
         plan = FaultPlan.of([ev(0.0, FaultKind.LINK_DOWN, link=(2, 3)),
                              ev(ref.total_time * 10,
@@ -159,7 +161,7 @@ class TestOpticalRingDegraded:
 
     def test_all_wavelengths_lost_is_degraded_error(self):
         system = default_optical(8, num_wavelengths=2)
-        sub = OpticalRingSubstrate(system, cache=False)
+        sub = OpticalRingSubstrate(system)
         plan = FaultPlan.of([ev(0.0, FaultKind.WAVELENGTH_DOWN,
                                 wavelength=0),
                              ev(0.0, FaultKind.WAVELENGTH_DOWN,
@@ -193,7 +195,7 @@ class TestRwaDeltaFallbackCounters:
             self._step(spike),   # demand change: fallback -> fallbacks 1
             self._step(spike),   # identical again: patch  -> patched 2
         ])
-        sub = OpticalRingSubstrate(cache=False, incremental=True)
+        sub = UncachedRing()
         sub.execute(sched, WL)
         assert sub.delta_patched == 2
         assert sub.delta_fallbacks == 1
@@ -208,7 +210,7 @@ class TestRwaDeltaFallbackCounters:
                  (0, 2), (1, 3)]                      # max demand 2
         sched = self._sched([self._step(churn), self._step(spike),
                              self._step(churn), self._step(spike)])
-        sub = OpticalRingSubstrate(cache=False, incremental=True)
+        sub = UncachedRing()
         sub.execute(sched, WL)
         # solves: cold, then every transition flips the striping width
         assert sub.delta_fallbacks == 3
@@ -218,7 +220,7 @@ class TestRwaDeltaFallbackCounters:
         """Restoring a wavelength must fall off the patch path (an
         early request might prefer the restored channel), and the
         post-repair colouring must equal the healthy one."""
-        inc = OpticalRingSubstrate(cache=False, incremental=True)
+        inc = UncachedRing()
         ref = inc.execute(RING8, WL)
         plan = FaultPlan.of([
             ev(0.0, FaultKind.WAVELENGTH_DOWN, wavelength=0),
@@ -242,7 +244,7 @@ class TestHierRackDegraded:
     def test_wavelength_loss_degrades_and_recovers(self):
         """A lost leader-ring wavelength reaches the optical plane,
         slows cross-rack steps, and repairs converge exactly."""
-        sub = HierarchicalRackSubstrate(cache=False)
+        sub = HierarchicalRackSubstrate()
         ref = sub.execute(RD8, WL)
         plan = FaultPlan.of([
             ev(0.0, FaultKind.WAVELENGTH_DOWN, wavelength=0),
@@ -255,13 +257,13 @@ class TestHierRackDegraded:
     def test_member_host_down_is_fatal_for_its_flows(self):
         """Every host participates in the collective, so a downed
         member partitions its star flows."""
-        sub = HierarchicalRackSubstrate(cache=False)
+        sub = HierarchicalRackSubstrate()
         plan = FaultPlan.of([ev(0.0, FaultKind.NODE_DOWN, node=0)])
         with pytest.raises(DegradedError):
             sub.execute_with_faults(RD8, WL, plan)
 
     def test_stall_adds_exactly_stall_time(self):
-        sub = HierarchicalRackSubstrate(cache=False)
+        sub = HierarchicalRackSubstrate()
         ref = sub.execute(RD8, WL)
         t0 = ref.steps[0].duration
         plan = FaultPlan.of([ev(t0 * 0.5, FaultKind.OCS_STALL,
@@ -274,7 +276,7 @@ class TestHierRackDegraded:
 
     def test_healthy_execute_unaffected_after_faulty_run(self):
         """The pooled leader-ring network must come back clean."""
-        sub = HierarchicalRackSubstrate(cache=False)
+        sub = HierarchicalRackSubstrate()
         ref = sub.execute(RD8, WL)
         plan = FaultPlan.of([ev(0.0, FaultKind.WAVELENGTH_DOWN,
                                 wavelength=0)])
@@ -289,7 +291,7 @@ class TestHierRackDegraded:
         from repro.config import default_hierarchical
         from repro.faults.events import FaultState
 
-        sub = HierarchicalRackSubstrate(cache=False)
+        sub = HierarchicalRackSubstrate()
         system = default_hierarchical(8)  # racks of 2, leaders 1,3,5,7
         leaders = {system.leader_of(i) for i in range(8)}
         assert leaders == {1, 3, 5, 7}

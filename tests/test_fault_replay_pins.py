@@ -244,12 +244,10 @@ DESCRIBES = {
         ('fault_events_applied', 11),
         ('policy', 'first-fit'),
         ('striping', 'auto'),
-        ('rwa_cache', True),
         ('rwa_cache_hits', 168),
         ('rwa_cache_misses', 8),
         ('rwa_cache_hit_rate', 0.9545),
         ('rwa_cache_skipped', 0),
-        ('rwa_incremental', True),
         ('rwa_delta_patched', 0),
         ('rwa_delta_fallbacks', 3),
     ),
@@ -264,7 +262,6 @@ DESCRIBES = {
         ('rwa_cache_misses', 10),
         ('rwa_cache_hit_rate', 0.9415),
         ('rwa_cache_skipped', 0),
-        ('rwa_incremental', True),
         ('rwa_delta_patched', 0),
         ('rwa_delta_fallbacks', 6),
         ('fluid_cache_hits', 449),

@@ -12,13 +12,19 @@ Two further parity axes are pinned here:
 
 * **warm-start vs cold** — the active-set solver's replayed rounds
   must reproduce every intermediate allocation of the cold solver
-  bit-for-bit, not just the final step times;
+  (:class:`ColdFillSimulator`, the engine with the warm start taken
+  away here, outside the library) bit-for-bit, not just the final step
+  times;
 * **sparse vs dense** — the scipy CSR incidence backend must agree
   with the dense one (documented tolerance 1e-12 relative; in practice
   — and asserted here — exactly, since 0/1 incidence keeps every link
   count an exact small integer), and environments without scipy must
-  degrade gracefully to dense.
+  degrade gracefully to dense.  The backend follows the batch size, so
+  these tests pick one by patching ``SPARSE_FLOW_THRESHOLD``.
 """
+
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +34,7 @@ from repro.errors import SimulationError
 from repro.simulation._reference import (ReferenceFluidSimulator,
                                          reference_max_min_fair_rates)
 from repro.simulation import flows as flows_mod
+from repro.simulation import fluid as fluid_mod
 from repro.simulation.flows import (Flow, compile_flows, compile_paths,
                                     have_sparse, max_min_fair_rates,
                                     progressive_fill, resolve_backend,
@@ -38,6 +45,34 @@ from repro.topology.switched import FatTree, SwitchedStar
 
 needs_scipy = pytest.mark.skipif(not have_sparse(),
                                  reason="scipy not installed")
+
+
+def _cold_fill(batch, active=None, *, warm=None, removed=None, added=None,
+               record=False):
+    """``progressive_fill`` with the warm state dropped: every solve
+    refills from zero."""
+    rates = progressive_fill(batch, active)
+    return (rates, None) if record else rates
+
+
+class ColdFillSimulator(FluidNetworkSimulator):
+    """Reference: the fluid engine refilling from zero at every event."""
+
+    def _drive(self, *args, **kwargs):
+        with mock.patch.object(fluid_mod, "progressive_fill", _cold_fill):
+            return super()._drive(*args, **kwargs)
+
+
+def _backend(name):
+    """Patch the sparse threshold so every batch compiles on ``name``."""
+    return mock.patch.object(flows_mod, "SPARSE_FLOW_THRESHOLD",
+                             0 if name == "sparse" else sys.maxsize)
+
+
+def _compile(paths, capacities, name):
+    """:func:`compile_paths` on backend ``name``."""
+    with _backend(name):
+        return compile_paths(paths, capacities)
 
 
 @st.composite
@@ -133,8 +168,8 @@ class TestWarmStartParity:
         """Warm and cold engines agree on *every* allocation event
         (same times, same active sets, same rates — exactly)."""
         topo, specs = inst
-        warm_sim = FluidNetworkSimulator(topo, warm_start=True)
-        cold_sim = FluidNetworkSimulator(topo, warm_start=False)
+        warm_sim = FluidNetworkSimulator(topo)
+        cold_sim = ColdFillSimulator(topo)
         warm_log, cold_log = [], []
         got = warm_sim.run([warm_sim.make_flow(*sp) for sp in specs],
                            rate_log=warm_log)
@@ -227,7 +262,7 @@ class TestAdmissionWarmStartParity:
     def test_staircase_admissions_match_reference(self):
         specs = _staircase_specs(groups=6, stagger=1e-3)
         star = SwitchedStar(self._hosts(specs), 10.0)
-        warm = FluidNetworkSimulator(star, warm_start=True)
+        warm = FluidNetworkSimulator(star)
         ref = ReferenceFluidSimulator(star)
         got = warm.run([warm.make_flow(*sp) for sp in specs])
         want = ref.run([ref.make_flow(*sp) for sp in specs])
@@ -236,8 +271,8 @@ class TestAdmissionWarmStartParity:
     def test_staircase_every_intermediate_allocation_matches_cold(self):
         specs = _staircase_specs(groups=6, stagger=1e-3)
         star = SwitchedStar(self._hosts(specs), 10.0)
-        warm_sim = FluidNetworkSimulator(star, warm_start=True)
-        cold_sim = FluidNetworkSimulator(star, warm_start=False)
+        warm_sim = FluidNetworkSimulator(star)
+        cold_sim = ColdFillSimulator(star)
         warm_log, cold_log = [], []
         warm_sim.run([warm_sim.make_flow(*sp) for sp in specs],
                      rate_log=warm_log)
@@ -297,7 +332,7 @@ class TestAdmissionWarmStartParity:
         topo, specs = inst
         staggered = [(s, d, z, 1e-4 * i) for i, (s, d, z, _)
                      in enumerate(specs)]
-        warm = FluidNetworkSimulator(topo, warm_start=True)
+        warm = FluidNetworkSimulator(topo)
         ref = ReferenceFluidSimulator(topo)
         got = warm.run([warm.make_flow(*sp) for sp in staggered])
         want = ref.run([ref.make_flow(*sp) for sp in staggered])
@@ -315,9 +350,9 @@ class TestSparseBackendParity:
         sim = FluidNetworkSimulator(topo)
         flows = [sim.make_flow(*sp) for sp in specs]
         paths = [f.path for f in flows]
-        dense = compile_paths(paths, sim.capacities, backend="dense")
-        sparse = compile_paths(paths, sim.capacities, backend="sparse")
-        assert sparse.backend == "sparse"
+        dense = _compile(paths, sim.capacities, "dense")
+        sparse = _compile(paths, sim.capacities, "sparse")
+        assert (dense.backend, sparse.backend) == ("dense", "sparse")
         mask = np.zeros(len(flows), dtype=bool)
         mask[::2] = True
         for active in (None, mask):
@@ -333,9 +368,10 @@ class TestSparseBackendParity:
     @settings(max_examples=40, deadline=None)
     def test_run_matches_dense_and_oracle(self, inst):
         topo, specs = inst
-        sp_sim = FluidNetworkSimulator(topo, backend="sparse")
+        sp_sim = FluidNetworkSimulator(topo)
         ref = ReferenceFluidSimulator(topo)
-        got = sp_sim.run([sp_sim.make_flow(*sp) for sp in specs])
+        with _backend("sparse"):
+            got = sp_sim.run([sp_sim.make_flow(*sp) for sp in specs])
         want = ref.run([ref.make_flow(*sp) for sp in specs])
         assert [_result_tuple(r) for r in got] == want
 
@@ -347,8 +383,8 @@ class TestSparseBackendParity:
         sim = FluidNetworkSimulator(topo)
         flows = [sim.make_flow(*sp) for sp in specs]
         paths = [f.path for f in flows]
-        sparse = compile_paths(paths, sim.capacities, backend="sparse")
-        dense = compile_paths(paths, sim.capacities, backend="dense")
+        sparse = _compile(paths, sim.capacities, "sparse")
+        dense = _compile(paths, sim.capacities, "dense")
         n = len(flows)
         _, state = progressive_fill(sparse, np.ones(n, bool), record=True)
         mask = np.ones(n, dtype=bool)
@@ -359,30 +395,24 @@ class TestSparseBackendParity:
         assert np.array_equal(got, progressive_fill(dense, mask))
 
     def test_auto_threshold_selects_backend(self):
-        assert resolve_backend(None, 1) == "dense"
-        assert resolve_backend("dense", 10 ** 6) == "dense"
-        if have_sparse():
-            thr = flows_mod.SPARSE_FLOW_THRESHOLD
-            assert resolve_backend("auto", thr) == "sparse"
-            assert resolve_backend("auto", thr - 1) == "dense"
-            assert resolve_backend("sparse", 1) == "sparse"
-        with pytest.raises(SimulationError, match="unknown incidence"):
-            resolve_backend("bogus", 4)
+        thr = flows_mod.SPARSE_FLOW_THRESHOLD
+        assert resolve_backend(1) == "dense"
+        assert resolve_backend(thr - 1) == "dense"
+        assert resolve_backend(thr) == \
+            ("sparse" if have_sparse() else "dense")
 
     def test_no_scipy_falls_back_to_dense(self, monkeypatch):
         """Environments without scipy run everything on the dense
-        backend — same results, no errors — even when sparse is
-        requested explicitly or implied by 'auto' at scale."""
+        backend — same results, no errors — even at a size that would
+        pick sparse."""
         monkeypatch.setattr(flows_mod, "_scipy_sparse", None)
+        monkeypatch.setattr(flows_mod, "SPARSE_FLOW_THRESHOLD", 0)
         assert not have_sparse()
         star = SwitchedStar(6, 10.0)
-        sim = FluidNetworkSimulator(star, backend="sparse")
+        sim = FluidNetworkSimulator(star)
         flows = [sim.make_flow(i, (i + 1) % 6, 1.0 + i) for i in range(6)]
         paths = [f.path for f in flows]
-        for requested in ("auto", "sparse", None):
-            batch = compile_paths(paths, sim.capacities,
-                                  backend=requested)
-            assert batch.backend == "dense"
+        assert compile_paths(paths, sim.capacities).backend == "dense"
         ref = ReferenceFluidSimulator(star)
         got = sim.run_pairs([(i, (i + 1) % 6, 1.0 + i) for i in range(6)])
         want = ref.run_pairs([(i, (i + 1) % 6, 1.0 + i) for i in range(6)])

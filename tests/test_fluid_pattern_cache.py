@@ -7,14 +7,31 @@ import numpy as np
 import pytest
 
 from repro import units
+from repro.caching import LruCache
 from repro.collectives.ring_allreduce import generate_ring_allreduce
 from repro.config import Workload, default_ocs
 from repro.core.substrates import get_substrate
+from repro.simulation import fluid
 from repro.simulation.fluid import FluidNetworkSimulator
 from repro.topology.ring import RingTopology
 from repro.topology.switched import SwitchedStar
 
 GB100 = 100 * units.GBPS
+
+
+class UncachedSimulator(FluidNetworkSimulator):
+    """Reference: a simulator whose pattern cache admits nothing, so
+    every step is solved afresh."""
+
+    def __init__(self, topology):
+        super().__init__(topology)
+        self.use_pattern_cache(LruCache(1, admit_cost_bound=-1))
+
+
+def _admitting(monkeypatch, max_flows):
+    """Simulators built from here on memoize steps of at most
+    ``max_flows`` flows."""
+    monkeypatch.setattr(fluid, "DEFAULT_PATTERN_CACHE_MAX_FLOWS", max_flows)
 
 #: Every registry substrate whose execution is fluid-backed.
 FLUID_SUBSTRATES = ("electrical-switch", "electrical-ring",
@@ -70,11 +87,13 @@ class TestStepCache:
 
     def test_cache_disabled_still_correct(self):
         on = FluidNetworkSimulator(SwitchedStar(8, GB100))
-        off = FluidNetworkSimulator(SwitchedStar(8, GB100),
-                                    pattern_cache=False)
+        off = UncachedSimulator(SwitchedStar(8, GB100))
         pairs = [(0, 1, 1.0 * units.MB), (2, 1, 1.0 * units.MB)]
         assert on.step_time(pairs) == off.step_time(pairs)
-        assert off.pattern_cache_info().lookups == 0
+        assert on.step_time(pairs) == off.step_time(pairs)
+        assert on.pattern_cache_info().hits == 1
+        info = off.pattern_cache_info()
+        assert info.hits == 0 and info.size == 0
 
     def test_step_time_many_matches_loop(self):
         sim = FluidNetworkSimulator(RingTopology(8, GB100))
@@ -139,10 +158,10 @@ class TestStepCache:
 
 
 class TestCacheAdmission:
-    def test_oversized_step_solved_but_not_cached(self):
-        bounded = FluidNetworkSimulator(SwitchedStar(8, GB100),
-                                        pattern_cache_max_flows=2)
+    def test_oversized_step_solved_but_not_cached(self, monkeypatch):
         free = FluidNetworkSimulator(SwitchedStar(8, GB100))
+        _admitting(monkeypatch, 2)
+        bounded = FluidNetworkSimulator(SwitchedStar(8, GB100))
         big = [(i, (i + 1) % 8, 1.0 * units.MB) for i in range(6)]
         t1 = bounded.step_time(big)
         t2 = bounded.step_time(big)
@@ -151,9 +170,9 @@ class TestCacheAdmission:
         assert info.size == 0 and info.skipped == 2
         assert info.hits == 0 and info.misses == 2
 
-    def test_small_steps_still_admitted(self):
-        sim = FluidNetworkSimulator(SwitchedStar(8, GB100),
-                                    pattern_cache_max_flows=2)
+    def test_small_steps_still_admitted(self, monkeypatch):
+        _admitting(monkeypatch, 2)
+        sim = FluidNetworkSimulator(SwitchedStar(8, GB100))
         small = [(0, 1, 1.0 * units.MB), (2, 3, 1.0 * units.MB)]
         sim.step_time(small)
         sim.step_time(small)
@@ -161,14 +180,13 @@ class TestCacheAdmission:
         assert info.size == 1 and info.skipped == 0
         assert info.hits == 1 and info.misses == 1
 
-    def test_fused_schedule_solves_oversized_step_once(self):
+    def test_fused_schedule_solves_oversized_step_once(self, monkeypatch):
         """The per-step path re-solves an inadmissible step on every
         repeat; the fused path shares the solve within the schedule."""
-        sim = FluidNetworkSimulator(SwitchedStar(8, GB100),
-                                    pattern_cache_max_flows=2)
+        _admitting(monkeypatch, 2)
+        sim = FluidNetworkSimulator(SwitchedStar(8, GB100))
         big = [(i, (i + 1) % 8, 1.0 * units.MB) for i in range(6)]
-        loop = FluidNetworkSimulator(SwitchedStar(8, GB100),
-                                     pattern_cache_max_flows=2)
+        loop = FluidNetworkSimulator(SwitchedStar(8, GB100))
         assert sim.step_time_many([big] * 4) == \
             [loop.step_time(big) for _ in range(4)]
         # fused: one solve (one skip); the repeats reuse the profile

@@ -291,7 +291,7 @@ def _reference_run(sub, system, demands, name, transfer_counts, current):
         ordered = tuple(sorted(sizes, key=lambda p: (-sizes[p], p)))
         demand_degree = max_pair_degree(ordered)
 
-        stay_time, stay_prop = sub._stay_time(system, current, sizes)
+        stay_time, stay_prop = sub._stay_cost(system)(current, sizes)
         if system.can_reconfigure:
             plan = price_demand_rounds(
                 decompose_demand(ordered, system.ports_per_node), sizes,

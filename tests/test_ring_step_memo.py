@@ -5,8 +5,8 @@ longest-arc-first order and path demand, caches each RWA solution with
 the step's MRR selection and timing constants, and retunes only the
 banks whose selection changes (:meth:`OpticalRingNetwork.retune`).
 These tests pin that all of it is a shortcut, never an approximation:
-on random placed schedules, striping modes, policies, cache and delta
-settings, ring directions and fault plans, every step outcome, every
+on random placed schedules, striping modes, policies, cache bounds,
+ring directions and fault plans, every step outcome, every
 bank's selection after every step, every report and every
 ``describe()`` counter compare ``==`` to the pre-memo step path, kept
 verbatim below.  A warm step on a large ring also makes at most a few
@@ -16,6 +16,7 @@ bank retunes per transfer, however many nodes the ring has.
 from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,6 +30,7 @@ from repro.collectives.schedule import Schedule, Transfer, TransferOp
 from repro.collectives.wrht import WrhtParameters, generate_wrht
 from repro.config import (HierarchicalSystem, OpticalRingSystem, Workload,
                           default_optical)
+from repro.core.substrates import optical_ring
 from repro.core.substrates.hier_rack import HierarchicalRackSubstrate
 from repro.core.substrates.optical_ring import (OpticalRingSubstrate,
                                                 OpticalStepOutcome)
@@ -160,28 +162,26 @@ class ReferenceRingSubstrate(OpticalRingSubstrate):
         :class:`~repro.errors.WavelengthAllocationError` exactly as the
         cold path does (failures are not cached).
         """
-        key = None
-        if self._cache_enabled:
-            key = self._signature(system, policy, base_requests, k)
-            fault_key = net.fault_key()
-            if fault_key:
-                # Degraded solutions are memoized apart from healthy
-                # ones (and from other masks); healthy keys keep their
-                # exact shape, so healthy steps still hit.
-                key = key + (fault_key,)
-            hit = self._cache.get(key)
-            if hit is not None:
-                # The network occupancy is untouched on a hit, so its
-                # rwa_delta patch base (last *solved* step) stays valid.
-                k_final, rwa = hit
-                requests = [
-                    TransferRequest(src=r.src, dst=r.dst, size=r.size,
-                                    direction=r.direction,
-                                    num_wavelengths=k_final)
-                    for r in base_requests]
-                return k_final, requests, rwa
+        key = self._signature(system, policy, base_requests, k)
+        fault_key = net.fault_key()
+        if fault_key:
+            # Degraded solutions are memoized apart from healthy ones
+            # (and from other masks); healthy keys keep their exact
+            # shape, so healthy steps still hit.
+            key = key + (fault_key,)
+        hit = self._cache.get(key)
+        if hit is not None:
+            # The network occupancy is untouched on a hit, so its
+            # rwa_delta patch base (last *solved* step) stays valid.
+            k_final, rwa = hit
+            requests = [
+                TransferRequest(src=r.src, dst=r.dst, size=r.size,
+                                direction=r.direction,
+                                num_wavelengths=k_final)
+                for r in base_requests]
+            return k_final, requests, rwa
 
-        prev = net.rwa_delta if self._incremental else None
+        prev = net.rwa_delta
         if isinstance(prev, RwaDelta):
             requests = [
                 TransferRequest(src=r.src, dst=r.dst, size=r.size,
@@ -192,8 +192,7 @@ class ReferenceRingSubstrate(OpticalRingSubstrate):
                 self._delta_patched += 1
                 net.rwa_delta = RwaDelta.from_solution(
                     policy, k, requests, rwa, fault_key=net.fault_key())
-                if key is not None:
-                    self._cache.put(key, (k, rwa), cost=len(base_requests))
+                self._cache.put(key, (k, rwa), cost=len(base_requests))
                 return k, requests, rwa
             # The patch contract broke (striping/demand change, direction
             # flip, or a placement failure); the cold loop's clear()
@@ -216,10 +215,9 @@ class ReferenceRingSubstrate(OpticalRingSubstrate):
 
         net.rwa_delta = RwaDelta.from_solution(policy, k, requests, rwa,
                                                fault_key=net.fault_key())
-        if key is not None:
-            # Admission policy: very large steps are solved but not
-            # memoized (`rwa_cache_skipped` counts them).
-            self._cache.put(key, (k, rwa), cost=len(base_requests))
+        # Admission policy: very large steps are solved but not memoized
+        # (`rwa_cache_skipped` counts them).
+        self._cache.put(key, (k, rwa), cost=len(base_requests))
         return k, requests, rwa
 
 
@@ -254,6 +252,16 @@ class MemoRing(_Recording, OpticalRingSubstrate):
 
 class RefRing(_Recording, ReferenceRingSubstrate):
     pass
+
+
+def _bounded(bounds):
+    """Patch the ring's memo bounds ``(entries, admitted transfers)``
+    while substrates are built (the substrate reads them at
+    construction)."""
+    size, max_transfers = bounds
+    return mock.patch.multiple(
+        optical_ring, DEFAULT_RWA_CACHE_SIZE=size,
+        DEFAULT_RWA_CACHE_MAX_TRANSFERS=max_transfers)
 
 
 def _outcome(call):
@@ -379,11 +387,9 @@ def ring_scenarios(draw):
         allow_striping=draw(st.sampled_from((True, True, False))))
     settings_ = dict(
         policy=draw(st.sampled_from(POLICIES)),
-        striping=draw(st.sampled_from(STRIPINGS)),
-        cache=draw(st.booleans()),
-        cache_size=draw(st.sampled_from((1, 4, 4096))),
-        cache_max_transfers=draw(st.sampled_from((None, 3, 1024))),
-        incremental=draw(st.booleans()))
+        striping=draw(st.sampled_from(STRIPINGS)))
+    bounds = (draw(st.sampled_from((1, 4, 4096))),
+              draw(st.sampled_from((None, 3, 1024))))
     calls = draw(st.lists(ring_calls(n, w, bidirectional), min_size=1,
                           max_size=3))
     if derived:
@@ -392,7 +398,7 @@ def ring_scenarios(draw):
         calls += [(place_schedule(sched, range(n), n + 3), *rest)
                   for sched, *rest in calls]
     # Replay the calls so warm caches and carried tuning state are hit.
-    return system, settings_, calls + calls
+    return system, settings_, bounds, calls + calls
 
 
 def _assert_same_runs(memo, ref, calls) -> None:
@@ -409,9 +415,10 @@ def _assert_same_runs(memo, ref, calls) -> None:
           suppress_health_check=[HealthCheck.too_slow])
 @given(ring_scenarios())
 def test_ring_steps_match_pre_memo_path(scenario):
-    system, settings_, calls = scenario
-    memo = MemoRing(system, **settings_)
-    ref = RefRing(system, **settings_)
+    system, settings_, bounds, calls = scenario
+    with _bounded(bounds):
+        memo = MemoRing(system, **settings_)
+        ref = RefRing(system, **settings_)
     _assert_same_runs(memo, ref, calls)
 
 
@@ -427,9 +434,7 @@ def hier_scenarios(draw):
                                 bidirectional=bidirectional)
     settings_ = dict(
         policy=draw(st.sampled_from(POLICIES)),
-        striping=draw(st.sampled_from(STRIPINGS)),
-        cache=draw(st.booleans()),
-        incremental=draw(st.booleans()))
+        striping=draw(st.sampled_from(STRIPINGS)))
     calls = []
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(
@@ -466,12 +471,15 @@ def test_pattern_memo_shares_the_cache_bounds():
     wl = Workload(data_bytes=1e6)
     sched = generate_recursive_doubling(8)  # 3 distinct 8-transfer steps
     system = default_optical(8)
-    for kw, entries in ((dict(cache=False), 0), (dict(cache_size=2), 2),
-                        (dict(cache_max_transfers=7), 0), (dict(), 3)):
-        sub = OpticalRingSubstrate(system, **kw)
+    size = optical_ring.DEFAULT_RWA_CACHE_SIZE
+    admit = optical_ring.DEFAULT_RWA_CACHE_MAX_TRANSFERS
+    for bounds, entries in (((2, admit), 2), ((size, 7), 0),
+                            ((size, admit), 3)):
+        with _bounded(bounds):
+            sub = OpticalRingSubstrate(system)
         sub.execute(sched, wl)
-        assert len(sub._patterns) == entries, kw
-        assert len(sub._cache) == entries, kw
+        assert len(sub._patterns) == entries, bounds
+        assert len(sub._cache) == entries, bounds
     sub.clear_rwa_cache()
     assert len(sub._patterns) == len(sub._cache) == 0
 

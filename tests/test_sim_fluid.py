@@ -1,8 +1,12 @@
 """Tests for the flow-level (fluid) network simulator."""
 
+import re
+
+import numpy as np
 import pytest
 
 from repro import units
+from repro.errors import SimulationError
 from repro.simulation import FluidNetworkSimulator
 from repro.topology import RingTopology, SwitchedStar
 
@@ -117,3 +121,77 @@ class TestFlowResult:
         t1 = sim.run([flow])[0].finish_time
         t2 = sim.run([flow])[0].finish_time
         assert t1 == t2
+
+
+class TestInputValidation:
+    """Bad flows raise ``SimulationError`` before anything is solved."""
+
+    GB1 = 1e9  # bytes/s: a 1-byte flow takes 1 ns
+
+    @pytest.mark.parametrize("start", [-1.0, float("nan"), float("inf")])
+    def test_run_rejects_bad_start_time(self, start):
+        sim = FluidNetworkSimulator(RingTopology(4, self.GB1))
+        flow = sim.make_flow(0, 1, 1.0, start_time=start)
+        with pytest.raises(SimulationError, match=re.escape(
+                f"flow 0->1 start_time must be >= 0 and finite, "
+                f"got {start!r}")):
+            sim.run([flow])
+
+    def test_run_rejects_bad_start_among_good_flows(self):
+        sim = FluidNetworkSimulator(RingTopology(4, self.GB1))
+        flows = [sim.make_flow(0, 1, 1.0),
+                 sim.make_flow(2, 3, 1.0, start_time=-1e-9)]
+        with pytest.raises(SimulationError, match="flow 2->3 start_time"):
+            sim.run(flows)
+        with pytest.raises(SimulationError, match="start_time"):
+            sim.run_pairs([(0, 1, 1.0)], start_time=float("nan"))
+
+    def test_zero_and_late_starts_still_run(self):
+        sim = FluidNetworkSimulator(RingTopology(4, self.GB1))
+        late = sim.run([sim.make_flow(0, 1, 1.0, start_time=2.5)])
+        assert late[0].finish_time == pytest.approx(2.5 + 1e-9)
+        assert sim.run_pairs([(0, 1, 1.0)])[0].finish_time == \
+            pytest.approx(1e-9)
+
+    @pytest.mark.parametrize("bad", [1.7, 3.0, True, np.bool_(True),
+                                     "1", None],
+                             ids=["float", "integral-float", "bool",
+                                  "numpy-bool", "str", "none"])
+    def test_entry_points_reject_non_integer_node_ids(self, bad):
+        plain = FluidNetworkSimulator(RingTopology(4, self.GB1))
+        traced = FluidNetworkSimulator(RingTopology(4, self.GB1),
+                                       keep_trace=True)
+        step = [(0, 1, 1.0), (bad, 3, 1.0)]
+        for call in (plain.step_profile, plain.step_time,
+                     lambda s: plain.run_schedule([s]),
+                     lambda s: plain.step_time_many([s, s]),
+                     traced.step_time,
+                     lambda s: traced.run_schedule([s]),
+                     lambda s: traced.step_time_many([s]),
+                     plain.run_pairs,
+                     lambda s: plain.make_flow(*s[1])):
+            with pytest.raises(SimulationError, match=re.escape(
+                    f"flow node id must be an integer, got {bad!r}")):
+                call(step)
+        # the destination is checked too
+        with pytest.raises(SimulationError, match="node id"):
+            plain.step_profile([(3, bad, 1.0)])
+        assert plain.pattern_cache_info().lookups == 0
+
+    def test_python_and_numpy_integer_ids_price_alike(self):
+        sim = FluidNetworkSimulator(RingTopology(4, self.GB1))
+        ref = FluidNetworkSimulator(RingTopology(4, self.GB1))
+        step = [(1, 3, 1.0), (0, 2, 2.0)]
+        typed = [(np.int64(1), np.int32(3), 1.0),
+                 (np.uint8(0), np.int16(2), np.float64(2.0))]
+        want = ref.step_profile(step)
+        got = sim.step_profile(typed)
+        assert got.pairs == want.pairs == ((0, 2), (1, 3))
+        assert all(type(v) is int for pair in got.pairs for v in pair)
+        assert np.array_equal(got.finish_times, want.finish_times)
+        assert sim.run_schedule([typed, step])[0].pairs == want.pairs
+        assert sim.step_time_many([typed]) == [want.makespan]
+        (got_run,) = sim.run_pairs(typed[:1])
+        (want_run,) = ref.run_pairs(step[:1])
+        assert (got_run.src, got_run.dst, got_run.finish_time) == \
+            (want_run.src, want_run.dst, want_run.finish_time)

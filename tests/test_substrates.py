@@ -25,8 +25,11 @@ from repro.core.substrates import (ElectricalSubstrate,
                                    clear_substrate_pool, get_substrate,
                                    pooled_substrate, register_substrate,
                                    set_pool_cache_store)
+from repro.core.substrates import optical_ring
 from repro.errors import ConfigurationError
 from repro.optical.rwa import AssignmentPolicy
+
+from ring_references import FullResolveRing, UncachedRing
 
 N = 8
 WL = Workload(data_bytes=4 * units.MB, name="pinned")
@@ -166,8 +169,8 @@ class TestWrapperParity:
 class TestRwaCache:
     def test_cache_hit_returns_same_report_as_cold(self):
         system = opt()
-        cached = OpticalRingSubstrate(system, cache=True)
-        uncached = OpticalRingSubstrate(system, cache=False)
+        cached = OpticalRingSubstrate(system)
+        uncached = UncachedRing(system)
         warm = cached.execute(SCHED, WL)          # populate
         hit = cached.execute(SCHED, WL)           # all steps hit
         cold = uncached.execute(SCHED, WL)
@@ -176,7 +179,7 @@ class TestRwaCache:
         info = cached.rwa_cache_info()
         assert info.hits > 0
         assert info.misses >= 1
-        assert uncached.rwa_cache_info().lookups == 0
+        assert uncached.rwa_cache_info().hits == 0
 
     def test_cache_is_size_independent(self):
         """Different payloads, same RWA pattern — the cache still hits."""
@@ -189,8 +192,7 @@ class TestRwaCache:
         after = sub.rwa_cache_info()
         assert after.misses == before.misses          # no new subproblem
         assert after.hits > before.hits
-        assert rep == OpticalRingSubstrate(system, cache=False).execute(
-            SCHED, other)
+        assert rep == UncachedRing(system).execute(SCHED, other)
 
     def test_cache_on_off_identical_across_planner_sweep(self):
         system = opt(n=16, w=8)
@@ -198,17 +200,18 @@ class TestRwaCache:
         with_cache = plan_wrht(system, wl, fidelity="simulate",
                                substrate=OpticalRingSubstrate(system))
         without = plan_wrht(system, wl, fidelity="simulate",
-                            substrate=OpticalRingSubstrate(system,
-                                                           cache=False))
+                            substrate=UncachedRing(system))
         assert with_cache.predicted_time == without.predicted_time
         assert with_cache.group_size == without.group_size
         assert with_cache.variant == without.variant
 
-    def test_admission_policy_skips_oversized_steps(self):
+    def test_admission_policy_skips_oversized_steps(self, monkeypatch):
         """Steps over the transfer bound are solved, not memoized."""
         system = opt()
-        bounded = OpticalRingSubstrate(system, cache_max_transfers=2)
         free = OpticalRingSubstrate(system)
+        monkeypatch.setattr(optical_ring, "DEFAULT_RWA_CACHE_MAX_TRANSFERS",
+                            2)
+        bounded = OpticalRingSubstrate(system)
         report = bounded.execute(SCHED, WL)       # ring steps: N transfers
         assert report == free.execute(SCHED, WL)  # identical results
         info = bounded.rwa_cache_info()
@@ -239,14 +242,13 @@ class TestRwaCache:
         sub = OpticalRingSubstrate(system)
         cached = plan_wrht(system, wl, fidelity="simulate", substrate=sub)
         cold = plan_wrht(system, wl, fidelity="simulate",
-                         substrate=OpticalRingSubstrate(system,
-                                                        cache=False))
+                         substrate=UncachedRing(system))
         assert cached.predicted_time == cold.predicted_time
         assert sub.rwa_cache_info().hit_rate > 0.4
 
 
 class TestIncrementalRwaSubstrate:
-    """``incremental=True`` (the default) must change work, not results."""
+    """The delta RWA path must change work, not results."""
 
     def _churn_schedule(self, n=16, steps=4):
         """Consecutive steps share a hot 4-node cluster and shift one
@@ -268,13 +270,12 @@ class TestIncrementalRwaSubstrate:
     def test_incremental_matches_full_resolve(self):
         system = opt(n=16, w=16)
         sched = self._churn_schedule()
-        inc = OpticalRingSubstrate(system, incremental=True)
-        full = OpticalRingSubstrate(system, incremental=False)
+        inc = OpticalRingSubstrate(system)
+        full = FullResolveRing(system)
         assert inc.execute(sched, WL) == full.execute(sched, WL)
         assert inc.delta_patched > 0
         assert full.delta_patched == 0
         params = dict(inc.describe().parameters)
-        assert params["rwa_incremental"] is True
         assert params["rwa_delta_patched"] == inc.delta_patched
 
     def test_demand_change_falls_back_identically(self):
@@ -289,8 +290,8 @@ class TestIncrementalRwaSubstrate:
                                  op=TransferOp.REDUCE),
                         Transfer(src=1, dst=3, chunks=(0,),
                                  op=TransferOp.REDUCE)])
-        inc = OpticalRingSubstrate(system, incremental=True)
-        full = OpticalRingSubstrate(system, incremental=False)
+        inc = OpticalRingSubstrate(system)
+        full = FullResolveRing(system)
         assert inc.execute(sched, WL) == full.execute(sched, WL)
         assert inc.delta_fallbacks > 0
 
@@ -299,8 +300,8 @@ class TestIncrementalRwaSubstrate:
         must still patch against the last *solved* step, exactly."""
         system = opt(n=16, w=16)
         churn = self._churn_schedule(steps=3)
-        inc = OpticalRingSubstrate(system, incremental=True)
-        full = OpticalRingSubstrate(system, incremental=False)
+        inc = OpticalRingSubstrate(system)
+        full = FullResolveRing(system)
         for _ in range(2):  # second pass replays via the memo cache
             assert inc.execute(churn, WL) == full.execute(churn, WL)
         assert inc.rwa_cache_info().hits > 0
