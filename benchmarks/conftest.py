@@ -9,16 +9,22 @@ share one machine-readable summary — ``BENCH_fluid.json`` at the repo
 root, the artifact CI uploads and gates via
 ``check_bench_regression.py`` — so the path constant and the
 record/measure helpers live here.
+
+The off arms of the benches that time an always-on shortcut against
+the path it replaces are the test suite's references
+(``tests/ring_references.py``, ``tests/fluid_references.py``); the
+``tests`` directory is put on the import path here so the benches
+import the same classes the parity tests pin.
 """
 
 import json
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.caching import LruCache
-from repro.core.substrates.optical_ring import OpticalRingSubstrate
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 #: Where the machine-readable speedup summaries accumulate (repo root).
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_fluid.json"
@@ -30,26 +36,6 @@ BENCH_FAULTS_JSON = (Path(__file__).resolve().parent.parent
 BENCH_OCS_JSON = Path(__file__).resolve().parent.parent / "BENCH_ocs.json"
 BENCH_COPLAN_JSON = (Path(__file__).resolve().parent.parent
                      / "BENCH_coplan.json")
-
-
-class UncachedRing(OpticalRingSubstrate):
-    """The optical ring with both step memos admitting nothing: every
-    step is ordered, routed and assigned afresh.  The cache-off arm of
-    the ring benches (the memos are always on in the library)."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._cache = LruCache(1, admit_cost_bound=-1)
-        self._patterns = LruCache(1, admit_cost_bound=-1)
-
-
-class ResolvingRing(UncachedRing):
-    """:class:`UncachedRing` without the delta RWA path: every step is
-    a full re-solve."""
-
-    def _solve(self, net, policy, ordered, k):
-        net.rwa_delta = None
-        return super()._solve(net, policy, ordered, k)
 
 
 def best_time(fn, repeats):

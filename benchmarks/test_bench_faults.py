@@ -16,9 +16,9 @@ Two claims the fault subsystem makes:
   retries, and capacity conservation holds throughout.
 """
 
-from conftest import (BENCH_FAULTS_JSON, ResolvingRing, UncachedRing,
-                      best_time as _time, interleaved_best_times,
-                      record_bench as _record)
+from conftest import (BENCH_FAULTS_JSON, best_time as _time,
+                      interleaved_best_times, record_bench as _record)
+from ring_references import UncachedFullResolveRing, UncachedRing
 
 from repro.collectives.ring_allreduce import generate_ring_allreduce
 from repro.config import Workload, default_optical
@@ -50,7 +50,7 @@ def test_bench_fault_repair_vs_resolve(once):
     """
 
     def resolve():
-        return _degraded_run(ResolvingRing)[0]
+        return _degraded_run(UncachedFullResolveRing)[0]
 
     def repair():
         return _degraded_run(UncachedRing)[0]

@@ -14,11 +14,12 @@ Three levels compare against the frozen pre-refactor engine
   engine.
 
 Three more compare the active-set engine against its own previous
-generation, rebuilt here from the library (the engine has no switches):
+generation, rebuilt outside the library by the test suite's references
+(the engine has no switches):
 
 * **warm-start solver** — a cold (cache-miss) 64-flow incast-staircase
   step: warm-started event solves vs refilling every event from zero
-  (:class:`_ColdSim`);
+  (``UncachedColdFillSimulator`` from ``tests/fluid_references.py``);
 * **sparse large batch** — a 1024-flow step: scipy CSR incidence vs
   the dense matrix every batch used before the sparse backend (picked
   by patching ``SPARSE_FLOW_THRESHOLD`` while the dense arm compiles);
@@ -47,12 +48,12 @@ import pytest
 
 from conftest import (best_time as _time, interleaved_best_times,
                       record_bench as _record)
+from fluid_references import UncachedColdFillSimulator, UncachedSimulator
 
 from repro import units
 from repro.simulation import flows as flows_mod
-from repro.simulation import fluid as fluid_mod
 from repro.simulation._reference import ReferenceFluidSimulator
-from repro.simulation.flows import have_sparse, progressive_fill
+from repro.simulation.flows import have_sparse
 from repro.simulation.fluid import FluidNetworkSimulator
 from repro.topology.ring import RingTopology
 from repro.topology.switched import SwitchedStar
@@ -62,36 +63,6 @@ from repro.topology.switched import SwitchedStar
 #: force one allocation event per completion — the worst case).
 NODES = 64
 PAIRS = [(i, (i + 8) % NODES, 1.0 * units.MB + i) for i in range(NODES)]
-
-
-def _cold_fill(batch, active=None, *, warm=None, removed=None, added=None,
-               record=False):
-    """``progressive_fill`` with the warm state dropped: a refill from
-    zero at every event."""
-    rates = progressive_fill(batch, active)
-    return (rates, None) if record else rates
-
-
-class _ResolvingSim(FluidNetworkSimulator):
-    """Every ``step_profile`` re-solves: the pattern cache is emptied
-    before each one (the compiled pattern stays), so a timed call
-    measures the solver, not the cache."""
-
-    def _profile_for(self, key, s_ref):
-        self.pattern_cache.clear()
-        return super()._profile_for(key, s_ref)
-
-
-class _ColdSim(_ResolvingSim):
-    """Reference: :class:`_ResolvingSim` refilling every event from
-    zero (the solver before warm starts)."""
-
-    def _drive(self, *args, **kwargs):
-        fluid_mod.progressive_fill = _cold_fill
-        try:
-            return super()._drive(*args, **kwargs)
-        finally:
-            fluid_mod.progressive_fill = progressive_fill
 
 
 def _backend_of(sim):
@@ -248,8 +219,8 @@ def test_bench_solver_warm_start(once):
     pairs = _staircase(64, 10)
 
     def run():
-        warm = _ResolvingSim(_star_for(pairs))
-        cold = _ColdSim(_star_for(pairs))
+        warm = UncachedSimulator(_star_for(pairs))
+        cold = UncachedColdFillSimulator(_star_for(pairs))
         # identical results first (warm starts must not buy wrong answers)
         import numpy as np
         assert np.array_equal(warm.step_profile(pairs).finish_times,
@@ -274,19 +245,20 @@ def test_bench_sparse_large_batch(once):
     matrix backend on the same cold solves.
 
     Warm starts and pattern caching are defeated on both sides
-    (:class:`_ColdSim`) so every event exercises the backend's
-    per-round products (counts + freeze detection) — the regime the
-    sparse backend exists for.  The dense arm compiles its pattern with
-    the sparse threshold out of reach.  The ≥3x acceptance bound for
-    the ≥512-flow case is asserted here (it lands ~6-8x).
+    (``UncachedColdFillSimulator``) so every event exercises the
+    backend's per-round products (counts + freeze detection) — the
+    regime the sparse backend exists for.  The dense arm compiles its
+    pattern with the sparse threshold out of reach.  The ≥3x
+    acceptance bound for the ≥512-flow case is asserted here (it lands
+    ~6-8x).
     """
     if not have_sparse():  # pragma: no cover - CI installs scipy
         pytest.skip("scipy not installed")
     pairs = _staircase(1024, 45)
 
     def run():
-        dense = _ColdSim(_star_for(pairs))
-        sparse = _ColdSim(_star_for(pairs))
+        dense = UncachedColdFillSimulator(_star_for(pairs))
+        sparse = UncachedColdFillSimulator(_star_for(pairs))
         import numpy as np
         with mock.patch.object(flows_mod, "SPARSE_FLOW_THRESHOLD",
                                sys.maxsize):
@@ -385,7 +357,7 @@ def test_bench_solver_warm_admission(once):
 
     def run():
         warm = FluidNetworkSimulator(_star_for(base + late))
-        cold = _ColdSim(_star_for(base + late))
+        cold = UncachedColdFillSimulator(_star_for(base + late))
         assert np.array_equal(
             [r.finish_time for r in warm.run(flows_for(warm))],
             [r.finish_time for r in cold.run(flows_for(cold))])

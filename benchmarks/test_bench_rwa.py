@@ -15,8 +15,8 @@ feasibility checks already absorb the +p/4.
 
 import pytest
 
-from conftest import (BENCH_RWA_JSON, UncachedRing, interleaved_best_times,
-                      record_bench)
+from conftest import BENCH_RWA_JSON, interleaved_best_times, record_bench
+from ring_references import UncachedRing
 
 from repro.analysis.ascii_plot import simple_table
 from repro.collectives.alltoall_wdm import alltoall_wavelength_requirement

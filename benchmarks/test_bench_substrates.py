@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from conftest import UncachedRing
+from ring_references import UncachedRing
 
 from repro import units
 from repro.analysis.ascii_plot import simple_table

@@ -23,15 +23,16 @@ COPY-ing the result back to their group members.
 
 :func:`wrht_structure` walks the levels once and returns that grouping
 (:class:`WrhtScheduleInfo`) without building a transfer;
-:func:`generate_wrht` builds its steps from it, and the analytic model
-prices a candidate from it directly.
+:func:`wrht_steps` turns it into each step's transfers in step order
+(:func:`generate_wrht` and the pipelined variant build from it), and
+the analytic model prices a candidate from it directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from .alltoall_wdm import alltoall_transfers, alltoall_wavelength_requirement
@@ -119,6 +120,12 @@ class WrhtScheduleInfo:
     def num_tree_levels(self) -> int:
         """Hierarchical levels before the shortcut / root."""
         return len(self.levels)
+
+    @property
+    def num_steps(self) -> int:
+        """Steps of the schedule: a reduce and a broadcast step per
+        tree level, plus the all-to-all if the shortcut fired."""
+        return 2 * self.num_tree_levels + self.used_alltoall
 
 
 def alltoall_actual_demand(participants: Sequence[int], num_nodes: int) -> int:
@@ -248,26 +255,33 @@ def _level_transfers(level: GroupLevel, reduce: bool) -> List[Transfer]:
     return transfers
 
 
+def wrht_steps(info: WrhtScheduleInfo) -> Iterator[List[Transfer]]:
+    """The transfers of each step of the schedule ``info`` describes,
+    in step order: one reduce step per tree level, the all-to-all (if
+    the shortcut fired), then the broadcast mirror of the levels,
+    deepest first.  The all-to-all needs no mirror: every participant
+    already holds the sum.  Yields :attr:`WrhtScheduleInfo.num_steps`
+    steps."""
+    for level in info.levels:
+        yield _level_transfers(level, reduce=True)
+    if info.used_alltoall:
+        yield alltoall_transfers(info.alltoall_participants, range(1))
+    for level in reversed(info.levels):
+        yield _level_transfers(level, reduce=False)
+
+
 def generate_wrht(params: WrhtParameters) -> Tuple[Schedule, WrhtScheduleInfo]:
     """Build the Wrht schedule; returns ``(schedule, info)``.
 
-    The steps follow :func:`wrht_structure`: one reduce step per tree
-    level, the all-to-all (if the shortcut fired), then the broadcast
-    mirror of the levels, deepest first.  The all-to-all needs no
-    mirror: every participant already holds the sum.
+    The steps are :func:`wrht_steps` of :func:`wrht_structure`.
     """
     n = params.num_nodes
     sched = Schedule(num_nodes=n, num_chunks=1,
                      name=f"wrht-n{n}-m{params.group_size}"
                           f"-w{params.num_wavelengths}")
     info = wrht_structure(params)
-    for level in info.levels:
-        sched.add_step(_level_transfers(level, reduce=True))
-    if info.used_alltoall:
-        sched.add_step(alltoall_transfers(info.alltoall_participants,
-                                          range(1)))
-    for level in reversed(info.levels):
-        sched.add_step(_level_transfers(level, reduce=False))
+    for step in wrht_steps(info):
+        sched.add_step(step)
     return sched, info
 
 

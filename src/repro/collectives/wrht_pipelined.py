@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from .alltoall_wdm import alltoall_transfers
 from .schedule import Schedule, Transfer, TransferOp
-from .wrht import (WrhtParameters, WrhtScheduleInfo, _level_transfers,
+from .wrht import (WrhtParameters, WrhtScheduleInfo, wrht_steps,
                    wrht_structure)
 
 
@@ -39,21 +38,13 @@ class _StageTemplate:
 
 def _wrht_stages(params: WrhtParameters
                  ) -> Tuple[List[_StageTemplate], WrhtScheduleInfo]:
-    """The per-level transfer templates of the base Wrht schedule, in
-    its step order (reduce levels, the all-to-all if the shortcut
-    fired, broadcast levels deepest first), read from
-    :func:`~repro.collectives.wrht.wrht_structure` without building the
-    schedule."""
+    """The per-step transfer templates of the base Wrht schedule, in
+    its step order (:func:`~repro.collectives.wrht.wrht_steps`),
+    without building the schedule."""
     info = wrht_structure(params)
-    steps = [_level_transfers(level, reduce=True) for level in info.levels]
-    if info.used_alltoall:
-        steps.append(alltoall_transfers(info.alltoall_participants,
-                                        range(1)))
-    steps += [_level_transfers(level, reduce=False)
-              for level in reversed(info.levels)]
     stages = [_StageTemplate(tuple(
         (t.src, t.dst, t.op, t.direction_hint) for t in step))
-        for step in steps]
+        for step in wrht_steps(info)]
     return stages, info
 
 
@@ -92,10 +83,9 @@ def generate_wrht_pipelined(params: WrhtParameters, num_chunks: int,
 
 
 def pipelined_step_count(params: WrhtParameters, num_chunks: int) -> int:
-    """Closed form: ``stages + C − 1``, where the base Wrht schedule has
-    one stage per reduce and broadcast level plus the all-to-all."""
-    info = wrht_structure(params)
-    stages = 2 * info.num_tree_levels + info.used_alltoall
+    """Closed form: ``stages + C − 1``, one stage per step of the base
+    Wrht schedule (:attr:`WrhtScheduleInfo.num_steps`)."""
+    stages = wrht_structure(params).num_steps
     if stages == 0:
         return 0
     return stages + num_chunks - 1

@@ -4,10 +4,11 @@
 always memoizes its steps and always patches the previous RWA solution
 on a memo miss; neither changes a result.  These subclasses take each
 shortcut away from outside the library, so tests can pin the shortcut
-against the path it replaces.
+against the path it replaces and the benchmarks can time both.
 """
 
 from repro.caching import LruCache
+from repro.core.substrates.hier_rack import HierarchicalRackSubstrate
 from repro.core.substrates.optical_ring import OpticalRingSubstrate
 
 
@@ -32,3 +33,15 @@ class FullResolveRing(OpticalRingSubstrate):
 
 class UncachedFullResolveRing(UncachedRing, FullResolveRing):
     """Neither memo nor delta path: every step is a full re-solve."""
+
+
+class UncachedHierRack(HierarchicalRackSubstrate):
+    """The rack hierarchy on an :class:`UncachedRing` leader ring: every
+    leader step is assigned afresh on the pooled ring network, so a
+    test sees the network's channel state rather than a memoized
+    answer."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._ring = UncachedRing(policy=self._policy,
+                                  striping=self._striping)

@@ -122,6 +122,7 @@ class TestPipelinedWrht:
         p = WrhtParameters(num_nodes=n, group_size=m, num_wavelengths=w,
                            allow_alltoall_shortcut=shortcut)
         base, info = generate_wrht(p)
+        assert info.num_steps == base.num_steps
 
         def rows(sched):
             return [[(t.src, t.dst, tuple(t.chunks), t.op, t.direction_hint)

@@ -23,7 +23,8 @@ from repro.errors import (ConfigurationError, DegradedError,
                           SimulationStallError)
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 
-from ring_references import UncachedFullResolveRing, UncachedRing
+from ring_references import (UncachedFullResolveRing, UncachedHierRack,
+                             UncachedRing)
 
 WL = Workload(data_bytes=1 << 24)
 RING8 = generate_ring_allreduce(8)
@@ -40,10 +41,13 @@ class TestZeroEventPassthrough:
     @pytest.mark.parametrize("none_plan", [None, FaultPlan.none()])
     @pytest.mark.parametrize("make", [
         lambda: ElectricalSubstrate(topology="ring"),
+        lambda: UncachedRing(),
+        lambda: UncachedHierRack(),
+        lambda: OpticalTorusSubstrate(),
         lambda: OpticalRingSubstrate(),
         lambda: HierarchicalRackSubstrate(),
-        lambda: OpticalTorusSubstrate(),
-    ], ids=["e-ring", "o-ring", "hier-rack", "o-torus"])
+    ], ids=["e-ring", "o-ring", "hier-rack", "o-torus", "o-ring-memo",
+            "hier-rack-memo"])
     def test_bit_for_bit(self, make, none_plan):
         sub = make()
         ref = sub.execute(RING8, WL)
@@ -244,7 +248,7 @@ class TestHierRackDegraded:
     def test_wavelength_loss_degrades_and_recovers(self):
         """A lost leader-ring wavelength reaches the optical plane,
         slows cross-rack steps, and repairs converge exactly."""
-        sub = HierarchicalRackSubstrate()
+        sub = UncachedHierRack()
         ref = sub.execute(RD8, WL)
         plan = FaultPlan.of([
             ev(0.0, FaultKind.WAVELENGTH_DOWN, wavelength=0),
@@ -276,7 +280,7 @@ class TestHierRackDegraded:
 
     def test_healthy_execute_unaffected_after_faulty_run(self):
         """The pooled leader-ring network must come back clean."""
-        sub = HierarchicalRackSubstrate()
+        sub = UncachedHierRack()
         ref = sub.execute(RD8, WL)
         plan = FaultPlan.of([ev(0.0, FaultKind.WAVELENGTH_DOWN,
                                 wavelength=0)])

@@ -12,9 +12,9 @@ Two further parity axes are pinned here:
 
 * **warm-start vs cold** — the active-set solver's replayed rounds
   must reproduce every intermediate allocation of the cold solver
-  (:class:`ColdFillSimulator`, the engine with the warm start taken
-  away here, outside the library) bit-for-bit, not just the final step
-  times;
+  (:class:`ColdFillSimulator` from ``fluid_references``, the engine
+  with the warm start taken away outside the library) bit-for-bit,
+  not just the final step times;
 * **sparse vs dense** — the scipy CSR incidence backend must agree
   with the dense one (documented tolerance 1e-12 relative; in practice
   — and asserted here — exactly, since 0/1 incidence keeps every link
@@ -34,7 +34,6 @@ from repro.errors import SimulationError
 from repro.simulation._reference import (ReferenceFluidSimulator,
                                          reference_max_min_fair_rates)
 from repro.simulation import flows as flows_mod
-from repro.simulation import fluid as fluid_mod
 from repro.simulation.flows import (Flow, compile_flows, compile_paths,
                                     have_sparse, max_min_fair_rates,
                                     progressive_fill, resolve_backend,
@@ -43,24 +42,10 @@ from repro.simulation.fluid import FluidNetworkSimulator
 from repro.topology.ring import RingTopology
 from repro.topology.switched import FatTree, SwitchedStar
 
+from fluid_references import ColdFillSimulator
+
 needs_scipy = pytest.mark.skipif(not have_sparse(),
                                  reason="scipy not installed")
-
-
-def _cold_fill(batch, active=None, *, warm=None, removed=None, added=None,
-               record=False):
-    """``progressive_fill`` with the warm state dropped: every solve
-    refills from zero."""
-    rates = progressive_fill(batch, active)
-    return (rates, None) if record else rates
-
-
-class ColdFillSimulator(FluidNetworkSimulator):
-    """Reference: the fluid engine refilling from zero at every event."""
-
-    def _drive(self, *args, **kwargs):
-        with mock.patch.object(fluid_mod, "progressive_fill", _cold_fill):
-            return super()._drive(*args, **kwargs)
 
 
 def _backend(name):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro import units
-from repro.caching import LruCache
 from repro.collectives.ring_allreduce import generate_ring_allreduce
 from repro.config import Workload, default_ocs
 from repro.core.substrates import get_substrate
@@ -16,16 +15,9 @@ from repro.simulation.fluid import FluidNetworkSimulator
 from repro.topology.ring import RingTopology
 from repro.topology.switched import SwitchedStar
 
+from fluid_references import UncachedSimulator
+
 GB100 = 100 * units.GBPS
-
-
-class UncachedSimulator(FluidNetworkSimulator):
-    """Reference: a simulator whose pattern cache admits nothing, so
-    every step is solved afresh."""
-
-    def __init__(self, topology):
-        super().__init__(topology)
-        self.use_pattern_cache(LruCache(1, admit_cost_bound=-1))
 
 
 def _admitting(monkeypatch, max_flows):
