@@ -14,14 +14,24 @@ The identity placement (one full-width group over ``0..n-1``) returns
 the generator's schedule object itself, so a pure data-parallel
 full-width strategy executes bit-for-bit the legacy schedule — the
 parity the strategy tests pin.
+
+Both builders trust their input schedules (built and validated by
+:meth:`Schedule.add_step`) and assemble their :class:`Step`\\ s
+directly.  An injective, in-range relabel of a valid schedule, and a
+union of same-shape valid schedules on disjoint node sets, keep every
+transfer's nodes and chunks in range and add no conflicting write, so
+re-running the per-transfer checks could only repeat what the inputs
+already passed; the O(parts) checks on ``nodes`` and on the parts'
+shapes are what stay.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+import numbers
+from typing import Callable, Sequence, Tuple
 
 from ..errors import ConfigurationError, ScheduleError
-from .schedule import Schedule, Transfer
+from .schedule import Schedule, Step, Transfer
 
 __all__ = ["place_schedule", "overlay_schedules", "phase_schedule"]
 
@@ -40,7 +50,7 @@ def place_schedule(schedule: Schedule, nodes: Sequence[int],
     standalone schedule object — the bit-for-bit parity the serving
     tests pin.
     """
-    nodes = tuple(int(n) for n in nodes)
+    nodes = _node_ids(nodes)
     if len(nodes) != schedule.num_nodes:
         raise ConfigurationError(
             f"placement has {len(nodes)} nodes but the schedule spans "
@@ -54,16 +64,24 @@ def place_schedule(schedule: Schedule, nodes: Sequence[int],
     if total_nodes == schedule.num_nodes and \
             nodes == tuple(range(total_nodes)):
         return schedule
-    placed = Schedule(num_nodes=total_nodes, num_chunks=schedule.num_chunks,
-                      name=f"{schedule.name}@{nodes[0]}")
-    for step in schedule.steps:
-        moved: List[Transfer] = [
-            Transfer(src=nodes[t.src], dst=nodes[t.dst],
-                     chunks=t.chunks, op=t.op,
-                     direction_hint=t.direction_hint)
-            for t in step]
-        placed.add_step(moved)
-    return placed
+    steps = [Step(tuple([Transfer(nodes[t.src], nodes[t.dst], t.chunks,
+                                  t.op, t.direction_hint) for t in step]))
+             for step in schedule.steps]
+    return Schedule(num_nodes=total_nodes, num_chunks=schedule.num_chunks,
+                    steps=steps, name=f"{schedule.name}@{nodes[0]}")
+
+
+def _node_ids(nodes: Sequence[int]) -> Tuple[int, ...]:
+    """``nodes`` as a tuple of ``int``: Python and numpy integers pass;
+    a float, a bool or anything else raises instead of being
+    truncated."""
+    ids = []
+    for n in nodes:
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+            raise ConfigurationError(
+                f"placement node ids must be integers, got {n!r}")
+        ids.append(int(n))
+    return tuple(ids)
 
 
 def overlay_schedules(parts: Sequence[Schedule], total_nodes: int,
@@ -71,7 +89,8 @@ def overlay_schedules(parts: Sequence[Schedule], total_nodes: int,
     """Merge schedules over *disjoint* node sets into one composite.
 
     Every part must have the same step count and chunk count (they are
-    placements of one generator output); step ``i`` of the composite is
+    placements of one generator output) and span no more than
+    ``total_nodes`` nodes; step ``i`` of the composite is
     the union of every part's step ``i``, so the parts run concurrently
     under whatever contention physics the substrate applies.
     """
@@ -80,6 +99,10 @@ def overlay_schedules(parts: Sequence[Schedule], total_nodes: int,
     first = parts[0]
     seen: set = set()
     for part in parts:
+        if part.num_nodes > total_nodes:
+            raise ScheduleError(
+                f"overlay part {part.name!r} spans {part.num_nodes} "
+                f"nodes, wider than the {total_nodes}-node composite")
         if part.num_steps != first.num_steps \
                 or part.num_chunks != first.num_chunks:
             raise ScheduleError(
@@ -93,14 +116,10 @@ def overlay_schedules(parts: Sequence[Schedule], total_nodes: int,
                 f"overlay parts share nodes {sorted(touched & seen)}; "
                 f"concurrent groups must be disjoint")
         seen |= touched
-    merged = Schedule(num_nodes=total_nodes, num_chunks=first.num_chunks,
-                      name=name)
-    for i in range(first.num_steps):
-        transfers: List[Transfer] = []
-        for part in parts:
-            transfers.extend(part.steps[i].transfers)
-        merged.add_step(transfers)
-    return merged
+    steps = [Step(tuple(t for part in parts for t in part.steps[i]))
+             for i in range(first.num_steps)]
+    return Schedule(num_nodes=total_nodes, num_chunks=first.num_chunks,
+                    steps=steps, name=name)
 
 
 def phase_schedule(phase, generator: Callable[[int], Schedule],

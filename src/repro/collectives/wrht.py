@@ -23,9 +23,10 @@ COPY-ing the result back to their group members.
 
 :func:`wrht_structure` walks the levels once and returns that grouping
 (:class:`WrhtScheduleInfo`) without building a transfer;
-:func:`wrht_steps` turns it into each step's transfers in step order
-(:func:`generate_wrht` and the pipelined variant build from it), and
-the analytic model prices a candidate from it directly.
+:func:`wrht_step_order` lays its levels out in step order, and
+:func:`wrht_steps` turns that into each step's transfers
+(:func:`generate_wrht` and the pipelined variant build from it), while
+the analytic model prices a candidate from the same order directly.
 """
 
 from __future__ import annotations
@@ -255,19 +256,33 @@ def _level_transfers(level: GroupLevel, reduce: bool) -> List[Transfer]:
     return transfers
 
 
+def wrht_step_order(info: WrhtScheduleInfo,
+                    ) -> Iterator[Tuple[Optional[int], bool]]:
+    """The step order of the schedule ``info`` describes, one
+    ``(level, reduce)`` pair per step: one reduce step per tree level
+    (``level`` indexes :attr:`WrhtScheduleInfo.levels`), the all-to-all
+    (``level=None``) if the shortcut fired, then the broadcast mirror
+    of the levels (``reduce=False``), deepest first.  The all-to-all
+    needs no mirror: every participant already holds the sum.  Yields
+    :attr:`WrhtScheduleInfo.num_steps` pairs; :func:`wrht_steps` and
+    the analytic model's step summary both follow it."""
+    depth = len(info.levels)
+    for i in range(depth):
+        yield i, True
+    if info.used_alltoall:
+        yield None, True
+    for i in reversed(range(depth)):
+        yield i, False
+
+
 def wrht_steps(info: WrhtScheduleInfo) -> Iterator[List[Transfer]]:
     """The transfers of each step of the schedule ``info`` describes,
-    in step order: one reduce step per tree level, the all-to-all (if
-    the shortcut fired), then the broadcast mirror of the levels,
-    deepest first.  The all-to-all needs no mirror: every participant
-    already holds the sum.  Yields :attr:`WrhtScheduleInfo.num_steps`
-    steps."""
-    for level in info.levels:
-        yield _level_transfers(level, reduce=True)
-    if info.used_alltoall:
-        yield alltoall_transfers(info.alltoall_participants, range(1))
-    for level in reversed(info.levels):
-        yield _level_transfers(level, reduce=False)
+    in :func:`wrht_step_order`."""
+    for i, reduce in wrht_step_order(info):
+        if i is None:
+            yield alltoall_transfers(info.alltoall_participants, range(1))
+        else:
+            yield _level_transfers(info.levels[i], reduce=reduce)
 
 
 def generate_wrht(params: WrhtParameters) -> Tuple[Schedule, WrhtScheduleInfo]:

@@ -30,7 +30,8 @@ from ..collectives.registry import STEP_COUNTS
 from ..collectives.schedule import Schedule
 from ..collectives.wrht import (WrhtParameters, WrhtScheduleInfo,
                                 alltoall_actual_demand, generate_wrht,
-                                wrht_structure, wrht_tree_levels)
+                                wrht_step_order, wrht_structure,
+                                wrht_tree_levels)
 from ..config import (ElectricalSystem, HierarchicalSystem,
                       OpticalRingSystem, OpticalTorusSystem,
                       ReconfigurableOCSSystem, Workload)
@@ -384,29 +385,30 @@ def _structure_summary(params: WrhtParameters,
     if info.levels and not bidirectional:
         # Each level's broadcast sends CCW to the members below a rep.
         raise TopologyError("ring is unidirectional; no CCW travel")
-    demands = [level.max_side for level in info.levels]
-    loads = [tuple(sorted({(1, abs(member - rep))
-                           for g, rep in zip(level.groups,
-                                             level.representatives)
-                           for member in g if member != rep}))
-             for level in info.levels]
-    middle_demands, middle_loads = [], []
+    levels = [(level.max_side,
+               tuple(sorted({(1, abs(member - rep))
+                             for g, rep in zip(level.groups,
+                                               level.representatives)
+                             for member in g if member != rep})))
+              for level in info.levels]
+    middle = None
     if info.used_alltoall:
         parts = info.alltoall_participants
         hops = {(b - a) % n for a in parts for b in parts if a != b}
         if bidirectional:
             hops = {min(h, n - h) for h in hops}
-            middle_demands.append(alltoall_actual_demand(parts, n))
+            demand = alltoall_actual_demand(parts, n)
         else:
             # All flows run clockwise, and the arcs a->b and b->a cover
             # each link once between them: every link carries one flow
             # per unordered pair.
-            middle_demands.append(len(parts) * (len(parts) - 1) // 2)
-        middle_loads.append(tuple(sorted((1, h) for h in hops)))
-    return WrhtStepSummary(
-        num_chunks=1,
-        demands=tuple(demands + middle_demands + demands[::-1]),
-        loads=tuple(loads + middle_loads + loads[::-1]))
+            demand = len(parts) * (len(parts) - 1) // 2
+        middle = (demand, tuple(sorted((1, h) for h in hops)))
+    steps = [middle if i is None else levels[i]
+             for i, _ in wrht_step_order(info)]
+    return WrhtStepSummary(num_chunks=1,
+                           demands=tuple(d for d, _ in steps),
+                           loads=tuple(loads for _, loads in steps))
 
 
 def _price(summary: WrhtStepSummary, system: OpticalRingSystem,

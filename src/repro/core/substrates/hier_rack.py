@@ -45,12 +45,12 @@ from ...collectives.schedule import Schedule
 from ...config import (HierarchicalSystem, Workload, default_hierarchical)
 from ...errors import ConfigurationError
 from ...faults.events import FaultState
-from ...optical.rwa import AssignmentPolicy, TransferRequest
+from ...optical.rwa import AssignmentPolicy
 from ...topology.hierarchy import HierarchicalTopology
 from .base import (ExecutionReport, FaultReplay, FluidCacheMixin, StepReport,
                    Substrate, SubstrateInfo)
-from .optical_ring import (OpticalRingSubstrate, RwaCacheStats, Striping,
-                           _check_striping, _hint_direction)
+from .optical_ring import (Hint, OpticalRingSubstrate, RwaCacheStats,
+                           Striping, _check_striping, _hint_direction)
 
 
 class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
@@ -204,7 +204,7 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
         down_times = sim.step_time_many(down_steps)
 
         net = opt_system = None
-        if any(leader_steps):
+        if any(hints for hints, _ in leader_steps):
             opt_system = system.optical_system()
             net = self._ring._network(opt_system)
             net.reset()
@@ -236,7 +236,8 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
                 # bit-for-bit equal to the flat substrates.
                 up_dur = down_dur = opt_dur = 0.0
                 has_local = bool(up_steps[idx]) or bool(down_steps[idx])
-                has_leader = bool(leader_steps[idx])
+                lead_hints, lead_sizes = leader_steps[idx]
+                has_leader = bool(lead_hints)
                 if up_steps[idx]:
                     up_dur = alpha + up_t
                     serialization += up_t
@@ -248,7 +249,8 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
                             failed_links=links, failed_nodes=nodes,
                             failed_wavelengths=state.failed_wavelengths))
                     out = self._ring.run_step(net, opt_system, policy,
-                                              striping, leader_steps[idx])
+                                              striping, lead_hints,
+                                              lead_sizes)
                     opt_dur = out.duration
                     serialization += out.serialization
                     propagation = out.propagation
@@ -304,17 +306,19 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
 
         Returns ``(up_steps, down_steps, leader_steps, relayed)`` —
         the per-step local uplink / downlink fluid batches, the
-        leader-ring requests over rack indices, and the relayed-
-        transfer counts (see :meth:`execute`).
+        leader-ring steps over rack indices as the ``(hints, sizes)``
+        that :meth:`OpticalRingSubstrate.run_step` takes, and the
+        relayed-transfer counts (see :meth:`execute`).
         """
         up_steps: List[List[Tuple[int, int, float]]] = []
         down_steps: List[List[Tuple[int, int, float]]] = []
-        leader_steps: List[List[TransferRequest]] = []
+        leader_steps: List[Tuple[Tuple[Hint, ...], List[float]]] = []
         relayed_per_step: List[int] = []
         for step in schedule.steps:
             up: List[Tuple[int, int, float]] = []
             down: List[Tuple[int, int, float]] = []
-            lead: List[TransferRequest] = []
+            hints: List[Hint] = []
+            sizes: List[float] = []
             relayed = 0
             for t in step:
                 b = transfer_bytes(t, workload.data_bytes,
@@ -332,12 +336,12 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
                     down.append((dst_leader, t.dst, b))
                 if t.src != src_leader or t.dst != dst_leader:
                     relayed += 1
-                lead.append(TransferRequest(
-                    src=src_rack, dst=dst_rack, size=b,
-                    direction=_hint_direction(t.direction_hint)))
+                hints.append((src_rack, dst_rack,
+                              _hint_direction(t.direction_hint)))
+                sizes.append(b)
             up_steps.append(up)
             down_steps.append(down)
-            leader_steps.append(lead)
+            leader_steps.append((tuple(hints), sizes))
             relayed_per_step.append(relayed)
         return up_steps, down_steps, leader_steps, relayed_per_step
 

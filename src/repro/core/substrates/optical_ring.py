@@ -52,6 +52,10 @@ from .base import (CacheStats, ExecutionReport, FaultReplay, LruCache,
 
 Striping = Union[str, int]
 
+#: One transfer of a step as the ring routes it: ``(src, dst,
+#: direction)``, ``direction=None`` for the shortest arc.
+Hint = Tuple[int, int, Optional[Direction]]
+
 #: Bound on memoized RWA solutions per substrate instance, and on
 #: memoized step patterns.
 DEFAULT_RWA_CACHE_SIZE = 4096
@@ -277,15 +281,12 @@ class OpticalRingSubstrate(Substrate):
                 if replay is not None:
                     state, stall = replay.enter(now)
                     net.apply_fault_state(state)
-                base_requests = [
-                    TransferRequest(
-                        src=t.src, dst=t.dst,
-                        size=transfer_bytes(t, workload.data_bytes,
-                                            schedule.num_chunks),
-                        direction=_hint_direction(t.direction_hint))
-                    for t in step]
-                out = self.run_step(net, system, policy, striping,
-                                    base_requests)
+                hints = tuple((t.src, t.dst, _hint_direction(t.direction_hint))
+                              for t in step)
+                sizes = [transfer_bytes(t, workload.data_bytes,
+                                        schedule.num_chunks) for t in step]
+                out = self.run_step(net, system, policy, striping, hints,
+                                    sizes)
                 if replay is not None and not state.is_clean:
                     replay.degrade(idx,
                                    out.duration - healthy[idx].duration)
@@ -310,9 +311,13 @@ class OpticalRingSubstrate(Substrate):
 
     def run_step(self, net: OpticalRingNetwork, system: OpticalRingSystem,
                  policy: AssignmentPolicy, striping: Striping,
-                 base_requests: List[TransferRequest],
+                 hints: Tuple[Hint, ...], sizes: Sequence[float],
                  ) -> OpticalStepOutcome:
         """Route, stripe, assign and time one synchronous step on ``net``.
+
+        The step is its transfers' ``(src, dst, direction)`` ``hints``
+        (``direction=None`` takes the shortest arc) and their byte
+        ``sizes``, index for index.
 
         The per-step core of :meth:`execute`, exposed so substrates
         that embed an optical ring level (the hierarchical rack fabric)
@@ -325,20 +330,22 @@ class OpticalRingSubstrate(Substrate):
         substrate accepted.
 
         Both memos are exact.  The pattern memo (:meth:`_pattern`)
-        holds what the step's (src, dst, direction hint) sequence alone
-        decides: its longest-arc-first order, the RWA key and the path
-        demand; the striping factor is still derived every step from
-        that demand and the live wavelength budget.  An RWA cache entry
-        holds the assignment plus its :meth:`_shape` — the MRR selection
-        and per-transfer timing constants — which, like the assignment,
-        are pure functions of (pattern, k, fault key) on a given system
-        and policy, i.e. of the cache key.  Banks are
-        retuned only through :meth:`OpticalRingNetwork.retune`, which
-        diffs against the selection it last installed, so a hit charges
-        the tuning a retune of every bank would and times the step from
-        the transfer sizes alone.
+        holds what ``hints`` alone decides: its longest-arc-first
+        order, the RWA key and the path demand; the striping factor is
+        still derived every step from that demand and the live
+        wavelength budget.  An RWA cache entry holds the assignment
+        plus its :meth:`_shape` — the MRR selection and per-transfer
+        timing constants — which, like the assignment, are pure
+        functions of (pattern, k, fault key) on a given system and
+        policy, i.e. of the cache key.  Banks are retuned only through
+        :meth:`OpticalRingNetwork.retune`, which diffs against the
+        selection it last installed, so a hit charges the tuning a
+        retune of every bank would and times the step from ``sizes``
+        alone.  :class:`TransferRequest`\\ s are built only on a miss
+        of either memo: a hit is index and float work over the step's
+        transfers.
         """
-        order, pattern, demand = self._pattern(net, system, base_requests)
+        order, pattern, demand = self._pattern(net, system, hints)
         # -- decide striping -------------------------------------------
         if striping == "off" or not system.allow_striping:
             k = 1
@@ -353,7 +360,7 @@ class OpticalRingSubstrate(Substrate):
 
         # -- wavelength assignment (conflict-exact, memoized) --------
         k, rwa, (selection, timing) = self._assign(
-            net, system, policy, base_requests, order, pattern, k)
+            net, system, policy, pattern, k)
 
         # -- retuning: only the banks whose selection changes --------
         tuning = net.retune(selection)
@@ -363,7 +370,7 @@ class OpticalRingSubstrate(Substrate):
         propagation = 0.0
         slowest = 0.0
         for idx, rate, prop in timing:
-            ser = base_requests[order[idx]].size / rate
+            ser = sizes[order[idx]] / rate
             if ser + prop > slowest:
                 slowest = ser + prop
                 serialization = ser
@@ -389,19 +396,18 @@ class OpticalRingSubstrate(Substrate):
         return net
 
     def _pattern(self, net: OpticalRingNetwork, system: OpticalRingSystem,
-                 base_requests: List[TransferRequest]) -> Tuple:
-        """``(order, pattern, demand)`` of one step's requests, memoized.
+                 hints: Tuple[Hint, ...]) -> Tuple:
+        """``(order, pattern, demand)`` of one step's ``hints``, memoized.
 
-        ``order`` lists the request indices longest arc first, ties by
+        ``order`` lists the transfer indices longest arc first, ties by
         ``(src, dst)`` and then input order: the classic circular-arc
         colouring heuristic (even so First-Fit can occasionally need
         more than demand*k channels, hence :meth:`_assign`'s fallback).
         ``pattern`` is the routed ``(src, dst, direction)`` sequence in
         that order, the RWA cache key; ``demand`` is the unstriped
         worst-segment flow count.  All three depend only on the ring and
-        on the requests' (src, dst, direction hint) sequence.
+        on ``hints``.
         """
-        hints = tuple((r.src, r.dst, r.direction) for r in base_requests)
         key = (system, hints)
         hit = self._patterns.get(key)
         if hit is not None:
@@ -417,21 +423,22 @@ class OpticalRingSubstrate(Substrate):
         order = tuple(sorted(range(len(hints)),
                              key=lambda i: (-arc_len(i), hints[i][0],
                                             hints[i][1])))
+        requests = [TransferRequest(src=src, dst=dst, direction=d)
+                    for src, dst, d in hints]
         entry = (order, tuple(hints[i] for i in order),
-                 max_link_demand(base_requests, ring, count_stripes=False))
+                 max_link_demand(requests, ring, count_stripes=False))
         self._patterns.put(key, entry, cost=len(hints))
         return entry
 
     def _assign(self, net: OpticalRingNetwork, system: OpticalRingSystem,
-                policy: AssignmentPolicy,
-                base_requests: List[TransferRequest],
-                order: Sequence[int], pattern: Tuple, k: int) -> Tuple:
+                policy: AssignmentPolicy, pattern: Tuple[Hint, ...],
+                k: int) -> Tuple:
         """Striping-fallback RWA for one step, memoized.
 
         Returns ``(k_final, rwa, shape)``: the final striping factor,
-        the (possibly cached) assignment of the requests taken in
-        ``order``, and its :meth:`_shape`.  The cache key is the sorted
-        routed ``pattern``, ``k``, the policy, the system and the fault
+        the (possibly cached) assignment of the sorted routed
+        ``pattern``, and its :meth:`_shape`.  The cache key is
+        ``pattern``, ``k``, the policy, the system and the fault
         masks — transfer sizes only enter the timing, which the caller
         computes.  Infeasible steps raise
         :class:`~repro.errors.WavelengthAllocationError` exactly as the
@@ -450,29 +457,32 @@ class OpticalRingSubstrate(Substrate):
             # rwa_delta patch base (last *solved* step) stays valid.
             return hit
 
-        k, requests, rwa = self._solve(
-            net, policy, [base_requests[i] for i in order], k)
+        k, requests, rwa = self._solve(net, policy, pattern, k)
         value = (k, rwa, self._shape(net, system, requests, rwa))
         # Admission policy: very large steps are solved but not memoized
         # (`rwa_cache_skipped` counts them).
-        self._cache.put(key, value, cost=len(base_requests))
+        self._cache.put(key, value, cost=len(pattern))
         return value
 
     def _solve(self, net: OpticalRingNetwork, policy: AssignmentPolicy,
-               ordered: List[TransferRequest], k: int) -> Tuple:
+               ordered: Sequence[Hint], k: int) -> Tuple:
         """Solve one step's RWA on ``net``: ``(k_final, requests, rwa)``.
 
+        ``ordered`` is the step's routed pattern, longest arc first.
         Patches the network's previous assignment when the delta path
         applies, else solves from scratch, thinning the striping until
         the step fits (raising at ``k = 1``).  ``requests`` carry
-        ``num_wavelengths=k_final``.
+        ``num_wavelengths=k_final`` and no size: wavelength assignment
+        never reads one.
         """
+        def requests_at(k: int) -> List[TransferRequest]:
+            return [TransferRequest(src=src, dst=dst, direction=d,
+                                    num_wavelengths=k)
+                    for src, dst, d in ordered]
+
         prev = net.rwa_delta
         if isinstance(prev, RwaDelta):
-            requests = [
-                TransferRequest(src=r.src, dst=r.dst, size=r.size,
-                                direction=r.direction, num_wavelengths=k)
-                for r in ordered]
+            requests = requests_at(k)
             rwa = assign_wavelengths_delta(net, requests, policy, prev)
             if rwa is not None:
                 self._delta_patched += 1
@@ -485,10 +495,7 @@ class OpticalRingSubstrate(Substrate):
             self._delta_fallbacks += 1
 
         while True:
-            requests = [
-                TransferRequest(src=r.src, dst=r.dst, size=r.size,
-                                direction=r.direction, num_wavelengths=k)
-                for r in ordered]
+            requests = requests_at(k)
             net.clear()
             try:
                 rwa = assign_wavelengths(net, requests, policy)

@@ -381,7 +381,17 @@ class ServingEngine:
 
     def _placed_schedule(self, algorithm: str, nodes: Tuple[int, ...],
                          message_bytes: float) -> Schedule:
-        key = (algorithm, nodes, float(message_bytes))
+        """The ``algorithm`` all-reduce re-based onto ``nodes``.
+
+        Only ``"wrht"`` depends on the payload (see
+        :meth:`_collective_schedule`), so only it is keyed by message
+        size; every other generator is placed once per node set.  A
+        placed key holds the node tuple where an unplaced one holds
+        its length, so both share ``_schedules`` without colliding.
+        """
+        key = (algorithm, nodes)
+        if algorithm == "wrht":
+            key += (float(message_bytes),)
         sched = self._schedules.get(key)
         if sched is None:
             base = self._collective_schedule(algorithm, len(nodes),

@@ -15,7 +15,7 @@ bank retunes per transfer, however many nodes the ring has.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 from unittest import mock
 
 import pytest
@@ -67,12 +67,20 @@ def _reference_retune_for_step(node: OpticalNode, tx: Dict[str, Set[int]],
 
 
 class ReferenceRingSubstrate(OpticalRingSubstrate):
-    """The ring substrate with the pre-memo ``run_step``/``_assign``."""
+    """The ring substrate with the pre-memo ``run_step``/``_assign``.
+
+    It takes the step as ``run_step`` does, as ``(src, dst, direction)``
+    hints and byte sizes, and turns them into the per-transfer requests
+    the pre-memo path worked on.
+    """
 
     def run_step(self, net: OpticalRingNetwork, system: OpticalRingSystem,
                  policy: AssignmentPolicy, striping,
-                 base_requests: List[TransferRequest],
+                 hints: Sequence[Tuple], sizes: Sequence[float],
                  ) -> OpticalStepOutcome:
+        base_requests = [TransferRequest(src=src, dst=dst, size=size,
+                                         direction=d)
+                         for (src, dst, d), size in zip(hints, sizes)]
         ring = net.topology
         # -- decide striping -------------------------------------------
         if striping == "off" or not system.allow_striping:
@@ -240,8 +248,8 @@ class _Recording:
         super().__init__(*args, **kwargs)
         self.trace: List[Tuple] = []
 
-    def run_step(self, net, system, policy, striping, base_requests):
-        out = super().run_step(net, system, policy, striping, base_requests)
+    def run_step(self, net, system, policy, striping, hints, sizes):
+        out = super().run_step(net, system, policy, striping, hints, sizes)
         self.trace.append((out, _bank_state(net)))
         return out
 
