@@ -38,6 +38,7 @@ notes; ``python -m repro report`` regenerates the paper-vs-measured
 record.
 """
 
+from ._lazy import lazy_exports
 from .config import (ElectricalSystem, HierarchicalSystem,
                      OpticalRingSystem, OpticalTorusSystem, Workload,
                      default_electrical, default_hierarchical,
@@ -70,18 +71,11 @@ __all__ = [
 ]
 
 
-def __getattr__(name):  # lazy imports keep `import repro` light
-    if name in ("plan_wrht", "WrhtPlan"):
-        from .core import planner
-        return getattr(planner, name)
-    if name in ("compare_algorithms", "ComparisonResult"):
-        from .core import comparison
-        return getattr(comparison, name)
-    if name == "allreduce":
-        from .core.allreduce_api import allreduce
-        return allreduce
-    if name in ("Substrate", "get_substrate", "register_substrate",
-                "available_substrates"):
-        from .core import substrates
-        return getattr(substrates, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+# The front ends load on first use, so ``import repro`` stays light.
+_front_ends, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".core.planner": ("plan_wrht", "WrhtPlan"),
+    ".core.comparison": ("compare_algorithms", "ComparisonResult"),
+    ".core.allreduce_api": ("allreduce",),
+    ".core.substrates": ("Substrate", "get_substrate", "register_substrate",
+                         "available_substrates"),
+})

@@ -17,14 +17,12 @@ from ..config import ElectricalSystem, OpticalRingSystem, Workload, \
     default_electrical, default_optical
 from ..core.comparison import ALGORITHMS, ComparisonResult, \
     compare_algorithms
-from ..models.catalog import PAPER_PARAM_COUNTS, paper_workload
+from ..models.catalog import PAPER_MODELS, PAPER_PARAM_COUNTS, \
+    paper_workload
 from .ascii_plot import grouped_bar_chart
 
 #: The paper's cluster scales (x axis of every panel).
 PAPER_SCALES: Tuple[int, ...] = (128, 256, 512, 1024)
-#: The paper's model order (panels a-d).
-PAPER_MODELS: Tuple[str, ...] = ("alexnet", "vgg16", "resnet50",
-                                 "googlenet")
 
 
 @dataclass

@@ -13,34 +13,29 @@ Commands
 * ``serve``    — stream a seeded multi-job traffic mix through the
   online scheduler on one shared warm substrate and report throughput,
   JCT percentiles, queue depth, and cache hit rates.
+
+Each handler imports what it runs, so ``import repro.cli`` loads no
+subsystem and a command loads only the packages it uses: ``tables``,
+``fig2`` and ``headline`` load no substrate, and no command loads scipy
+unless a flow batch needs it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+import textwrap
+from typing import Iterator, List, Optional, Tuple
 
 from . import units
-from .analysis import (figure2, headline_reductions, panels_to_csv,
-                       render_headline, render_panel,
-                       render_step_count_table,
-                       render_wavelength_requirement_table, step_count_table,
-                       wavelength_requirement_table)
-from .analysis.ascii_plot import simple_table
-from .analysis.figure2 import PAPER_MODELS, PAPER_SCALES
-from .analysis.sweeps import (bandwidth_sweep, crossover_sweep,
-                              hier_group_sweep, striping_sweep,
-                              substrate_sweep, wavelength_sweep)
-from .collectives.analysis import describe_schedule
-from .config import Workload, default_optical
-from .core.planner import plan_wrht
-from .core.substrates import available_substrates, get_substrate
 from .errors import ConfigurationError, ReproError
-from .models.catalog import paper_workload
+from .models.catalog import PAPER_MODELS
 
 
 def _cmd_fig2(args: argparse.Namespace) -> int:
+    from .analysis.figure2 import (PAPER_SCALES, figure2, panels_to_csv,
+                                   render_panel)
+
     models = [args.model] if args.model else list(PAPER_MODELS)
     scales = args.scales or list(PAPER_SCALES)
     panels = figure2(models=models, scales=scales, fidelity=args.fidelity)
@@ -54,12 +49,19 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
 
 
 def _cmd_headline(args: argparse.Namespace) -> int:
+    from .analysis.headline import headline_reductions, render_headline
+
     result = headline_reductions()
     print(render_headline(result))
     return 0
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
+    from .analysis.tables import (render_step_count_table,
+                                  render_wavelength_requirement_table,
+                                  step_count_table,
+                                  wavelength_requirement_table)
+
     print(render_step_count_table(step_count_table(group_size=args.m),
                                   group_size=args.m))
     print()
@@ -70,6 +72,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _cmd_plan_strategy(args: argparse.Namespace) -> int:
     """The strategy co-planner path of ``plan`` (``--strategy``)."""
+    from .analysis.ascii_plot import simple_table
     from .core.topoplan import plan_strategy, strategy_plan_table
     from .models.strategies import parse_strategy
 
@@ -121,6 +124,10 @@ def _cmd_plan_strategy(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     if getattr(args, "strategy", None):
         return _cmd_plan_strategy(args)
+    from .config import Workload, default_optical
+    from .core.planner import plan_wrht
+    from .models.catalog import paper_workload
+
     if args.lookahead and args.substrate != "ocs-reconfig":
         raise ConfigurationError(
             "--lookahead requires --substrate ocs-reconfig (the program "
@@ -139,6 +146,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if args.substrate:
         # Dispatch through the registry; only the optical ring takes the
         # configured system, other fabrics derive their own default.
+        from .core.substrates import get_substrate
+
         extra = {"lookahead": True} if args.lookahead else {}
         sub = get_substrate(args.substrate,
                             system=system if args.substrate == "optical-ring"
@@ -151,6 +160,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         # of describe(), so any substrate that memoizes work reports it.
         _print_cache_table([sub])
     if args.show_schedule:
+        from .collectives.analysis import describe_schedule
         from .topology.ring import RingTopology
         ring = RingTopology(args.nodes, capacity=1.0)
         print()
@@ -168,6 +178,7 @@ def _print_cache_table(substrates=None, title: str = "cache statistics",
     answer); when no substrate reports counters at all the table is
     skipped.
     """
+    from .analysis.ascii_plot import simple_table
     from .core.substrates import cache_stats
 
     stats = cache_stats(substrates)
@@ -236,6 +247,7 @@ def _validate_serve_args(args: argparse.Namespace) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from .analysis.ascii_plot import simple_table
     from .serving import (RetryPolicy, ServingEngine, adaptive_policy,
                           fixed_policy, poisson_traffic)
 
@@ -314,6 +326,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .analysis.ascii_plot import simple_table
+    from .analysis.sweeps import (bandwidth_sweep, crossover_sweep,
+                                  fault_sweep, hier_group_sweep,
+                                  ocs_delay_sweep, strategy_sweep,
+                                  striping_sweep, substrate_sweep,
+                                  wavelength_sweep)
+    from .config import Workload
+    from .models.catalog import paper_workload
+
     wl = (paper_workload(args.model) if args.model
           else Workload(data_bytes=args.bytes))
     if args.kind == "wavelengths":
@@ -363,7 +384,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                   f"{wl.name}, ring all-reduce)"))
         _print_cache_table(title="cache statistics (all substrates)")
     elif args.kind == "faults":
-        from .analysis.sweeps import fault_sweep
         # Serving capacity, not collective scale: clip the sweep-wide
         # --nodes default (256) to a tractable shared fabric.
         capacity = min(args.nodes, 32)
@@ -377,7 +397,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             title=f"EXT-F1 fault-rate sweep (capacity={capacity}, "
                   f"retrying serving)"))
     elif args.kind == "ocs-delay":
-        from .analysis.sweeps import ocs_delay_sweep
         # Whole-schedule DP per cell: clip the sweep-wide --nodes
         # default (256) to a fabric the synthesiser prices quickly.
         nodes = min(args.nodes, 64)
@@ -391,7 +410,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                   f"(N={nodes}, {wl.name}, recursive doubling, "
                   f"4 ports)"))
     elif args.kind == "strategies":
-        from .analysis.sweeps import strategy_sweep
         # Every cell simulates concatenated demand programs; clip the
         # sweep-wide --nodes default (256) to a co-plannable fabric.
         nodes = min(args.nodes, 16)
@@ -426,6 +444,32 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+class _SubstrateNames:
+    """The registered substrate names, read only when argparse checks a
+    ``--substrate`` value or prints help, so that building the parser
+    loads no substrate."""
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names())
+
+    @staticmethod
+    def _names() -> Tuple[str, ...]:
+        from .core.substrates import available_substrates
+        return available_substrates()
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Wraps help text between words only, so that a name such as
+    ``electrical-ring`` never splits across lines."""
+
+    def _split_lines(self, text: str, width: int) -> List[str]:
+        return textwrap.wrap(" ".join(text.split()), width,
+                             break_on_hyphens=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree (exposed for tests)."""
     p = argparse.ArgumentParser(
@@ -448,14 +492,17 @@ def build_parser() -> argparse.ArgumentParser:
     tb.add_argument("--m", type=int, default=3)
     tb.set_defaults(func=_cmd_tables)
 
-    pl = sub.add_parser("plan", help="plan Wrht for a system")
+    pl = sub.add_parser("plan", help="plan Wrht for a system",
+                        formatter_class=_HelpFormatter)
     pl.add_argument("--nodes", type=int, default=128)
     pl.add_argument("--wavelengths", type=int, default=64)
     pl.add_argument("--model", choices=PAPER_MODELS)
     pl.add_argument("--bytes", type=float, default=100 * units.MB)
     pl.add_argument("--show-schedule", action="store_true")
-    pl.add_argument("--substrate", choices=available_substrates(),
-                    help="also execute the plan on this substrate")
+    pl.add_argument("--substrate", choices=_SubstrateNames(),
+                    metavar="SUBSTRATE",
+                    help="also execute the plan on this substrate "
+                         "(%(choices)s)")
     pl.add_argument("--lookahead", action="store_true",
                     help="synthesize a whole-schedule switch program "
                          "instead of reconfiguring step by step "
@@ -480,14 +527,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sv = sub.add_parser("serve",
                         help="stream a multi-job mix through the online "
-                             "scheduler on one shared substrate")
+                             "scheduler on one shared substrate",
+                        formatter_class=_HelpFormatter)
     sv.add_argument("--jobs", type=int, default=50)
     sv.add_argument("--rate", type=float, default=20.0,
                     help="Poisson arrival rate (jobs per simulated second)")
     sv.add_argument("--capacity", type=int, default=32,
                     help="shared substrate nodes")
     sv.add_argument("--substrate", default="electrical-ring",
-                    choices=available_substrates())
+                    choices=_SubstrateNames(), metavar="SUBSTRATE",
+                    help="shared fabric (%(choices)s)")
     sv.add_argument("--policy", default="fifo",
                     choices=("fifo", "sjf", "priority"))
     sv.add_argument("--placement", default="contiguous",

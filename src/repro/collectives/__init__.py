@@ -28,39 +28,20 @@ Every generated schedule can be proven correct with
 :func:`~repro.collectives.verifier.verify_allreduce`.
 """
 
-from .alltoall_wdm import (alltoall_wavelength_requirement,
-                           generate_alltoall_reduce)
-from .binomial_tree import generate_binomial_tree
-from .halving_doubling import generate_halving_doubling
-from .hierarchical_ring import generate_hierarchical_ring
-from .recursive_doubling import generate_recursive_doubling
-from .registry import COLLECTIVES, STEP_COUNTS, generate_collective
-from .ring_allreduce import generate_ring_allreduce
-from .schedule import Schedule, Step, Transfer, TransferOp
-from .verifier import verify_allreduce
-from .wrht import WrhtParameters, WrhtScheduleInfo, generate_wrht
-from .wrht_pipelined import generate_wrht_pipelined
-from . import analysis
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Schedule",
-    "Step",
-    "Transfer",
-    "TransferOp",
-    "verify_allreduce",
-    "generate_ring_allreduce",
-    "generate_recursive_doubling",
-    "generate_halving_doubling",
-    "generate_binomial_tree",
-    "generate_hierarchical_ring",
-    "generate_alltoall_reduce",
-    "alltoall_wavelength_requirement",
-    "generate_wrht",
-    "generate_wrht_pipelined",
-    "WrhtParameters",
-    "WrhtScheduleInfo",
-    "COLLECTIVES",
-    "STEP_COUNTS",
-    "generate_collective",
-    "analysis",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".schedule": ("Schedule", "Step", "Transfer", "TransferOp"),
+    ".verifier": ("verify_allreduce",),
+    ".ring_allreduce": ("generate_ring_allreduce",),
+    ".recursive_doubling": ("generate_recursive_doubling",),
+    ".halving_doubling": ("generate_halving_doubling",),
+    ".binomial_tree": ("generate_binomial_tree",),
+    ".hierarchical_ring": ("generate_hierarchical_ring",),
+    ".alltoall_wdm": ("generate_alltoall_reduce",
+                      "alltoall_wavelength_requirement"),
+    ".wrht": ("generate_wrht", "WrhtParameters", "WrhtScheduleInfo"),
+    ".wrht_pipelined": ("generate_wrht_pipelined",),
+    ".registry": ("COLLECTIVES", "STEP_COUNTS", "generate_collective"),
+    ".analysis": ("analysis",),
+})

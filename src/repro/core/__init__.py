@@ -19,41 +19,20 @@
   that really reduces user arrays while reporting modelled time.
 """
 
-from .comparison import (ALGORITHMS, EXTENDED_ALGORITHMS, AlgorithmResult,
-                         ComparisonResult, compare_algorithms)
-from .cost_model import (ering_time, oring_time, rd_time,
-                         ring_allreduce_time_optical, wrht_time,
-                         wrht_time_from_schedule)
-from .planner import WrhtPlan, plan_wrht
-from .substrates import (ElectricalSubstrate, ExecutionReport,
-                         OpticalRingSubstrate, OpticalTorusSubstrate,
-                         StepReport, Substrate, SubstrateInfo,
-                         available_substrates, get_substrate,
-                         pooled_substrate, register_substrate)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ering_time",
-    "rd_time",
-    "oring_time",
-    "ring_allreduce_time_optical",
-    "wrht_time",
-    "wrht_time_from_schedule",
-    "ExecutionReport",
-    "StepReport",
-    "WrhtPlan",
-    "plan_wrht",
-    "ALGORITHMS",
-    "EXTENDED_ALGORITHMS",
-    "AlgorithmResult",
-    "ComparisonResult",
-    "compare_algorithms",
-    "Substrate",
-    "SubstrateInfo",
-    "OpticalRingSubstrate",
-    "ElectricalSubstrate",
-    "OpticalTorusSubstrate",
-    "get_substrate",
-    "pooled_substrate",
-    "register_substrate",
-    "available_substrates",
-]
+# Each name imports its module on first read: the planner, the cost
+# models and the substrates load only for the callers that use them.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".comparison": ("ALGORITHMS", "EXTENDED_ALGORITHMS", "AlgorithmResult",
+                    "ComparisonResult", "compare_algorithms"),
+    ".cost_model": ("ering_time", "rd_time", "oring_time",
+                    "ring_allreduce_time_optical", "wrht_time",
+                    "wrht_time_from_schedule"),
+    ".planner": ("WrhtPlan", "plan_wrht"),
+    ".substrates": ("ExecutionReport", "StepReport", "Substrate",
+                    "SubstrateInfo", "OpticalRingSubstrate",
+                    "ElectricalSubstrate", "OpticalTorusSubstrate",
+                    "get_substrate", "pooled_substrate",
+                    "register_substrate", "available_substrates"),
+})

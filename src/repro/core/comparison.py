@@ -42,8 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
-from ..collectives.hierarchical_ring import (generate_hierarchical_ring,
-                                             hierarchical_ring_step_count)
 from ..collectives.recursive_doubling import (
     generate_recursive_doubling, recursive_doubling_step_count)
 from ..collectives.ring_allreduce import (generate_ring_allreduce,
@@ -55,8 +53,6 @@ from ..config import (ElectricalSystem, OpticalRingSystem, Workload,
 from ..errors import ConfigurationError
 from . import cost_model
 from .planner import plan_wrht
-from .substrates import pooled_substrate
-from .topoplan import plan_topology
 
 ALGORITHMS: Tuple[str, ...] = ("e-ring", "rd", "o-ring", "wrht")
 #: The paper's four plus the torus, reconfigurable-OCS, and multi-rack
@@ -130,55 +126,60 @@ def compare_algorithms(
     return out
 
 
+def _simulated(algo: str, substrate: str, system, schedule,
+               workload: Workload, detail: Optional[dict] = None,
+               **options) -> AlgorithmResult:
+    """``schedule`` executed on the pooled ``substrate`` for ``system``.
+
+    Only simulation loads the substrates; the analytic fidelity never
+    imports them."""
+    from .substrates import pooled_substrate
+    rep = pooled_substrate(substrate, system).execute(schedule, workload,
+                                                      **options)
+    return AlgorithmResult(algo, rep.total_time, rep.num_steps,
+                           rep.substrate, detail or {})
+
+
 def _evaluate(algo: str, n: int, workload: Workload,
               opt: OpticalRingSystem, ele: ElectricalSystem,
               fidelity: str) -> AlgorithmResult:
+    simulate = fidelity == "simulate"
     if algo == "e-ring":
         ering = ele.with_(topology="ring")
-        if fidelity == "simulate":
-            rep = pooled_substrate("electrical-ring", ering).execute(
-                generate_ring_allreduce(n), workload)
-            return AlgorithmResult(algo, rep.total_time, rep.num_steps,
-                                   rep.substrate)
+        if simulate:
+            return _simulated(algo, "electrical-ring", ering,
+                              generate_ring_allreduce(n), workload)
         return AlgorithmResult(algo, cost_model.ering_time(ering, workload),
                                ring_step_count(n), "electrical-ring")
     if algo == "rd":
-        if fidelity == "simulate":
+        if simulate:
             # Dispatch on the system's own topology (a caller may study
             # RD on a ring fabric) — matches the pre-registry executor.
-            rep = pooled_substrate(f"electrical-{ele.topology}",
-                                   ele).execute(
-                generate_recursive_doubling(n), workload)
-            return AlgorithmResult(algo, rep.total_time, rep.num_steps,
-                                   rep.substrate)
+            return _simulated(algo, f"electrical-{ele.topology}", ele,
+                              generate_recursive_doubling(n), workload)
         return AlgorithmResult(algo, cost_model.rd_time(ele, workload),
                                recursive_doubling_step_count(n),
                                "electrical-switch")
     if algo == "o-ring":
-        if fidelity == "simulate":
-            rep = pooled_substrate("optical-ring", opt).execute(
-                generate_ring_allreduce(n), workload, striping="off")
-            return AlgorithmResult(algo, rep.total_time, rep.num_steps,
-                                   rep.substrate)
+        if simulate:
+            return _simulated(algo, "optical-ring", opt,
+                              generate_ring_allreduce(n), workload,
+                              striping="off")
         return AlgorithmResult(algo, cost_model.oring_time(opt, workload),
                                ring_step_count(n), "optical-ring")
     if algo == "wrht":
         plan = plan_wrht(opt, workload)
         detail = {"group_size": plan.group_size, "variant": plan.variant,
                   "used_alltoall": plan.info.used_alltoall}
-        if fidelity == "simulate":
-            rep = pooled_substrate("optical-ring", opt).execute(
-                plan.schedule, workload)
-            return AlgorithmResult(algo, rep.total_time, rep.num_steps,
-                                   rep.substrate, detail)
+        if simulate:
+            return _simulated(algo, "optical-ring", opt, plan.schedule,
+                              workload, detail)
         return AlgorithmResult(algo, plan.predicted_time, plan.num_steps,
                                "optical-ring", detail)
     if algo == "o-torus":
-        if fidelity == "simulate":
-            rep = pooled_substrate("optical-torus").execute(
-                generate_ring_allreduce(n), workload)
-            return AlgorithmResult(algo, rep.total_time, rep.num_steps,
-                                   rep.substrate)
+        if simulate:
+            return _simulated(algo, "optical-torus", None,
+                              generate_ring_allreduce(n), workload)
         return AlgorithmResult(
             algo, cost_model.otorus_ring_time(default_torus(n), workload),
             ring_step_count(n), "optical-torus")
@@ -187,18 +188,19 @@ def _evaluate(algo: str, n: int, workload: Workload,
         # and report the winner; mirrors the Wrht pattern of planning
         # analytically, then (under fidelity="simulate") executing the
         # planned schedule on the real substrate.
+        from ..collectives.hierarchical_ring import (
+            generate_hierarchical_ring, hierarchical_ring_step_count)
         best_system = min(
             (default_hierarchical(n, group_size=g)
              for g in hier_group_candidates(n)),
             key=lambda hs: cost_model.hier_rack_time(hs, workload))
         detail = {"group_size": best_system.group_size,
                   "num_groups": best_system.num_groups}
-        if fidelity == "simulate":
-            rep = pooled_substrate("hier-rack", best_system).execute(
+        if simulate:
+            return _simulated(
+                algo, "hier-rack", best_system,
                 generate_hierarchical_ring(n, best_system.group_size),
-                workload)
-            return AlgorithmResult(algo, rep.total_time, rep.num_steps,
-                                   rep.substrate, detail)
+                workload, detail)
         return AlgorithmResult(
             algo, cost_model.hier_rack_time(best_system, workload),
             hierarchical_ring_step_count(n, best_system.group_size),
@@ -207,6 +209,7 @@ def _evaluate(algo: str, n: int, workload: Workload,
         # Simulation-only scenario: the co-planner's per-step
         # stay-vs-reconfigure choices have no closed form, so the
         # analytic fidelity also executes on the substrate.
+        from .topoplan import plan_topology
         plan = plan_topology(default_ocs(n), workload)
         detail = {"algorithm": plan.algorithm, "policy": plan.policy,
                   "reconfigurations": plan.num_reconfigurations}

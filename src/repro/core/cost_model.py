@@ -22,7 +22,7 @@ Conventions (matching the substrates):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from ..caching import CacheStats, LruCache
 from ..collectives import analysis as can
@@ -36,8 +36,10 @@ from ..config import (ElectricalSystem, HierarchicalSystem,
                       OpticalRingSystem, OpticalTorusSystem,
                       ReconfigurableOCSSystem, Workload)
 from ..errors import ConfigurationError, TopologyError
-from ..models.strategies import CollectivePhase, DemandProfile
 from ..topology.ring import RingTopology
+
+if TYPE_CHECKING:
+    from ..models.strategies import CollectivePhase, DemandProfile
 
 # ---------------------------------------------------------------------------
 # electrical baselines (the paper's E-Ring and RD, SimGrid-modelled)

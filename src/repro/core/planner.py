@@ -25,7 +25,7 @@ fraction of the cost).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from ..collectives.schedule import Schedule
 from ..collectives.wrht import (WrhtParameters, WrhtScheduleInfo,
@@ -33,7 +33,9 @@ from ..collectives.wrht import (WrhtParameters, WrhtScheduleInfo,
 from ..config import OpticalRingSystem, Workload
 from ..errors import PlanningError
 from .cost_model import wrht_candidate_costs, wrht_time
-from .substrates.optical_ring import OpticalRingSubstrate
+
+if TYPE_CHECKING:
+    from .substrates.optical_ring import OpticalRingSubstrate
 
 VARIANTS = ("paper", "last-level", "tree")
 
@@ -159,6 +161,8 @@ def plan_wrht(system: OpticalRingSystem, workload: Workload,
         return WrhtPlan(params=params, variant=variant, schedule=schedule,
                         info=info, predicted_time=total)
     if substrate is None:
+        # Only the simulating fidelities load the substrate.
+        from .substrates.optical_ring import OpticalRingSubstrate
         substrate = OpticalRingSubstrate(system)
     if fidelity == "hybrid":
         candidates = _ranked(system, workload, candidates)[:top_k]

@@ -50,7 +50,7 @@ from ...topology.hierarchy import HierarchicalTopology
 from .base import (ExecutionReport, FaultReplay, FluidCacheMixin, StepReport,
                    Substrate, SubstrateInfo)
 from .optical_ring import (Hint, OpticalRingSubstrate, RwaCacheStats,
-                           Striping, _check_striping, _hint_direction)
+                           Striping, _check_striping)
 
 
 class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
@@ -336,8 +336,7 @@ class HierarchicalRackSubstrate(FluidCacheMixin, Substrate):
                     down.append((dst_leader, t.dst, b))
                 if t.src != src_leader or t.dst != dst_leader:
                     relayed += 1
-                hints.append((src_rack, dst_rack,
-                              _hint_direction(t.direction_hint)))
+                hints.append((src_rack, dst_rack, t.direction_hint))
                 sizes.append(b)
             up_steps.append(up)
             down_steps.append(down)

@@ -52,9 +52,11 @@ from .base import (CacheStats, ExecutionReport, FaultReplay, LruCache,
 
 Striping = Union[str, int]
 
-#: One transfer of a step as the ring routes it: ``(src, dst,
-#: direction)``, ``direction=None`` for the shortest arc.
-Hint = Tuple[int, int, Optional[Direction]]
+#: One transfer of a step as the ring routes it: ``(src, dst, hint)``
+#: with the schedule's direction hint, ``"cw"``, ``"ccw"`` or ``None``
+#: for the shortest arc.  Strings and ints hash in C, so the memo keys
+#: built from hints cost no Python-level ``__hash__`` per transfer.
+Hint = Tuple[int, int, Optional[str]]
 
 #: Bound on memoized RWA solutions per substrate instance, and on
 #: memoized step patterns.
@@ -94,6 +96,7 @@ def _check_striping(striping: object) -> None:
 
 
 def _hint_direction(hint: Optional[str]) -> Optional[Direction]:
+    """The :class:`Direction` a hint names (``None``: shortest arc)."""
     if hint == "cw":
         return Direction.CW
     if hint == "ccw":
@@ -281,7 +284,7 @@ class OpticalRingSubstrate(Substrate):
                 if replay is not None:
                     state, stall = replay.enter(now)
                     net.apply_fault_state(state)
-                hints = tuple((t.src, t.dst, _hint_direction(t.direction_hint))
+                hints = tuple((t.src, t.dst, t.direction_hint)
                               for t in step)
                 sizes = [transfer_bytes(t, workload.data_bytes,
                                         schedule.num_chunks) for t in step]
@@ -315,9 +318,8 @@ class OpticalRingSubstrate(Substrate):
                  ) -> OpticalStepOutcome:
         """Route, stripe, assign and time one synchronous step on ``net``.
 
-        The step is its transfers' ``(src, dst, direction)`` ``hints``
-        (``direction=None`` takes the shortest arc) and their byte
-        ``sizes``, index for index.
+        The step is its transfers' ``(src, dst, hint)`` ``hints`` (see
+        :data:`Hint`) and their byte ``sizes``, index for index.
 
         The per-step core of :meth:`execute`, exposed so substrates
         that embed an optical ring level (the hierarchical rack fabric)
@@ -345,7 +347,7 @@ class OpticalRingSubstrate(Substrate):
         of either memo: a hit is index and float work over the step's
         transfers.
         """
-        order, pattern, demand = self._pattern(net, system, hints)
+        order, pattern, demand = self._pattern(net, hints)
         # -- decide striping -------------------------------------------
         if striping == "off" or not system.allow_striping:
             k = 1
@@ -395,7 +397,7 @@ class OpticalRingSubstrate(Substrate):
             self._networks[system] = net
         return net
 
-    def _pattern(self, net: OpticalRingNetwork, system: OpticalRingSystem,
+    def _pattern(self, net: OpticalRingNetwork,
                  hints: Tuple[Hint, ...]) -> Tuple:
         """``(order, pattern, demand)`` of one step's ``hints``, memoized.
 
@@ -403,19 +405,22 @@ class OpticalRingSubstrate(Substrate):
         ``(src, dst)`` and then input order: the classic circular-arc
         colouring heuristic (even so First-Fit can occasionally need
         more than demand*k channels, hence :meth:`_assign`'s fallback).
-        ``pattern`` is the routed ``(src, dst, direction)`` sequence in
-        that order, the RWA cache key; ``demand`` is the unstriped
-        worst-segment flow count.  All three depend only on the ring and
-        on ``hints``.
+        ``pattern`` is ``hints`` in that order, the RWA cache key;
+        ``demand`` is the unstriped worst-segment flow count.  All three
+        depend only on the ring and on ``hints``.  The memos key on
+        ``net``, which stands for its system (:meth:`_network` keeps one
+        network per system), because a network hashes by identity in C
+        and a system dataclass hashes field by field in Python.
         """
-        key = (system, hints)
+        key = (net, hints)
         hit = self._patterns.get(key)
         if hit is not None:
             return hit
         ring = net.topology
 
         def arc_len(i: int) -> int:
-            src, dst, d = hints[i]
+            src, dst, hint = hints[i]
+            d = _hint_direction(hint)
             if d is None:
                 d = ring.shortest_direction(src, dst)
             return ring.distance(src, dst, d)
@@ -423,8 +428,9 @@ class OpticalRingSubstrate(Substrate):
         order = tuple(sorted(range(len(hints)),
                              key=lambda i: (-arc_len(i), hints[i][0],
                                             hints[i][1])))
-        requests = [TransferRequest(src=src, dst=dst, direction=d)
-                    for src, dst, d in hints]
+        requests = [TransferRequest(src=src, dst=dst,
+                                    direction=_hint_direction(hint))
+                    for src, dst, hint in hints]
         entry = (order, tuple(hints[i] for i in order),
                  max_link_demand(requests, ring, count_stripes=False))
         self._patterns.put(key, entry, cost=len(hints))
@@ -438,13 +444,13 @@ class OpticalRingSubstrate(Substrate):
         Returns ``(k_final, rwa, shape)``: the final striping factor,
         the (possibly cached) assignment of the sorted routed
         ``pattern``, and its :meth:`_shape`.  The cache key is
-        ``pattern``, ``k``, the policy, the system and the fault
-        masks — transfer sizes only enter the timing, which the caller
-        computes.  Infeasible steps raise
-        :class:`~repro.errors.WavelengthAllocationError` exactly as the
-        cold path does (failures are not cached).
+        ``pattern``, ``k``, the policy, the system (as ``net``, see
+        :meth:`_pattern`) and the fault masks — transfer sizes only
+        enter the timing, which the caller computes.  Infeasible steps
+        raise :class:`~repro.errors.WavelengthAllocationError` exactly as
+        the cold path does (failures are not cached).
         """
-        key = (system, policy, k, pattern)
+        key = (net, policy.value, k, pattern)
         fault_key = net.fault_key()
         if fault_key:
             # Degraded solutions are memoized apart from healthy ones
@@ -476,9 +482,10 @@ class OpticalRingSubstrate(Substrate):
         never reads one.
         """
         def requests_at(k: int) -> List[TransferRequest]:
-            return [TransferRequest(src=src, dst=dst, direction=d,
+            return [TransferRequest(src=src, dst=dst,
+                                    direction=_hint_direction(hint),
                                     num_wavelengths=k)
-                    for src, dst, d in ordered]
+                    for src, dst, hint in ordered]
 
         prev = net.rwa_delta
         if isinstance(prev, RwaDelta):

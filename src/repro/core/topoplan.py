@@ -27,7 +27,7 @@ cannot be generated for a node count are skipped, not fatal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..collectives.hierarchical_ring import hierarchical_ring_step_count
@@ -179,8 +179,33 @@ def profile_demands(profile: DemandProfile, algorithm: str,
     name, so the synthesized program is named exactly as the legacy
     schedule path names it — part of the bit-for-bit parity story.
     """
+    return _profile_demands(profile, algorithm, num_nodes, _PhaseMemo())
+
+
+@dataclass
+class _PhaseMemo:
+    """What one planning call has built per phase, on ``num_nodes``.
+
+    ``schedules`` maps ``(algorithm, groups)`` to the phase schedule
+    and the name of the phase it was built for; ``steps`` maps
+    ``(algorithm, groups, message bytes)`` to that schedule's per-step
+    demand matrices and transfer counts.  Phases of different
+    strategies often share their groups, and many share a message
+    size.
+    """
+
+    schedules: Dict[tuple, Tuple[Schedule, str]] = field(
+        default_factory=dict)
+    steps: Dict[tuple, Tuple[List[Dict[CircuitPair, float]], List[int]]] \
+        = field(default_factory=dict)
+
+
+def _profile_demands(profile: DemandProfile, algorithm: str,
+                     num_nodes: int, memo: _PhaseMemo,
+                     ) -> Tuple[List[Dict[CircuitPair, float]], List[int],
+                                str, Tuple[Schedule, ...]]:
+    """:func:`profile_demands`, reusing what ``memo`` holds."""
     _check_candidate(algorithm)
-    generator = COLLECTIVES[algorithm]
     if profile.world > num_nodes:
         raise PlanningError(
             f"profile spans {profile.world} ranks; fabric has {num_nodes}")
@@ -188,17 +213,14 @@ def profile_demands(profile: DemandProfile, algorithm: str,
     demands: List[Dict[CircuitPair, float]] = []
     counts: List[int] = []
     for phase in profile.phases:
-        sched = phase_schedule(phase, generator, num_nodes)
+        sched = _phase_schedule(phase, algorithm, num_nodes, memo)
         schedules.append(sched)
-        step_sizes: List[Dict[CircuitPair, float]] = []
-        step_counts: List[int] = []
-        for step in sched.steps:
-            sizes: Dict[CircuitPair, float] = {}
-            for t in step:
-                b = transfer_bytes(t, phase.message_bytes, sched.num_chunks)
-                sizes[(t.src, t.dst)] = sizes.get((t.src, t.dst), 0.0) + b
-            step_sizes.append(sizes)
-            step_counts.append(len(step))
+        key = (algorithm, phase.groups, phase.message_bytes)
+        steps = memo.steps.get(key)
+        if steps is None:
+            steps = memo.steps[key] = _step_demands(sched,
+                                                    phase.message_bytes)
+        step_sizes, step_counts = steps
         for _ in range(phase.count):
             demands.extend(step_sizes)
             counts.extend(step_counts)
@@ -207,6 +229,41 @@ def profile_demands(profile: DemandProfile, algorithm: str,
     else:
         name = f"{profile.name}:{algorithm}"
     return demands, counts, name, tuple(schedules)
+
+
+def _phase_schedule(phase, algorithm: str, num_nodes: int,
+                    memo: _PhaseMemo) -> Schedule:
+    """:func:`~repro.collectives.placement.phase_schedule` of ``phase``,
+    built once per (algorithm, groups) in ``memo``."""
+    key = (algorithm, phase.groups)
+    hit = memo.schedules.get(key)
+    if hit is None:
+        sched = phase_schedule(phase, COLLECTIVES[algorithm], num_nodes)
+        memo.schedules[key] = (sched, phase.name)
+        return sched
+    sched, built_for = hit
+    if phase.num_groups == 1 or built_for == phase.name:
+        return sched
+    # An overlay of several groups is named "...@<phase name>"; the
+    # same steps serve this phase under its own name.
+    return replace(sched, steps=list(sched.steps),
+                   name=sched.name.removesuffix(built_for) + phase.name)
+
+
+def _step_demands(sched: Schedule, message_bytes: float,
+                  ) -> Tuple[List[Dict[CircuitPair, float]], List[int]]:
+    """Per-step ``{(src, dst): bytes}`` matrices and transfer counts of
+    ``sched`` carrying ``message_bytes``."""
+    step_sizes: List[Dict[CircuitPair, float]] = []
+    step_counts: List[int] = []
+    for step in sched.steps:
+        sizes: Dict[CircuitPair, float] = {}
+        for t in step:
+            b = transfer_bytes(t, message_bytes, sched.num_chunks)
+            sizes[(t.src, t.dst)] = sizes.get((t.src, t.dst), 0.0) + b
+        step_sizes.append(sizes)
+        step_counts.append(len(step))
+    return step_sizes, step_counts
 
 
 def _policy_substrates(system: ReconfigurableOCSSystem,
@@ -412,10 +469,11 @@ def strategy_plan_table(num_nodes: int, model: Union[str, object],
     survivors = candidates if fidelity == "simulate" \
         else candidates[:max(top_k, 1)]
     substrates = _policy_substrates(ocs_system, tuple(policies))
+    memo = _PhaseMemo()
     for _, strat, profile, algorithm in survivors:
         try:
-            demands, counts, name, _ = profile_demands(
-                profile, algorithm, num_nodes)
+            demands, counts, name, _ = _profile_demands(
+                profile, algorithm, num_nodes, memo)
         except ScheduleError:
             continue
         if not demands:

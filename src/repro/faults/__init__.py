@@ -24,17 +24,10 @@ bit for bit — and a fault followed by repair converges back to the
 fault-free steady state.
 """
 
-from .events import (CLEAN_STATE, FaultEvent, FaultKind, FaultOutcome,
-                     FaultState, FaultyRun)
-from .plan import FaultPlan, FaultTimeline
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CLEAN_STATE",
-    "FaultEvent",
-    "FaultKind",
-    "FaultState",
-    "FaultOutcome",
-    "FaultyRun",
-    "FaultPlan",
-    "FaultTimeline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".events": ("CLEAN_STATE", "FaultEvent", "FaultKind", "FaultState",
+                "FaultOutcome", "FaultyRun"),
+    ".plan": ("FaultPlan", "FaultTimeline"),
+})

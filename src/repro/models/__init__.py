@@ -9,53 +9,21 @@ time model for the overlap extension experiments
 (:mod:`~repro.models.training`).
 """
 
-from .catalog import (MODELS, PAPER_PARAM_COUNTS, DnnModel, alexnet,
-                      get_model, googlenet, paper_workload, resnet50, vgg16)
-from .flops import (forward_macs, sequential_forward_macs,
-                    training_flops_per_sample)
-from .gradients import (GradientBucket, allreduce_message_sizes,
-                        bucketize_gradients, gradient_bytes,
-                        gradient_workload)
-from .layers import (BatchNorm2d, Conv2d, Layer, Linear,
-                     LocalResponseNorm, Pool2d)
-from .strategies import (CADENCES, STRATEGY_PRESETS, CollectivePhase,
-                         DemandProfile, ParallelStrategy,
-                         enumerate_strategies, parse_strategy,
-                         strategy_profile)
-from .training import DataParallelTrainingModel, IterationBreakdown
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Layer",
-    "Conv2d",
-    "Linear",
-    "BatchNorm2d",
-    "LocalResponseNorm",
-    "Pool2d",
-    "DnnModel",
-    "alexnet",
-    "vgg16",
-    "resnet50",
-    "googlenet",
-    "get_model",
-    "MODELS",
-    "PAPER_PARAM_COUNTS",
-    "paper_workload",
-    "gradient_bytes",
-    "gradient_workload",
-    "forward_macs",
-    "sequential_forward_macs",
-    "training_flops_per_sample",
-    "GradientBucket",
-    "allreduce_message_sizes",
-    "bucketize_gradients",
-    "DataParallelTrainingModel",
-    "IterationBreakdown",
-    "CADENCES",
-    "STRATEGY_PRESETS",
-    "CollectivePhase",
-    "DemandProfile",
-    "ParallelStrategy",
-    "enumerate_strategies",
-    "parse_strategy",
-    "strategy_profile",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".layers": ("Layer", "Conv2d", "Linear", "BatchNorm2d",
+                "LocalResponseNorm", "Pool2d"),
+    ".catalog": ("DnnModel", "alexnet", "vgg16", "resnet50", "googlenet",
+                 "get_model", "MODELS", "PAPER_PARAM_COUNTS",
+                 "paper_workload"),
+    ".gradients": ("gradient_bytes", "gradient_workload", "GradientBucket",
+                   "allreduce_message_sizes", "bucketize_gradients"),
+    ".flops": ("forward_macs", "sequential_forward_macs",
+               "training_flops_per_sample"),
+    ".training": ("DataParallelTrainingModel", "IterationBreakdown"),
+    ".strategies": ("CADENCES", "STRATEGY_PRESETS", "CollectivePhase",
+                    "DemandProfile", "ParallelStrategy",
+                    "enumerate_strategies", "parse_strategy",
+                    "strategy_profile"),
+})

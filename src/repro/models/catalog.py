@@ -29,6 +29,10 @@ from ..errors import ConfigurationError
 from .layers import (BatchNorm2d, Conv2d, Layer, Linear, LocalResponseNorm,
                      Pool2d)
 
+#: The paper's models in its panel order (Fig. 2 a-d).
+PAPER_MODELS: Tuple[str, ...] = ("alexnet", "vgg16", "resnet50",
+                                 "googlenet")
+
 #: The parameter counts stated in the paper's §3, used as Fig. 2 payloads.
 PAPER_PARAM_COUNTS: Dict[str, float] = {
     "alexnet": 62.3e6,

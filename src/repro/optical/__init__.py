@@ -16,28 +16,16 @@ This package provides the pieces the schedules interact with:
 * :mod:`~repro.optical.power` — energy accounting (extension).
 """
 
-from .link import WaveguideLink
-from .mrr import MicroRingBank
-from .node import OpticalNode
-from .ring_network import OpticalRingNetwork
-from .rwa import (AssignmentPolicy, RwaResult, TransferRequest,
-                  assign_wavelengths, compute_striping_factor,
-                  max_link_demand)
-from .spectrum import WavelengthGrid
-from .transfer import OpticalTransfer, transfer_time
+from .._lazy import lazy_exports
 
-__all__ = [
-    "WavelengthGrid",
-    "MicroRingBank",
-    "OpticalNode",
-    "WaveguideLink",
-    "OpticalRingNetwork",
-    "TransferRequest",
-    "RwaResult",
-    "AssignmentPolicy",
-    "assign_wavelengths",
-    "compute_striping_factor",
-    "max_link_demand",
-    "OpticalTransfer",
-    "transfer_time",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".spectrum": ("WavelengthGrid",),
+    ".mrr": ("MicroRingBank",),
+    ".node": ("OpticalNode",),
+    ".link": ("WaveguideLink",),
+    ".ring_network": ("OpticalRingNetwork",),
+    ".rwa": ("TransferRequest", "RwaResult", "AssignmentPolicy",
+             "assign_wavelengths", "compute_striping_factor",
+             "max_link_demand"),
+    ".transfer": ("OpticalTransfer", "transfer_time"),
+})

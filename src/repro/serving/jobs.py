@@ -22,12 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
 from ..models.catalog import get_model
 from ..models.gradients import DEFAULT_BUCKET_BYTES, allreduce_message_sizes
-from ..models.strategies import ParallelStrategy, parse_strategy
+
+if TYPE_CHECKING:
+    from ..models.strategies import ParallelStrategy
 
 __all__ = ["JobSpec", "inference_message_sizes", "strategy_jobs"]
 
@@ -180,6 +182,9 @@ def strategy_jobs(model: str,
     ``lower_kwargs`` pass through to ``ParallelStrategy.lower``
     (``batch_size``, ``bucket_bytes``, ``microbatches``, ...).
     """
+    # Only strategy traffic loads the strategy lowering.
+    from ..models.strategies import ParallelStrategy, parse_strategy
+
     if not isinstance(strategy, ParallelStrategy):
         strategy = parse_strategy(strategy, world=world)
     elif world is not None and strategy.world != world:

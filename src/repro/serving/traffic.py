@@ -27,7 +27,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..models.catalog import MODELS
-from ..models.strategies import ParallelStrategy, parse_strategy
 from .jobs import JobSpec, inference_message_sizes, strategy_jobs
 
 __all__ = ["poisson_traffic", "strategy_traffic", "trace_traffic"]
@@ -140,6 +139,9 @@ def strategy_traffic(num_arrivals: int,
     if lo < 1 or hi < lo:
         raise ConfigurationError(
             f"step_bounds must satisfy 1 <= lo <= hi, got {step_bounds}")
+    # Only strategy traffic loads the strategy lowering.
+    from ..models.strategies import ParallelStrategy, parse_strategy
+
     if not isinstance(strategy, ParallelStrategy):
         strategy = parse_strategy(strategy, world=world)
     gen = _resolve_rng(seed, rng)

@@ -14,32 +14,14 @@ of S bytes over an uncongested path of rate B and latency L completes in
 * :mod:`~repro.simulation.trace` — per-link utilization accounting.
 """
 
-from .engine import Event, EventQueue, Simulator
-from .flows import (CompiledFlowBatch, FillState, Flow,
-                    SPARSE_FLOW_THRESHOLD, compile_flows, compile_paths,
-                    have_sparse, max_min_fair_rates, progressive_fill,
-                    resolve_backend, validate_allocation)
-from .fluid import FlowResult, FluidNetworkSimulator, StepProfile
-from .trace import LinkTrace, TraceRecorder
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventQueue",
-    "Simulator",
-    "Flow",
-    "CompiledFlowBatch",
-    "FillState",
-    "SPARSE_FLOW_THRESHOLD",
-    "compile_flows",
-    "compile_paths",
-    "have_sparse",
-    "progressive_fill",
-    "max_min_fair_rates",
-    "resolve_backend",
-    "validate_allocation",
-    "FluidNetworkSimulator",
-    "FlowResult",
-    "StepProfile",
-    "LinkTrace",
-    "TraceRecorder",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".engine": ("Event", "EventQueue", "Simulator"),
+    ".flows": ("Flow", "CompiledFlowBatch", "FillState",
+               "SPARSE_FLOW_THRESHOLD", "compile_flows", "compile_paths",
+               "have_sparse", "progressive_fill", "max_min_fair_rates",
+               "resolve_backend", "validate_allocation"),
+    ".fluid": ("FluidNetworkSimulator", "FlowResult", "StepProfile"),
+    ".trace": ("LinkTrace", "TraceRecorder"),
+})

@@ -32,7 +32,8 @@ freeze detection are computed:
   round); the right call below a few hundred flows;
 * ``"sparse"`` — a ``scipy.sparse`` CSR matrix (O(nnz) per round); the
   right call for very large flow batches, picked at or above
-  :data:`SPARSE_FLOW_THRESHOLD` flows when scipy is importable.
+  :data:`SPARSE_FLOW_THRESHOLD` flows when scipy is importable.  The
+  first such batch imports ``scipy.sparse``; smaller batches never do.
   Without scipy every batch is dense.
 
 Both backends are *numerically interchangeable*: the incidence is 0/1
@@ -49,17 +50,13 @@ pre-refactor implementation in ``repro.simulation._reference``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib.util import find_spec
 from math import inf
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import SimulationError
-
-try:  # gated dependency: the sparse backend needs scipy
-    from scipy import sparse as _scipy_sparse
-except ImportError:  # pragma: no cover - exercised via monkeypatch
-    _scipy_sparse = None
 
 LinkId = Hashable
 
@@ -67,10 +64,31 @@ LinkId = Hashable
 #: it: BLAS on small dense blocks beats sparse overhead).
 SPARSE_FLOW_THRESHOLD = 512
 
+#: ``scipy.sparse`` once the first batch at or above
+#: :data:`SPARSE_FLOW_THRESHOLD` has imported it, ``None`` until then,
+#: and ``False`` when scipy is not installed (every batch runs dense).
+#: scipy is a gated dependency that takes longer to import than the
+#: whole fluid model, and only large batches use it.
+_scipy_sparse: Any = None if find_spec("scipy") is not None else False
+
+
+def _sparse() -> Any:
+    """``scipy.sparse``, imported on the first call (``False`` when
+    scipy cannot be imported)."""
+    global _scipy_sparse
+    if _scipy_sparse is None:
+        try:
+            from scipy import sparse
+        except ImportError:  # installed but broken: stay dense
+            sparse = False
+        _scipy_sparse = sparse
+    return _scipy_sparse
+
 
 def have_sparse() -> bool:
-    """Whether the scipy-backed sparse incidence backend is available."""
-    return _scipy_sparse is not None
+    """Whether the scipy-backed sparse incidence backend is available
+    (answered without importing scipy)."""
+    return _scipy_sparse is not False
 
 
 def resolve_backend(num_flows: int) -> str:
@@ -78,8 +96,8 @@ def resolve_backend(num_flows: int) -> str:
     ``num_flows`` flows: sparse at or above
     :data:`SPARSE_FLOW_THRESHOLD` when scipy is importable, dense
     otherwise (the results are identical either way, only the speed
-    differs)."""
-    if _scipy_sparse is not None and num_flows >= SPARSE_FLOW_THRESHOLD:
+    differs).  The first sparse batch imports ``scipy.sparse``."""
+    if num_flows >= SPARSE_FLOW_THRESHOLD and _sparse():
         return "sparse"
     return "dense"
 
@@ -165,7 +183,7 @@ class CompiledFlowBatch:
         self._lnk_ptr: Optional[np.ndarray] = None
         self._lnk_flows: Optional[np.ndarray] = None
         if backend == "sparse":
-            self._inc_sp = _scipy_sparse.csr_matrix(
+            self._inc_sp = _sparse().csr_matrix(
                 (np.ones(len(inc_links), dtype=np.float64),
                  (inc_links, inc_flows)),
                 shape=(self.num_links, self.num_flows))
@@ -357,7 +375,10 @@ def compile_structure(paths: Sequence[Tuple[LinkId, ...]],
     if links_arr.size:
         # Dedupe (flow, link) pairs: the incidence counts a link once
         # per crossing flow even if a (degenerate) path repeats it.
-        enc = np.unique(flow_of * m + links_arr)
+        # Sorted, then the first of each run kept: what np.unique
+        # returns, without the numpy.ma import np.unique makes.
+        enc = np.sort(flow_of * m + links_arr)
+        enc = enc[np.concatenate(([True], enc[1:] != enc[:-1]))]
         inc_flows = enc // m
         inc_links = enc - inc_flows * m
     else:

@@ -22,28 +22,15 @@ electrical level of a multi-rack fabric (disjoint rack stars) for the
 machinery.
 """
 
-from .base import Link, Topology
-from .degraded import DegradedTopology
-from .hierarchy import HierarchicalTopology
-from .program import (CircuitConfig, CircuitTopology, TopologyProgram,
-                      decompose_demand, ring_circuit_config)
-from .ring import Direction, RingTopology
-from .switched import FatTree, SwitchedStar
-from .torus import Torus2D
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Link",
-    "Topology",
-    "DegradedTopology",
-    "Direction",
-    "RingTopology",
-    "SwitchedStar",
-    "FatTree",
-    "Torus2D",
-    "HierarchicalTopology",
-    "CircuitConfig",
-    "CircuitTopology",
-    "TopologyProgram",
-    "decompose_demand",
-    "ring_circuit_config",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".base": ("Link", "Topology"),
+    ".degraded": ("DegradedTopology",),
+    ".ring": ("Direction", "RingTopology"),
+    ".switched": ("SwitchedStar", "FatTree"),
+    ".torus": ("Torus2D",),
+    ".hierarchy": ("HierarchicalTopology",),
+    ".program": ("CircuitConfig", "CircuitTopology", "TopologyProgram",
+                 "decompose_demand", "ring_circuit_config"),
+})

@@ -389,8 +389,10 @@ class TestSparseBackendParity:
     def test_no_scipy_falls_back_to_dense(self, monkeypatch):
         """Environments without scipy run everything on the dense
         backend — same results, no errors — even at a size that would
-        pick sparse."""
-        monkeypatch.setattr(flows_mod, "_scipy_sparse", None)
+        pick sparse.  (``_scipy_sparse`` is ``False`` when scipy is not
+        installed; ``test_sparse_import.py`` runs the same fallback
+        with scipy really unimportable.)"""
+        monkeypatch.setattr(flows_mod, "_scipy_sparse", False)
         monkeypatch.setattr(flows_mod, "SPARSE_FLOW_THRESHOLD", 0)
         assert not have_sparse()
         star = SwitchedStar(6, 10.0)

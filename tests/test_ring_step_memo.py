@@ -69,7 +69,7 @@ def _reference_retune_for_step(node: OpticalNode, tx: Dict[str, Set[int]],
 class ReferenceRingSubstrate(OpticalRingSubstrate):
     """The ring substrate with the pre-memo ``run_step``/``_assign``.
 
-    It takes the step as ``run_step`` does, as ``(src, dst, direction)``
+    It takes the step as ``run_step`` does, as ``(src, dst, hint)``
     hints and byte sizes, and turns them into the per-transfer requests
     the pre-memo path worked on.
     """
@@ -78,9 +78,10 @@ class ReferenceRingSubstrate(OpticalRingSubstrate):
                  policy: AssignmentPolicy, striping,
                  hints: Sequence[Tuple], sizes: Sequence[float],
                  ) -> OpticalStepOutcome:
-        base_requests = [TransferRequest(src=src, dst=dst, size=size,
-                                         direction=d)
-                         for (src, dst, d), size in zip(hints, sizes)]
+        base_requests = [TransferRequest(
+            src=src, dst=dst, size=size,
+            direction=optical_ring._hint_direction(hint))
+            for (src, dst, hint), size in zip(hints, sizes)]
         ring = net.topology
         # -- decide striping -------------------------------------------
         if striping == "off" or not system.allow_striping:
