@@ -14,10 +14,14 @@ the engine and the reference slow down together.  The job fails when
 any gated section's speedup drops below half of the committed
 baseline's (i.e. a >2x relative regression).
 
-Two sections are not wall-clock speedups but deterministic *simulated*
-results (``EXACT_SECTIONS``: lookahead vs greedy OCS programs, co-plan
-vs best fixed plan); they fail unless every field equals the committed
-baseline's, and print as ``exact`` rows.
+Three sections are not wall-clock speedups but deterministic
+*simulated* results (``EXACT_SECTIONS``: lookahead vs greedy OCS
+programs, co-plan vs best fixed plan, the adaptive serving switch);
+they fail unless every field equals the committed baseline's, and print
+as ``exact`` rows.  Sections that record simulated results next to
+wall-clock ones (``EXACT_FIELDS``) fail unless each listed simulated
+field equals the baseline's; their timings are not compared, and a
+gated section among them keeps its speedup floor as well.
 
 Every gated section is always checked — a bad or missing entry is
 recorded as a failure and the scan continues, so one CI run reports the
@@ -37,15 +41,32 @@ FACTOR = 2.0
 
 #: Sections that must be present in their baseline file and are gated.
 GATED_SECTIONS = ("solver_micro_cold", "step_cache_hit",
-                  "sweep_cell_end_to_end", "solver_warm_start",
-                  "sparse_large_batch", "schedule_fused",
-                  "hier_rack_warm_reuse", "sweep_shared_compile",
-                  "solver_warm_admission", "rwa_incremental_step",
+                  "sweep_cell_end_to_end", "sparse_large_batch",
+                  "schedule_fused", "hier_rack_warm_reuse",
+                  "sweep_shared_compile", "rwa_incremental_step",
                   "serving_warm_throughput", "fault_repair_vs_resolve",
                   "ocs_delta_decompose")
 
 #: Sections of simulated results: every field must equal the baseline's.
-EXACT_SECTIONS = ("ocs_lookahead_vs_greedy", "coplan_vs_best_fixed")
+EXACT_SECTIONS = ("ocs_lookahead_vs_greedy", "coplan_vs_best_fixed",
+                  "serving_adaptive_switch")
+
+#: The simulated fields of sections that also record wall-clock ones:
+#: each listed field must equal the baseline's.
+EXACT_FIELDS = {
+    "coplan_scaling": ("model", "nodes", "best", "best_total_s",
+                       "simulated_steps", "fluid_lookups"),
+    "fault_serving_stream": ("availability", "capacity", "completed",
+                             "failed", "fault_events", "jobs",
+                             "preemptions", "retries"),
+    "serving_warm_throughput": ("jobs", "capacity", "jct_p99_s",
+                                "simulated_jobs_per_s"),
+    "ring_step_scaling": ("nodes", "ranks", "steps", "wavelengths"),
+}
+
+#: Every checked section, each once, in report order.
+_ALL_SECTIONS = tuple(dict.fromkeys(
+    GATED_SECTIONS + EXACT_SECTIONS + tuple(EXACT_FIELDS)))
 
 
 def _load(path):
@@ -54,14 +75,18 @@ def _load(path):
 
 
 def _speedup(entry):
+    if "speedup" not in entry:
+        return "-"
     try:
         return f"{float(entry['speedup']):.2f}x"
-    except (KeyError, TypeError, ValueError):
+    except (TypeError, ValueError):
         return "?"
 
 
-def _check_exact(section, current, baseline, rows, failures):
-    """Gate one simulated-result section: equal field for field."""
+def _check_exact(section, current, baseline, rows, failures, fields=None):
+    """Gate one simulated-result section: equal field for field (only
+    ``fields`` when given; their rows show no speedup)."""
+    shown = _speedup if fields is None else (lambda entry: "-")
     base = baseline[section]
     cur = current.get(section)
     if not isinstance(base, dict):
@@ -70,12 +95,13 @@ def _check_exact(section, current, baseline, rows, failures):
         return
     if not isinstance(cur, dict):
         failures.append(f"{section}: missing from current results")
-        rows.append((section, _speedup(base), "-", "exact", "MISSING"))
+        rows.append((section, shown(base), "-", "exact", "MISSING"))
         return
+    keys = sorted(set(base) | set(cur)) if fields is None else fields
     changed = [f"{k}: {base.get(k)!r} -> {cur.get(k)!r}"
-               for k in sorted(set(base) | set(cur))
+               for k in keys
                if k not in base or k not in cur or base[k] != cur[k]]
-    rows.append((section, _speedup(base), _speedup(cur), "exact",
+    rows.append((section, shown(base), shown(cur), "exact",
                  "CHANGED" if changed else "ok"))
     if changed:
         failures.append(f"{section}: simulated result differs from the "
@@ -85,12 +111,16 @@ def _check_exact(section, current, baseline, rows, failures):
 def _check_pair(current, baseline, rows, failures):
     """Gate one (CURRENT, BASELINE) file pair; returns sections seen."""
     seen = set()
-    for section in GATED_SECTIONS + EXACT_SECTIONS:
+    for section in _ALL_SECTIONS:
         if section not in baseline:
             continue
         seen.add(section)
+        if section in EXACT_FIELDS:
+            _check_exact(section, current, baseline, rows, failures,
+                         EXACT_FIELDS[section])
         if section in EXACT_SECTIONS:
             _check_exact(section, current, baseline, rows, failures)
+        if section not in GATED_SECTIONS:
             continue
         try:
             base = float(baseline[section]["speedup"])
@@ -156,15 +186,18 @@ def main(argv: list[str]) -> int:
                 combined["sections"].setdefault(key, {}).update(value)
         seen |= _check_pair(current, baseline, rows, failures)
 
-    for section in GATED_SECTIONS + EXACT_SECTIONS:
+    for section in _ALL_SECTIONS:
         if section not in seen:
             print(f"[skip] {section}: not in any baseline")
     _print_table(rows)
 
     for section, base, cur, floor, status in rows:
-        combined["sections"].setdefault(section, {})
-        combined["sections"][section]["gate"] = {
-            "baseline": base, "floor": floor, "status": status}
+        entry = combined["sections"].setdefault(section, {})
+        # A section with two rows (exact fields and a speedup floor)
+        # reports the failing one.
+        if entry.get("gate", {}).get("status", "ok") == "ok":
+            entry["gate"] = {"baseline": base, "floor": floor,
+                             "status": status}
     combined["failures"] = failures
     if summary_path is not None:
         with open(summary_path, "w") as fh:

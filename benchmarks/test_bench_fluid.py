@@ -13,27 +13,20 @@ Three levels compare against the frozen pre-refactor engine
   (electrical-ring ring all-reduce) against a loop over the reference
   engine.
 
-Three more compare the active-set engine against its own previous
-generation, rebuilt outside the library by the test suite's references
-(the engine has no switches):
+Three more compare the engine against its own previous generation,
+rebuilt outside the library by the test suite's references (the engine
+has no switches):
 
-* **warm-start solver** — a cold (cache-miss) 64-flow incast-staircase
-  step: warm-started event solves vs refilling every event from zero
-  (``UncachedColdFillSimulator`` from ``tests/fluid_references.py``);
 * **sparse large batch** — a 1024-flow step: scipy CSR incidence vs
   the dense matrix every batch used before the sparse backend (picked
-  by patching ``SPARSE_FLOW_THRESHOLD`` while the dense arm compiles);
+  by patching ``SPARSE_FLOW_THRESHOLD`` while the dense arm compiles;
+  ``UncachedSimulator`` from ``tests/fluid_references.py`` on both
+  sides);
 * **fused schedule** — a whole ring all-reduce schedule through
-  ``step_time_many``'s fused path vs the per-step ``step_time`` loop.
-
-Two compare this PR's delta-aware hot paths against the PR 5 shapes:
-
+  ``step_time_many``'s fused path vs the per-step ``step_time`` loop;
 * **shared-compile sweep** — a link-rate sweep on one substrate (the
   shape-keyed compile cache shares flow-batch structures across cells)
-  vs a fresh substrate per cell;
-* **admission warm start** — an admission-heavy staircase run, where
-  warm starts now survive mid-flight admissions instead of refilling
-  from zero.
+  vs a fresh substrate per cell.
 
 Every test folds its measurement into ``BENCH_fluid.json`` at the repo
 root — the machine-readable speedup summary CI uploads as an artifact
@@ -48,7 +41,7 @@ import pytest
 
 from conftest import (best_time as _time, interleaved_best_times,
                       record_bench as _record)
-from fluid_references import UncachedColdFillSimulator, UncachedSimulator
+from fluid_references import UncachedSimulator
 
 from repro import units
 from repro.simulation import flows as flows_mod
@@ -81,10 +74,7 @@ def _staircase(total, max_fan):
 
     Every group shares a bottleneck level of its own (C/fan), so one
     synchronous step resolves through ~max_fan progressive-filling
-    rounds, and groups complete in rate order one event at a time —
-    the structured workload the warm-start solver is built for (the
-    uniform ring exchange above collapses to a single round and is the
-    solver's *worst* case for warm starts).
+    rounds, and groups complete in rate order one event at a time.
     """
     pairs = []
     dst = 0
@@ -206,48 +196,13 @@ def test_bench_sweep_cell_end_to_end(once):
     assert speedup >= 2.0
 
 
-def test_bench_solver_warm_start(once):
-    """Cold (cache-miss) 64-flow staircase step: warm-started active-set
-    solves vs a from-zero refill at every event.
-
-    Pattern caching is defeated on both sides (this measures the
-    *solver*, not the cache) and each side keeps its compiled pattern,
-    so the only difference is replaying unchanged bottleneck rounds vs
-    re-deriving them.  The ≥1.5x acceptance bound is asserted here (it
-    lands ~1.9x).
-    """
-    pairs = _staircase(64, 10)
-
-    def run():
-        warm = UncachedSimulator(_star_for(pairs))
-        cold = UncachedColdFillSimulator(_star_for(pairs))
-        # identical results first (warm starts must not buy wrong answers)
-        import numpy as np
-        assert np.array_equal(warm.step_profile(pairs).finish_times,
-                              cold.step_profile(pairs).finish_times)
-        return interleaved_best_times(
-            [lambda: cold.step_profile(pairs),
-             lambda: warm.step_profile(pairs)], 15)
-
-    t_cold, t_warm = once(run)
-    speedup = t_cold / t_warm
-    print(f"\nwarm-start solver (64 flows, staircase): from-zero "
-          f"{t_cold*1e3:.2f} ms, warm-started {t_warm*1e3:.2f} ms "
-          f"-> {speedup:.1f}x")
-    _record("solver_warm_start", {
-        "flows": 64, "reference_s": t_cold, "engine_s": t_warm,
-        "speedup": speedup})
-    assert speedup >= 1.5
-
-
 def test_bench_sparse_large_batch(once):
     """1024-flow staircase step: scipy CSR incidence vs the dense
     matrix backend on the same cold solves.
 
-    Warm starts and pattern caching are defeated on both sides
-    (``UncachedColdFillSimulator``) so every event exercises the
-    backend's per-round products (counts + freeze detection) — the
-    regime the sparse backend exists for.  The dense arm compiles its
+    Pattern caching is defeated on both sides (``UncachedSimulator``)
+    so every event exercises the backend's per-round products (counts
+    + freeze detection) — the regime the sparse backend exists for.  The dense arm compiles its
     pattern with the sparse threshold out of reach.  The ≥3x
     acceptance bound for the ≥512-flow case is asserted here (it lands
     ~6-8x).
@@ -257,8 +212,8 @@ def test_bench_sparse_large_batch(once):
     pairs = _staircase(1024, 45)
 
     def run():
-        dense = UncachedColdFillSimulator(_star_for(pairs))
-        sparse = UncachedColdFillSimulator(_star_for(pairs))
+        dense = UncachedSimulator(_star_for(pairs))
+        sparse = UncachedSimulator(_star_for(pairs))
         import numpy as np
         with mock.patch.object(flows_mod, "SPARSE_FLOW_THRESHOLD",
                                sys.maxsize):
@@ -334,49 +289,6 @@ def test_bench_sweep_shared_compile(once):
     _record("sweep_shared_compile", {
         "nodes": n, "cells": len(rates), "steps": sched.num_steps,
         "reference_s": t_cell, "engine_s": t_shared, "speedup": speedup})
-    assert speedup >= 2.0
-
-
-def test_bench_solver_warm_admission(once):
-    """An admission-heavy staircase run: warm starts that survive
-    mid-flight admissions vs from-zero refills at every event.
-
-    Until this PR the solver reset its fill state whenever a flow was
-    admitted mid-flight, so admission-heavy workloads (pipelined
-    schedules, staggered tenants) got no replay at all; now each
-    admission replays the recorded rounds below the newcomer's first
-    bottleneck.  The late arrivals here land on uncontended links, the
-    deepest-replay case.  Identical finish times are asserted."""
-    import numpy as np
-
-    total, nadm = 256, 64
-    base = _staircase(total, 32)
-    late = [(4 * total + i, 2000 + i, 1.0 * units.MB) for i in range(nadm)]
-
-    def flows_for(sim):
-        flows = [sim.make_flow(s, d, z) for s, d, z in base]
-        flows += [sim.make_flow(s, d, z, start_time=(i + 1) * 1e-6)
-                  for i, (s, d, z) in enumerate(late)]
-        return flows
-
-    def run():
-        warm = FluidNetworkSimulator(_star_for(base + late))
-        cold = UncachedColdFillSimulator(_star_for(base + late))
-        assert np.array_equal(
-            [r.finish_time for r in warm.run(flows_for(warm))],
-            [r.finish_time for r in cold.run(flows_for(cold))])
-        return interleaved_best_times(
-            [lambda: cold.run(flows_for(cold)),
-             lambda: warm.run(flows_for(warm))], 5)
-
-    t_cold, t_warm = once(run)
-    speedup = t_cold / t_warm
-    print(f"\nadmission warm start ({total}+{nadm} flows, {nadm} "
-          f"admissions): from-zero {t_cold*1e3:.2f} ms, warm "
-          f"{t_warm*1e3:.2f} ms -> {speedup:.1f}x")
-    _record("solver_warm_admission", {
-        "flows": total + nadm, "admissions": nadm,
-        "reference_s": t_cold, "engine_s": t_warm, "speedup": speedup})
     assert speedup >= 2.0
 
 

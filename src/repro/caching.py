@@ -2,8 +2,8 @@
 
 Every memoization layer in the repo — the optical ring's RWA cache, the
 OCS fabric's demand-decomposition step cache, the fluid simulator's
-pattern cache, the topology routed-path cache, and the Wrht planner's
-step-summary memo — uses the same two building blocks:
+pattern, compile and route caches, and the Wrht planner's step-summary
+memo — uses the same two building blocks:
 
 * :class:`LruCache` — a bounded LRU mapping with hit/miss counters;
 * :class:`CacheStats` — the frozen counter snapshot those caches report
@@ -59,8 +59,8 @@ class LruCache:
 
     The one cache mechanism every memoization in the repo uses (the
     ring's RWA cache, the OCS fabric's decomposition step cache, the
-    fluid pattern cache, the topology routed-path cache, the Wrht
-    step-summary memo): ``get`` promotes and counts, ``put`` evicts the
+    fluid pattern, compile and route caches, the Wrht step-summary
+    memo): ``get`` promotes and counts, ``put`` evicts the
     least recently used entry beyond ``max_size``.  ``None`` is not
     storable (it encodes a miss).
 

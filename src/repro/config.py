@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import units
@@ -30,6 +31,18 @@ from .errors import ConfigurationError
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigurationError(message)
+
+
+def _require_ints(system: object, *names: str,
+                  optional: bool = False) -> None:
+    """Each named field of ``system`` must be a Python or numpy integer
+    (never a ``bool``), or ``None`` when ``optional``."""
+    for name in names:
+        value = getattr(system, name)
+        _require((optional and value is None)
+                 or (isinstance(value, numbers.Integral)
+                     and not isinstance(value, bool)),
+                 f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +92,7 @@ class OpticalRingSystem:
     step_overhead: float = 1 * units.USEC
 
     def __post_init__(self) -> None:
+        _require_ints(self, "num_nodes", "num_wavelengths")
         _require(self.num_nodes >= 2, f"need >=2 nodes, got {self.num_nodes}")
         _require(self.num_wavelengths >= 1,
                  f"need >=1 wavelength, got {self.num_wavelengths}")
@@ -140,6 +154,7 @@ class ElectricalSystem:
     switch_ports_rate: float | None = None
 
     def __post_init__(self) -> None:
+        _require_ints(self, "num_nodes")
         _require(self.num_nodes >= 2, f"need >=2 nodes, got {self.num_nodes}")
         _require(self.link_rate > 0, "link_rate must be > 0")
         _require(self.step_latency >= 0, "step_latency must be >= 0")
@@ -186,6 +201,8 @@ class OpticalTorusSystem:
     propagation_delay_per_meter: float = units.PROPAGATION_DELAY_PER_METER
 
     def __post_init__(self) -> None:
+        _require_ints(self, "num_nodes", "num_wavelengths")
+        _require_ints(self, "rows", "cols", optional=True)
         _require(self.num_nodes >= 4,
                  f"a torus needs >=4 nodes, got {self.num_nodes}")
         _require(self.num_wavelengths >= 1,
@@ -270,6 +287,7 @@ class ReconfigurableOCSSystem:
     circuit_latency: float = 100 * units.NSEC
 
     def __post_init__(self) -> None:
+        _require_ints(self, "num_nodes", "ports_per_node")
         _require(self.num_nodes >= 2, f"need >=2 nodes, got {self.num_nodes}")
         _require(self.ports_per_node >= 1,
                  f"need >=1 port per node, got {self.ports_per_node}")
@@ -355,6 +373,8 @@ class HierarchicalSystem:
     leader_index: int | None = None
 
     def __post_init__(self) -> None:
+        _require_ints(self, "num_nodes", "group_size", "num_wavelengths")
+        _require_ints(self, "leader_index", optional=True)
         _require(self.num_nodes >= 2, f"need >=2 nodes, got {self.num_nodes}")
         _require(self.group_size >= 1
                  and self.num_nodes % self.group_size == 0,

@@ -325,37 +325,20 @@ class FluidCacheMixin:
             caches = self._compile_caches = LruCache(_SHARED_CACHES_MAX)
         return caches
 
-    def _topo_path_caches(self) -> LruCache:
-        """Topology signature → shared routed-path cache (LRU-bounded).
-
-        The same shape as :meth:`_fluid_pattern_caches`, for the
-        topologies' routed-path LRUs, so BFS-heavy ``CircuitTopology``
-        routing is paid once per distinct circuit configuration.
-        """
-        caches = getattr(self, "_topo_caches", None)
-        if caches is None:
-            caches = self._topo_caches = LruCache(_SHARED_CACHES_MAX)
-        return caches
-
     def _register_fluid_simulator(self, sim: Any) -> None:
         """Adopt the shared caches for a new simulator.
 
         Simulators over same-signature topologies (identical links
         *and* routing class) share one pattern cache object, so
-        repeated configs reuse each other's solves, and their
-        topologies share one routed-path cache (routing is
-        deterministic, so a shared route is exactly what the BFS/arc
-        walk would recompute).  Same-shape ones share one compile
-        cache.
+        repeated configs reuse each other's solves.  Same-shape ones
+        share one compile cache.
         """
         topology = sim.topology
-        signature = topology.signature()
-        self._share_cache(self._topo_path_caches(), signature,
-                          topology.path_cache, topology.use_path_cache)
         self._share_cache(self._fluid_compile_caches(),
                           topology.shape_signature(),
                           sim.compile_cache, sim.use_compile_cache)
-        self._share_cache(self._fluid_pattern_caches(), signature,
+        self._share_cache(self._fluid_pattern_caches(),
+                          topology.signature(),
                           sim.pattern_cache, sim.use_pattern_cache)
 
     @staticmethod

@@ -63,8 +63,9 @@ class CollectivePolicy:
             if algo not in known:
                 raise ConfigurationError(
                     f"unknown collective {algo!r}; choose from {known}")
-        if self.switch_bytes < 0:
-            raise ConfigurationError("switch_bytes must be >= 0")
+        if not self.switch_bytes >= 0:  # NaN fails too
+            raise ConfigurationError(
+                f"switch_bytes must be >= 0, got {self.switch_bytes!r}")
 
     @property
     def is_adaptive(self) -> bool:

@@ -18,10 +18,10 @@ from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".engine": ("Event", "EventQueue", "Simulator"),
-    ".flows": ("Flow", "CompiledFlowBatch", "FillState",
-               "SPARSE_FLOW_THRESHOLD", "compile_flows", "compile_paths",
-               "have_sparse", "progressive_fill", "max_min_fair_rates",
-               "resolve_backend", "validate_allocation"),
+    ".flows": ("Flow", "CompiledFlowBatch", "SPARSE_FLOW_THRESHOLD",
+               "compile_flows", "compile_paths", "have_sparse",
+               "progressive_fill", "max_min_fair_rates", "resolve_backend",
+               "validate_allocation"),
     ".fluid": ("FluidNetworkSimulator", "FlowResult", "StepProfile"),
     ".trace": ("LinkTrace", "TraceRecorder"),
 })

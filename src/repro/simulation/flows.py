@@ -16,12 +16,8 @@ fluid event loop never rebuilds Python-side structures per event:
   *backends* below), and the link capacity vector — built exactly once
   per ``run()`` batch;
 * :func:`progressive_fill` solves max-min over the compiled structure
-  restricted to an *active mask*, and can **warm-start** from the
-  previous event's recorded solve (:class:`FillState`): when the active
-  set only *shrank* (flows completed), every filling round up to the
-  first bottleneck touched by a completed flow is *replayed* from the
-  record in O(links) vector ops instead of re-solved — the incremental
-  active-set solver the event loop rides on.
+  restricted to an *active mask*, from zero at every call (the event
+  loop calls it once per allocation event).
 
 Incidence backends
 ------------------
@@ -52,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib.util import find_spec
 from math import inf
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -153,7 +149,7 @@ class CompiledFlowBatch:
     """
 
     __slots__ = ("link_ids", "cap", "flow_ptr", "flow_links", "flow_of",
-                 "inc_flows", "inc_links", "inc_ptr", "loopback",
+                 "inc_flows", "inc_links", "loopback",
                  "any_loopback", "backend", "_inc", "_inc_sp",
                  "_lnk_ptr", "_lnk_flows")
 
@@ -169,12 +165,6 @@ class CompiledFlowBatch:
         self.flow_of = flow_of
         self.inc_flows = inc_flows
         self.inc_links = inc_links
-        # inc_* entries are flow-major sorted; per-flow pointers let
-        # the warm-start path slice a removed flow's links directly.
-        n = len(flow_ptr) - 1
-        self.inc_ptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(inc_flows, minlength=n),
-                  out=self.inc_ptr[1:])
         self.loopback = loopback
         self.any_loopback = bool(loopback.any())
         self.backend = backend
@@ -411,138 +401,19 @@ def compile_flows(flows: Sequence[Flow],
     return compile_paths([f.path for f in flows], capacities)
 
 
-class FillState:
-    """The recorded trajectory of one progressive-filling solve.
-
-    One entry per filling round, flattened into arrays so the next
-    event can warm-start without per-round Python work:
-
-    * ``bottlenecks[r]`` / ``levels[r]`` — the round's fair-share
-      increment and the cumulative level a flow frozen in round ``r``
-      ends at (accumulated with the exact float additions the solver
-      performs, so replayed rates are bit-for-bit);
-    * ``sat_cat``/``sat_ptr`` — per-round saturated link indices
-      (CSR-style);
-    * ``frozen_cat``/``frozen_ptr`` — per-round frozen flow indices;
-    * ``counts`` — the (rounds x links) per-round link count vectors
-      (needed to replay residual-capacity updates exactly);
-    * ``active`` — the solve's active mask; ``rates`` — its result.
-
-    The warm-start contract (proved in :func:`progressive_fill`): when
-    the next event's active set is a *subset* (flows completed, none
-    admitted), every round whose saturated links avoid the completed
-    flows' links is untouched — same bottleneck, same frozen set, same
-    float arithmetic — and can be replayed from this record.
-    """
-
-    __slots__ = ("active", "nrounds", "bottlenecks", "levels",
-                 "sat_cat", "sat_ptr", "frozen_cat", "frozen_ptr",
-                 "frozen_levels", "counts", "rates", "replayed")
-
-    def __init__(self, active: np.ndarray, bottlenecks: np.ndarray,
-                 levels: np.ndarray, sat_cat: np.ndarray,
-                 sat_ptr: np.ndarray, frozen_cat: np.ndarray,
-                 frozen_ptr: np.ndarray, frozen_levels: np.ndarray,
-                 counts: np.ndarray, rates: np.ndarray,
-                 replayed: int = 0) -> None:
-        self.active = active
-        self.nrounds = len(bottlenecks)
-        #: Rounds this solve replayed from its warm state (0 for a cold
-        #: solve) — the event loop's signal for adaptive warm-starting.
-        self.replayed = replayed
-        self.bottlenecks = bottlenecks
-        self.levels = levels
-        self.sat_cat = sat_cat
-        self.sat_ptr = sat_ptr
-        self.frozen_cat = frozen_cat
-        self.frozen_ptr = frozen_ptr
-        #: ``frozen_cat``-aligned cumulative level per frozen flow (the
-        #: exact float its rate froze at) — lets the replay assign all
-        #: prefix rates in one fancy index.
-        self.frozen_levels = frozen_levels
-        self.counts = counts
-        self.rates = rates
-
-
-def _pack_rounds(lists: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate per-round index arrays into (cat, ptr) CSR form."""
-    ptr = np.zeros(len(lists) + 1, dtype=np.intp)
-    for i, arr in enumerate(lists):
-        ptr[i + 1] = ptr[i] + len(arr)
-    cat = (np.concatenate(lists) if lists
-           else np.zeros(0, dtype=np.intp))
-    return cat, ptr
-
-
-FillResultT = Union[np.ndarray, Tuple[np.ndarray, Optional[FillState]]]
-
-
-def _delta_links(batch: CompiledFlowBatch,
-                 idx: Optional[np.ndarray]) -> np.ndarray:
-    """Concatenated link indices of the (deduped) paths of flows ``idx``."""
-    if idx is None or len(idx) == 0:
-        return np.zeros(0, dtype=np.intp)
-    ptr = batch.inc_ptr
-    if len(idx) == 1:
-        i = int(idx[0])
-        return batch.inc_links[ptr[i]:ptr[i + 1]]
-    return np.concatenate(
-        [batch.inc_links[ptr[int(i)]:ptr[int(i) + 1]] for i in idx])
-
-
 def progressive_fill(batch: CompiledFlowBatch,
-                     active: Optional[np.ndarray] = None,
-                     *, warm: Optional[FillState] = None,
-                     removed: Optional[np.ndarray] = None,
-                     added: Optional[np.ndarray] = None,
-                     record: bool = False) -> FillResultT:
+                     active: Optional[np.ndarray] = None) -> np.ndarray:
     """Max-min fair rates over ``batch`` restricted to ``active`` flows.
 
     ``active`` is a boolean mask aligned with the batch (``None`` means
     every flow).  Inactive flows get rate 0; loopback flows get
-    ``inf``.  Returns the rates array, or ``(rates, FillState)`` when
-    ``record`` is true (the state is ``None`` for degenerate batches).
-
-    ``warm`` is a :class:`FillState` recorded on the same batch over an
-    active set that differs from the current one by removals (flows
-    completed) and/or additions (flows admitted); a record from a
-    different batch silently falls back to a cold solve.  The solver
-    replays recorded rounds up to the first round the deltas touch and
-    re-solves only from there.  Replayed solves are **bit-for-bit**
-    what the cold solve computes, by the following argument.
-    *Removals*: a removed flow stays filling through every replayed
-    round (its links hold no saturated link there, so it never froze),
-    hence the new per-round link counts are exactly
-    ``counts - removed_counts`` (small-integer float math); links the
-    removed flows do not cross keep identical floats, links they do
-    cross only see their fair share *rise* (counts shrink, residuals
-    grow, and float subtraction/division are monotone), so a link
-    strictly above the bottleneck's tie tolerance stays above it.  The
-    replay stops at the first round whose saturated links touch a
-    removed flow.  *Additions*: an added flow starts filling in round 0
-    and only *lowers* fair shares on the links it crosses, so the
-    replay additionally walks the recorded rounds computing the exact
-    new fair share ``residual' / (counts - removed + added)`` on every
-    addition-touched link and stops at the first round where one of
-    them falls within the recorded bottleneck's tie tolerance (it
-    would have saturated earlier, changing the trajectory).  Below
-    that round nothing else changed: the recorded saturated links are
-    touched by neither delta, so their fair shares are the identical
-    floats, the bottleneck and frozen sets are unchanged, and no added
-    flow freezes inside the replayed prefix.
-
-    ``removed`` / ``added`` are an optional fast path for trusted
-    callers (the event loop): the exact indices dropped from / admitted
-    into ``warm``'s active set since it was recorded.  When either is
-    given, the solver skips the mask-diff validation and slices the
-    delta flows' links straight from the batch CSR.  Both are ignored
-    without ``warm``; passing indices that do not match ``active``'s
-    true difference voids the warm-start contract.
+    ``inf``.  Every call solves from zero, so a restricted solve is
+    bit-for-bit a fresh solve over the subset.
     """
     n = batch.num_flows
     rates = np.zeros(n)
     if n == 0:
-        return (rates, None) if record else rates
+        return rates
 
     act = np.ones(n, dtype=bool) if active is None else active
     if batch.any_loopback:
@@ -552,206 +423,39 @@ def progressive_fill(batch: CompiledFlowBatch,
         filling = act.copy()
 
     m = batch.num_links
-    if m == 0:
-        return (rates, None) if record else rates
-
-    # -- warm-start: replay the previous event's recorded rounds ----------
-    state = warm
-    d_links: Optional[np.ndarray] = None
-    a_links: Optional[np.ndarray] = None
-    if state is not None and (removed is not None or added is not None):
-        # Trusted caller: `removed`/`added` name the delta flows exactly.
-        if (removed is None or len(removed) == 0) \
-                and (added is None or len(added) == 0):
-            return ((state.rates.copy(), state) if record
-                    else state.rates.copy())
-        d_links = _delta_links(batch, removed)
-        a_links = _delta_links(batch, added)
-    elif state is not None:
-        if state.active.shape[0] != n:
-            state = None  # a foreign record: solve cold
-        else:
-            removed_mask = state.active & ~act
-            added_mask = act & ~state.active
-            if not removed_mask.any() and not added_mask.any():
-                # Identical active set: the record *is* this solve.
-                return ((state.rates.copy(), state) if record
-                        else state.rates.copy())
-            d_links = batch.inc_links[removed_mask[batch.inc_flows]]
-            a_links = batch.inc_links[added_mask[batch.inc_flows]]
-    rstar = 0
-    dcounts: Optional[np.ndarray] = None
-    acounts: Optional[np.ndarray] = None
-    residual: Optional[np.ndarray] = None
-    if state is not None:
-        d_mask = np.zeros(m, dtype=bool)
-        d_mask[d_links] = True
-        bad = np.flatnonzero(d_mask[state.sat_cat])
-        if bad.size:
-            rstar = int(np.searchsorted(state.sat_ptr, bad[0],
-                                        side="right")) - 1
-        else:
-            rstar = state.nrounds
-        dcounts = np.bincount(d_links, minlength=m).astype(np.float64)
-        acounts = np.bincount(a_links, minlength=m).astype(np.float64)
-        if a_links.size:
-            # Addition divergence: walk the prefix computing the exact
-            # new fair share on every addition-touched link and stop at
-            # the first round one falls within the recorded tie
-            # tolerance.  Counts on touched links stay >= 1 (each is
-            # crossed by an added flow) so the divisions are safe.
-            touched = np.flatnonzero(acounts)
-            resid_t = batch.cap[touched].copy()
-            cnt_adj = acounts[touched] - dcounts[touched]
-            for j in range(rstar):
-                cnt = state.counts[j][touched] + cnt_adj
-                fair = resid_t / cnt
-                if float(fair.min()) <= state.bottlenecks[j] + 1e-15:
-                    rstar = j
-                    break
-                resid_t -= cnt * state.bottlenecks[j]
-                np.maximum(resid_t, 0.0, out=resid_t)
-        if rstar > 0:
-            fcut = int(state.frozen_ptr[rstar])
-            frozen_pre = state.frozen_cat[:fcut]
-            rates[frozen_pre] = state.frozen_levels[:fcut]
-            filling[frozen_pre] = False
-            rates[filling] = state.levels[rstar - 1]
-        if filling.any():
-            # Resuming the fill loop needs the residual capacities at
-            # round ``rstar`` — replay the recorded updates with the
-            # removed flows' (exact integer) contribution subtracted.
-            residual = batch.cap.copy()
-            for s in range(rstar):
-                residual -= ((state.counts[s] - dcounts + acounts)
-                             * state.bottlenecks[s])
-                np.maximum(residual, 0.0, out=residual)
-
-    # -- the filling loop (cold, or resumed past the replayed prefix) ----
-    app_b: List[float] = []
-    app_lvl: List[float] = []
-    app_sat: List[np.ndarray] = []
-    app_frozen: List[np.ndarray] = []
-    app_counts: List[np.ndarray] = []
-    clean = True
-    if filling.any():
-        if residual is None:
-            residual = batch.cap.copy()
-        level = float(state.levels[rstar - 1]) \
-            if (state is not None and rstar > 0) else 0.0
-        filling_f = filling.astype(np.float64)
-
-        # Progressive filling: at most one link saturates per round, so
-        # the loop runs at most m times.  The arithmetic mirrors the
-        # historical per-event solver operation for operation, so
-        # restricted solves are bit-for-bit what a fresh solve over the
-        # subset returns.
-        for _ in range(m + 1):
-            counts = batch.link_counts(filling_f)
-            hot_idx = np.nonzero(counts)[0]
-            if not hot_idx.size:  # pragma: no cover - defensive
-                clean = False
-                break
-            fair_hot = residual[hot_idx] / counts[hot_idx]
-            bottleneck = float(fair_hot.min())
-            if not np.isfinite(bottleneck):  # pragma: no cover - defensive
-                clean = False
-                break
-            # Grant the increment to every filling flow.
-            rates[filling] += bottleneck
-            residual -= counts * bottleneck
-            residual = np.maximum(residual, 0.0)
-            # Freeze flows on saturated links.
-            sat_idx = hot_idx[fair_hot <= bottleneck + 1e-15]
-            frozen = batch.flows_on(sat_idx, filling)
-            if not frozen.any():  # pragma: no cover - defensive
-                clean = False
-                break
-            if record:
-                level = level + bottleneck
-                app_b.append(bottleneck)
-                app_lvl.append(level)
-                app_sat.append(sat_idx)
-                app_frozen.append(np.nonzero(frozen)[0])
-                app_counts.append(counts)
-            filling = filling & ~frozen
-            if not filling.any():
-                break
-            filling_f[frozen] = 0.0
-        else:  # pragma: no cover - defensive
-            raise SimulationError("progressive filling failed to converge")
-
-    if not record:
+    if m == 0 or not filling.any():
         return rates
-    if not clean:  # pragma: no cover - defensive
-        return rates, None
+    residual = batch.cap.copy()
+    filling_f = filling.astype(np.float64)
 
-    # -- assemble the new record (prefix of the replay + fresh rounds) ----
-    active_copy = act.copy()
-    if state is not None and not app_b:
-        # Pure replay (possibly truncated): the trajectory is a prefix
-        # of the old one with the removed flows' link counts shifted
-        # out — array views, no concatenation.
-        full = rstar == state.nrounds
-        new_state = FillState(
-            active=active_copy,
-            bottlenecks=state.bottlenecks if full
-            else state.bottlenecks[:rstar],
-            levels=state.levels if full else state.levels[:rstar],
-            sat_cat=state.sat_cat if full
-            else state.sat_cat[:state.sat_ptr[rstar]],
-            sat_ptr=state.sat_ptr if full
-            else state.sat_ptr[:rstar + 1],
-            frozen_cat=state.frozen_cat if full
-            else state.frozen_cat[:state.frozen_ptr[rstar]],
-            frozen_ptr=state.frozen_ptr if full
-            else state.frozen_ptr[:rstar + 1],
-            frozen_levels=state.frozen_levels if full
-            else state.frozen_levels[:state.frozen_ptr[rstar]],
-            counts=(state.counts if full else state.counts[:rstar])
-            - dcounts + acounts,
-            rates=rates.copy(), replayed=rstar)
-        return rates, new_state
-
-    app_fro_cat, app_fro_ptr = _pack_rounds(app_frozen)
-    app_fro_levels = np.repeat(np.asarray(app_lvl),
-                               np.diff(app_fro_ptr))
-    if state is not None and rstar > 0:
-        pre_counts = state.counts[:rstar] - dcounts + acounts
-        bottlenecks = np.concatenate(
-            [state.bottlenecks[:rstar], np.asarray(app_b)])
-        levels = np.concatenate(
-            [state.levels[:rstar], np.asarray(app_lvl)])
-        app_sat_cat, app_sat_ptr = _pack_rounds(app_sat)
-        sat_cat = np.concatenate(
-            [state.sat_cat[:state.sat_ptr[rstar]], app_sat_cat])
-        sat_ptr = np.concatenate(
-            [state.sat_ptr[:rstar + 1],
-             state.sat_ptr[rstar] + app_sat_ptr[1:]])
-        frozen_cat = np.concatenate(
-            [state.frozen_cat[:state.frozen_ptr[rstar]], app_fro_cat])
-        frozen_ptr = np.concatenate(
-            [state.frozen_ptr[:rstar + 1],
-             state.frozen_ptr[rstar] + app_fro_ptr[1:]])
-        frozen_levels = np.concatenate(
-            [state.frozen_levels[:state.frozen_ptr[rstar]],
-             app_fro_levels])
-        counts_mat = (np.concatenate([pre_counts, np.asarray(app_counts)])
-                      if app_counts else pre_counts)
-    else:
-        bottlenecks = np.asarray(app_b)
-        levels = np.asarray(app_lvl)
-        sat_cat, sat_ptr = _pack_rounds(app_sat)
-        frozen_cat, frozen_ptr = app_fro_cat, app_fro_ptr
-        frozen_levels = app_fro_levels
-        counts_mat = (np.asarray(app_counts) if app_counts
-                      else np.zeros((0, m)))
-    new_state = FillState(
-        active=active_copy, bottlenecks=bottlenecks, levels=levels,
-        sat_cat=sat_cat, sat_ptr=sat_ptr, frozen_cat=frozen_cat,
-        frozen_ptr=frozen_ptr, frozen_levels=frozen_levels,
-        counts=counts_mat, rates=rates.copy(), replayed=rstar)
-    return rates, new_state
+    # Progressive filling: at most one link saturates per round, so the
+    # loop runs at most m times.  The arithmetic mirrors the historical
+    # per-event solver operation for operation.
+    for _ in range(m + 1):
+        counts = batch.link_counts(filling_f)
+        hot_idx = np.nonzero(counts)[0]
+        if not hot_idx.size:  # pragma: no cover - defensive
+            break
+        fair_hot = residual[hot_idx] / counts[hot_idx]
+        bottleneck = float(fair_hot.min())
+        if not np.isfinite(bottleneck):  # pragma: no cover - defensive
+            break
+        # Grant the increment to every filling flow.
+        rates[filling] += bottleneck
+        residual -= counts * bottleneck
+        residual = np.maximum(residual, 0.0)
+        # Freeze flows on saturated links.
+        sat_idx = hot_idx[fair_hot <= bottleneck + 1e-15]
+        frozen = batch.flows_on(sat_idx, filling)
+        if not frozen.any():  # pragma: no cover - defensive
+            break
+        filling = filling & ~frozen
+        if not filling.any():
+            break
+        filling_f[frozen] = 0.0
+    else:  # pragma: no cover - defensive
+        raise SimulationError("progressive filling failed to converge")
+    return rates
 
 
 def max_min_fair_rates(

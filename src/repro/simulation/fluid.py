@@ -11,21 +11,14 @@ uncongested flow of S bytes over a path of bottleneck B and latency L is
 delivered at ``L + S/B``; congested flows share bottlenecks max-min
 fairly.
 
-The engine is **incremental** on three levels:
+The engine avoids repeated work on two levels:
 
 * each ``run()`` batch is compiled once into a
   :class:`~repro.simulation.flows.CompiledFlowBatch` (CSR flow→link
   rows, a dense or ``scipy.sparse`` incidence operator picked by batch
   size, capacity vector) and the whole event loop is driven with array
-  operations;
-* between consecutive events the solver **warm-starts**: the previous
-  allocation's recorded trajectory
-  (:class:`~repro.simulation.flows.FillState`) is passed back into
-  :func:`~repro.simulation.flows.progressive_fill` together with the
-  exact flows completed *and admitted* since, which replays every
-  bottleneck round not invalidated by either delta and re-solves
-  only from the first one that is — O(changed bottlenecks) per event
-  instead of O(all bottlenecks), surviving mid-flight admissions;
+  operations, one from-zero
+  :func:`~repro.simulation.flows.progressive_fill` solve per event;
 * whole schedules execute through :meth:`FluidNetworkSimulator.run_schedule`,
   which canonicalizes and dedupes all steps up front (reusing the key
   for identical consecutive steps) and solves each distinct step
@@ -50,9 +43,9 @@ An *admission policy* keeps enormous steps from bloating the cache:
 patterns above :data:`DEFAULT_PATTERN_CACHE_MAX_FLOWS` flows are solved
 but not stored (counted in the cache's ``skipped`` statistic).
 
-Every cache, the warm start and the incidence backend choice change
-speed only, so none of them is a switch: they are always on, bounded by
-the module constants below, and the backend follows
+Every cache and the incidence backend choice change speed only, so
+none of them is a switch: the caches are always on, bounded by the
+module constants below, and the backend follows
 :data:`~repro.simulation.flows.SPARSE_FLOW_THRESHOLD`.
 """
 
@@ -214,8 +207,8 @@ class FluidNetworkSimulator:
     :data:`DEFAULT_PATTERN_CACHE_SIZE`, admitting steps of at most
     :data:`DEFAULT_PATTERN_CACHE_MAX_FLOWS` flows), the compile cache
     of capacity-free :class:`~repro.simulation.flows.FlowBatchStructure`
-    objects (same admission bound), the route memo, the warm-started
-    event solves, and the incidence backend, which
+    objects (same admission bound), the route memo, and the incidence
+    backend, which
     :func:`~repro.simulation.flows.resolve_backend` picks per batch.
     None of them changes a result.  Substrates share the pattern and
     compile caches across simulators (:meth:`use_pattern_cache`,
@@ -244,17 +237,16 @@ class FluidNetworkSimulator:
     def _route(self, src: int, dst: int) -> Tuple[Tuple[LinkId, ...], float]:
         """Memoized ``(link idents, path latency)`` per ``(src, dst)``.
 
-        A second, simulator-local layer over ``Topology.routed_path``
-        (which returns Link objects): this one stores exactly what the
-        hot path needs.  The simulator snapshots capacities/latencies
-        at construction, so — like those — it assumes the topology is
-        not mutated under a live simulator.
+        The one route memo over the topology's deterministic
+        :meth:`~repro.topology.base.Topology.path`, storing exactly
+        what the hot path needs.  The simulator snapshots
+        capacities/latencies at construction, so — like those — it
+        assumes the topology is not mutated under a live simulator.
         """
         key = (src, dst)
         route = self._routes.get(key)
         if route is None:
-            path = tuple(l.ident
-                         for l in self.topology.routed_path(src, dst))
+            path = tuple(l.ident for l in self.topology.path(src, dst))
             route = (path, sum(self._latencies[lid] for lid in path))
             self._routes.put(key, route)
         return route
@@ -338,15 +330,9 @@ class FluidNetworkSimulator:
         tx_finish_times, last_rates)`` where ``tx_finish_times`` are
         *transmission* completions (no latency).  ``batch_flows`` is
         only used to phrase error messages (``None`` for the
-        pattern-cache path, where pairs name the flows).
-
-        Consecutive allocations warm-start from the previous event's
-        recorded :class:`~repro.simulation.flows.FillState` across
-        both completions *and* admissions: the exact removed/admitted
-        indices are handed to :func:`progressive_fill`, which replays
-        the recorded rounds below the first one the delta touches
-        (identical results either way — the record replay is
-        bit-for-bit, see :func:`progressive_fill`).
+        pattern-cache path, where pairs name the flows).  Every
+        allocation event is one from-zero :func:`progressive_fill`
+        over the active flows.
         """
         n = batch.num_flows
         remaining = sizes.astype(float, copy=True)
@@ -359,10 +345,6 @@ class FluidNetworkSimulator:
         now = 0.0
         guard = 0
         max_rounds = MAX_EVENT_ROUNDS_FACTOR * n + 8
-        warm_start = True
-        fill_state = None
-        completed_since = None  # flows done since the recorded solve
-        no_replay = 0  # consecutive completion events that replayed 0 rounds
 
         def flow_name(i: int) -> str:
             if batch_flows is not None:
@@ -383,7 +365,6 @@ class FluidNetworkSimulator:
             if not active_count:
                 now = max(now, starts[cursor])
             # Admit everything that has started by `now`.
-            admitted: List[int] = []
             while cursor < n and starts[cursor] <= now + 1e-18:
                 i = cursor
                 if batch.loopback[i]:
@@ -395,36 +376,11 @@ class FluidNetworkSimulator:
                 else:
                     active[i] = True
                     active_count += 1
-                    admitted.append(i)
                 cursor += 1
             if not active_count:
                 continue  # only loopbacks admitted; jump to next start
 
-            added_since = (np.asarray(admitted, dtype=np.intp)
-                           if admitted else None)
-            if warm_start:
-                rates, fill_state = progressive_fill(
-                    batch, active, warm=fill_state,
-                    removed=completed_since, added=added_since,
-                    record=True)
-                # Adaptive warm-starting: a workload whose events
-                # always invalidate round 0 (e.g. a uniform exchange
-                # saturating every link at once) can never replay —
-                # stop paying for the records after two consecutive
-                # fruitless delta events.  Purely a cost knob:
-                # cold solves are the definitionally identical path.
-                had_delta = added_since is not None or (
-                    completed_since is not None and completed_since.size)
-                if had_delta:
-                    if fill_state is not None and fill_state.replayed == 0:
-                        no_replay += 1
-                        if no_replay >= 2:
-                            warm_start = False
-                            fill_state = None
-                    else:
-                        no_replay = 0
-            else:
-                rates = progressive_fill(batch, active)
+            rates = progressive_fill(batch, active)
             act_idx = np.nonzero(active)[0]
             act_rates = rates[act_idx]
             last_rates[act_idx] = act_rates
@@ -463,7 +419,6 @@ class FluidNetworkSimulator:
             rem_act = rem_act - act_rates * dt
             remaining[act_idx] = rem_act
             done = act_idx[rem_act <= _EPS_BYTES]
-            completed_since = done
             if done.size:
                 remaining[done] = 0.0
                 tx_times[done] = now

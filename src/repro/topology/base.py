@@ -12,11 +12,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ..caching import CacheStats, LruCache
 from ..errors import TopologyError
-
-#: Default bound on memoized routed paths per topology instance.
-DEFAULT_PATH_CACHE_SIZE = 8192
 
 
 @dataclass(frozen=True)
@@ -56,7 +52,6 @@ class Topology:
             raise TopologyError(f"need >=1 host, got {num_hosts}")
         self._num_hosts = num_hosts
         self._links: Dict[Tuple[int, int, str], Link] = {}
-        self._path_cache = LruCache(DEFAULT_PATH_CACHE_SIZE)
 
     # -- construction -------------------------------------------------------
 
@@ -64,8 +59,6 @@ class Topology:
         if link.ident in self._links:
             raise TopologyError(f"duplicate link {link.ident}")
         self._links[link.ident] = link
-        # Routes memoized before this link existed may now be stale.
-        self._path_cache.clear()
 
     # -- queries ------------------------------------------------------------
 
@@ -105,51 +98,16 @@ class Topology:
         """
         raise NotImplementedError
 
-    def routed_path(self, src: int, dst: int) -> Tuple[Link, ...]:
-        """Memoized :meth:`path` (routing is deterministic, so the BFS /
-        arc walk per ``(src, dst)`` only ever needs to run once).
-
-        This is the entry point the fluid simulator's ``make_flow`` and
-        the pattern compiler use; ``path()`` stays uncached for callers
-        that mutate topologies mid-flight.  The cache is invalidated
-        whenever a link is added.
-        """
-        key = (src, dst)
-        cached = self._path_cache.get(key)
-        if cached is None:
-            cached = tuple(self.path(src, dst))
-            self._path_cache.put(key, cached)
-        return cached
-
-    def path_cache_info(self) -> CacheStats:
-        """Current routed-path cache counters."""
-        return self._path_cache.stats()
-
-    @property
-    def path_cache(self) -> LruCache:
-        """The live routed-path cache (for sharing)."""
-        return self._path_cache
-
-    def use_path_cache(self, cache: LruCache) -> None:
-        """Adopt ``cache`` as this topology's routed-path cache.
-
-        Substrates share one cache object between topologies with the
-        same :meth:`signature` — identical link structure and routing
-        make the entries interchangeable.  Adopt only after
-        construction: :meth:`_add_link` clears the (now shared) cache.
-        """
-        self._path_cache = cache
-
     def signature(self) -> str:
         """Stable digest of this topology's link structure.
 
         Two topology instances of the same class with identical links
         (same endpoints, keys, capacities and latencies) share a
-        signature — the key substrates use to share fluid pattern and
-        routed-path caches between same-topology simulators.  The class is
-        part of the digest because routing (:meth:`path`) is defined by
-        the subclass: identical link sets routed differently must not
-        share cached rate schedules.
+        signature — the key substrates use to share fluid pattern
+        caches between same-topology simulators.  The class is part of
+        the digest because routing (:meth:`path`) is defined by the
+        subclass: identical link sets routed differently must not share
+        cached rate schedules.
         """
         canon = repr((type(self).__qualname__, self._num_hosts,
                       tuple(sorted((l.src, l.dst, l.key, l.capacity,
@@ -186,8 +144,8 @@ class Topology:
         :class:`~repro.topology.degraded.DegradedTopology` wraps the
         surviving links; being a distinct class with a distinct link
         set, its :meth:`signature`/:meth:`shape_signature` differ from
-        the healthy ones and compiled-batch / path / pattern caches can
-        never serve stale routes across the failure boundary.
+        the healthy ones and compiled-batch / pattern caches can never
+        serve stale routes across the failure boundary.
         """
         failed_links = tuple(tuple(p) for p in failed_links)
         failed_nodes = tuple(failed_nodes)

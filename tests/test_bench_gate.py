@@ -18,6 +18,12 @@ BASELINE = {
                                 "lookahead_total_s": 0.0016,
                                 "speedup": 2.125},
     "ocs_delta_decompose": {"speedup": 4.0},
+    "serving_warm_throughput": {"jobs": 1000, "capacity": 32,
+                                "jct_p99_s": 173.69,
+                                "simulated_jobs_per_s": 5.41,
+                                "engine_s": 0.84, "reference_s": 2.72,
+                                "wall_jobs_per_s": 1196.1,
+                                "speedup": 3.25},
 }
 
 
@@ -31,9 +37,23 @@ def _run(tmp_path, current, capsys):
 
 def test_sections_are_split():
     assert set(gate.EXACT_SECTIONS) == {"ocs_lookahead_vs_greedy",
-                                        "coplan_vs_best_fixed"}
+                                        "coplan_vs_best_fixed",
+                                        "serving_adaptive_switch"}
     assert not set(gate.EXACT_SECTIONS) & set(gate.GATED_SECTIONS)
-    assert len(gate.GATED_SECTIONS) == 13
+    assert not set(gate.EXACT_SECTIONS) & set(gate.EXACT_FIELDS)
+    assert len(gate.GATED_SECTIONS) == 11
+
+
+def test_committed_baselines_carry_every_checked_section_and_field():
+    committed = {}
+    for path in sorted(_GATE.parent.glob("BENCH_*.json")):
+        committed.update(json.loads(path.read_text()))
+    for section in gate.GATED_SECTIONS:
+        assert "speedup" in committed[section], section
+    for section in gate.EXACT_SECTIONS:
+        assert section in committed
+    for section, fields in gate.EXACT_FIELDS.items():
+        assert set(fields) <= set(committed[section]), section
 
 
 def test_equal_results_pass_as_exact_rows(tmp_path, capsys):
@@ -55,6 +75,37 @@ def test_any_changed_field_fails(tmp_path, capsys, change):
     code, out = _run(tmp_path, current, capsys)
     assert code == 1
     assert "CHANGED" in out
+
+
+@pytest.mark.parametrize("change", [
+    {"jct_p99_s": 173.69 * (1 + 2 ** -52)},  # one ulp
+    {"jobs": 1001},
+])
+def test_changed_exact_field_fails(tmp_path, capsys, change):
+    current = json.loads(json.dumps(BASELINE))
+    current["serving_warm_throughput"].update(change)
+    code, out = _run(tmp_path, current, capsys)
+    assert code == 1
+    assert "CHANGED" in out
+
+
+def test_changed_timed_field_passes(tmp_path, capsys):
+    current = json.loads(json.dumps(BASELINE))
+    current["serving_warm_throughput"].update(
+        engine_s=0.5, reference_s=2.0, wall_jobs_per_s=2000.0, speedup=4.0)
+    code, out = _run(tmp_path, current, capsys)
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()
+            if line.startswith("serving_warm_throughput")]
+    assert [r[3:] for r in rows] == [["exact", "ok"], ["1.62x", "ok"]]
+
+
+def test_exact_fields_keep_the_speedup_floor(tmp_path, capsys):
+    current = json.loads(json.dumps(BASELINE))
+    current["serving_warm_throughput"]["speedup"] = 1.0
+    code, out = _run(tmp_path, current, capsys)
+    assert code == 1
+    assert "REGRESSED" in out
 
 
 def test_missing_result_fails(tmp_path, capsys):

@@ -1,13 +1,6 @@
-"""Tests for the in-memory cache primitives and same-topology sharing."""
+"""Tests for the in-memory cache primitives."""
 
-from repro import units
 from repro.caching import LruCache
-from repro.collectives.ring_allreduce import generate_ring_allreduce
-from repro.config import Workload
-from repro.core.substrates import ElectricalSubstrate
-
-SCHED = generate_ring_allreduce(8)
-WL = Workload(data_bytes=1 * units.MB)
 
 
 class TestLruCacheAdmission:
@@ -40,18 +33,3 @@ class TestLruCacheAdmission:
         c.put("big", 1, cost=5)
         assert c.stats().skipped == 1
 
-
-class TestPathCacheSharing:
-    def test_same_signature_topologies_share_one_path_cache(self):
-        from repro.config import default_electrical
-
-        base = default_electrical(8).with_(topology="ring")
-        other = base.with_(step_latency=base.step_latency * 2)
-        sub = ElectricalSubstrate(topology="ring")
-        sub._system = base
-        sub.execute(SCHED, WL)
-        sub._system = other
-        sub.execute(SCHED, WL)
-        topologies = [sim.topology for sim in sub._sims.values()]
-        assert len(topologies) == 2
-        assert topologies[0].path_cache is topologies[1].path_cache

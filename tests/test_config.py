@@ -1,9 +1,12 @@
 """Tests for validated system configuration dataclasses."""
 
+import numpy as np
 import pytest
 
 from repro import units
-from repro.config import (ElectricalSystem, OpticalRingSystem, Workload,
+from repro.config import (ElectricalSystem, HierarchicalSystem,
+                          OpticalRingSystem, OpticalTorusSystem,
+                          ReconfigurableOCSSystem, Workload,
                           default_electrical, default_optical)
 from repro.errors import ConfigurationError
 
@@ -104,3 +107,45 @@ class TestFactories:
     def test_default_electrical_override(self):
         s = default_electrical(256, topology="ring")
         assert s.topology == "ring"
+
+
+#: (system class, valid keyword arguments, integer fields).
+_INTEGER_FIELDS = [
+    (OpticalRingSystem, dict(num_nodes=8, num_wavelengths=4),
+     ("num_nodes", "num_wavelengths")),
+    (ElectricalSystem, dict(num_nodes=8), ("num_nodes",)),
+    (OpticalTorusSystem, dict(num_nodes=8, rows=2, cols=4,
+                              num_wavelengths=4),
+     ("num_nodes", "rows", "cols", "num_wavelengths")),
+    (ReconfigurableOCSSystem, dict(num_nodes=8, ports_per_node=2),
+     ("num_nodes", "ports_per_node")),
+    (HierarchicalSystem, dict(num_nodes=8, group_size=2, leader_index=1,
+                              num_wavelengths=4),
+     ("num_nodes", "group_size", "leader_index", "num_wavelengths")),
+]
+
+
+class TestIntegerCounts:
+    """Counts are Python or numpy integers, never floats or bools."""
+
+    @pytest.mark.parametrize("bad", [2.5, 8.0, float("inf"), float("nan"),
+                                     True])
+    @pytest.mark.parametrize("cls,kwargs,field", [
+        (cls, kwargs, field) for cls, kwargs, fields in _INTEGER_FIELDS
+        for field in fields])
+    def test_non_integer_rejected_at_construction(self, cls, kwargs, field,
+                                                  bad):
+        with pytest.raises(ConfigurationError,
+                           match=f"{field} must be an integer"):
+            cls(**{**kwargs, field: bad})
+
+    @pytest.mark.parametrize("cls,kwargs,fields", _INTEGER_FIELDS)
+    def test_numpy_integers_accepted(self, cls, kwargs, fields):
+        system = cls(**{k: np.int64(v) if k in fields else v
+                        for k, v in kwargs.items()})
+        assert all(getattr(system, f) == kwargs[f] for f in fields)
+
+    def test_optional_fields_accept_none(self):
+        assert OpticalTorusSystem(num_nodes=8).grid_shape == (2, 4)
+        assert HierarchicalSystem(num_nodes=8, group_size=2)\
+            .resolved_leader_index == 1

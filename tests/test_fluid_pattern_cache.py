@@ -291,9 +291,8 @@ class TestSubstrateCounters:
         # second system's steps all hit the shared cache
         assert second.misses == first.misses
         assert second.hits > first.hits
-        # one shared cache each for the pattern and path caches
+        # one shared pattern cache
         assert len(sub._fluid_pattern_caches()) == 1
-        assert len(sub._topo_path_caches()) == 1
 
     def test_ocs_stay_time_unchanged_by_profile_path(self):
         """The OCS substrate's stay/reconfigure balance is unchanged."""

@@ -10,7 +10,8 @@ Covers the acceptance criteria of the hierarchical substrate:
   the pure electrical substrate, singleton racks (``g == 1``) match
   the optical ring;
 * the closed-form :func:`~repro.core.cost_model.hier_rack_time` is
-  pinned against substrate simulation across rack shapes and payloads;
+  pinned against substrate simulation across rack shapes, payloads and
+  every leader position the co-planner searches;
 * ``"hier-rack"`` is registered, the ``"hier"`` comparison scenario
   sweeps rack sizes, and warm caches never change results.
 """
@@ -28,6 +29,7 @@ from repro.core.comparison import (EXTENDED_ALGORITHMS, compare_algorithms)
 from repro.core.cost_model import hier_rack_time
 from repro.core.substrates import (HierarchicalRackSubstrate,
                                    available_substrates, get_substrate)
+from repro.core.topoplan import default_leader_indices
 from repro.errors import ConfigurationError, TopologyError
 from repro.topology.hierarchy import HierarchicalTopology
 from repro.topology.switched import SwitchedStar
@@ -249,6 +251,24 @@ class TestCostModelPin:
             generate_hierarchical_ring(n, g), wl)
         assert rep.total_time == pytest.approx(hier_rack_time(hs, wl),
                                                rel=1e-12)
+
+    @pytest.mark.parametrize("n,g,ell", [
+        (n, g, ell) for n in (16, 32, 64)
+        for g in range(1, n + 1) if n % g == 0
+        for ell in sorted(set(default_leader_indices(g)) | {0})])
+    def test_closed_form_matches_substrate_at_every_searched_leader(
+            self, n, g, ell):
+        """The co-planner prices ``(g, ℓ)`` cells with the closed form;
+        each one it searches must equal the substrate's simulation."""
+        hs = HierarchicalSystem(num_nodes=n, group_size=g, leader_index=ell)
+        sched = generate_hierarchical_ring(n, g, leader_index=ell)
+        sub = HierarchicalRackSubstrate(hs)
+        for mb in (0.064, 4, 100):
+            wl = Workload(data_bytes=mb * units.MB)
+            rep = sub.execute(sched, wl)
+            assert rep.total_time == pytest.approx(hier_rack_time(hs, wl),
+                                                   rel=1e-12)
+            assert rep.num_steps == hierarchical_ring_step_count(n, g, ell)
 
     def test_no_striping_variant(self):
         wl = Workload(data_bytes=4 * units.MB)

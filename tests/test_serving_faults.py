@@ -252,6 +252,17 @@ class TestServeCliValidation:
         err = capsys.readouterr().err
         assert err.startswith("repro serve: ") and needle in err
 
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_bad_switch_bytes_prints_one_line(self, value, capsys):
+        from repro.cli import main
+        assert main(["serve", "--switch-bytes", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro serve: ")
+        assert "switch_bytes" in lines[0]
+
     def test_faulty_serve_smoke(self, capsys):
         from repro.cli import main
         rc = main(["serve", "--jobs", "10", "--rate", "200",

@@ -164,6 +164,11 @@ class TestCollectivePolicy:
         with pytest.raises(ConfigurationError):
             fixed_policy("butterfly")
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_bad_switch_bytes_raises(self, bad):
+        with pytest.raises(ConfigurationError, match="switch_bytes"):
+            adaptive_policy(switch_bytes=bad)
+
 
 class TestPlaceSchedule:
     def test_identity_returns_same_object(self):

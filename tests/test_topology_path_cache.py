@@ -1,45 +1,9 @@
-"""Tests for the routed-path LRU cache and signatures on Topology."""
+"""Tests for the signatures substrates key shared fluid caches on."""
 
 import pytest
 
-from repro.topology.base import Link, Topology
 from repro.topology.ring import RingTopology
 from repro.topology.switched import SwitchedStar
-from repro.topology.torus import Torus2D
-
-
-class TestRoutedPathCache:
-    def test_routed_path_matches_path(self):
-        ring = RingTopology(8, capacity=1.0, latency=1e-6)
-        for src, dst in [(0, 3), (5, 1), (7, 0), (2, 2)]:
-            assert ring.routed_path(src, dst) == tuple(ring.path(src, dst))
-
-    def test_second_lookup_is_a_hit(self):
-        torus = Torus2D(3, 3, capacity=1.0)
-        torus.routed_path(0, 8)
-        torus.routed_path(0, 8)
-        info = torus.path_cache_info()
-        assert info.misses == 1 and info.hits == 1
-
-    def test_cache_invalidated_by_new_link(self):
-        class Growable(Topology):
-            def path(self, src, dst):
-                return [self.link(src, dst)] if self.has_link(src, dst) \
-                    else []
-
-        topo = Growable(3)
-        topo._add_link(Link(0, 1, 1.0))
-        assert topo.routed_path(0, 1) == (topo.link(0, 1),)
-        assert len(topo._path_cache) == 1
-        topo._add_link(Link(1, 2, 1.0))
-        assert len(topo._path_cache) == 0  # cleared
-        assert topo.routed_path(1, 2) == (topo.link(1, 2),)
-
-    def test_empty_path_cached(self):
-        star = SwitchedStar(4, 1.0)
-        assert star.routed_path(2, 2) == ()
-        star.routed_path(2, 2)
-        assert star.path_cache_info().hits == 1
 
 
 class TestTopologySignature:
