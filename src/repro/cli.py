@@ -136,6 +136,17 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     wl = (paper_workload(args.model) if args.model
           else Workload(data_bytes=args.bytes))
     plan = plan_wrht(system, wl)
+    if args.substrate:
+        # Dispatch through the registry (before printing, so that a
+        # rejected input prints only its error); only the optical ring
+        # takes the configured system, other fabrics derive their own.
+        from .core.substrates import get_substrate
+
+        extra = {"lookahead": True} if args.lookahead else {}
+        sub = get_substrate(args.substrate,
+                            system=system if args.substrate == "optical-ring"
+                            else None, **extra)
+        rep = sub.execute(plan.schedule, wl)
     print(f"Wrht plan for N={args.nodes}, w={args.wavelengths}, "
           f"payload={units.fmt_bytes(wl.data_bytes)}:")
     print(f"  group size m       : {plan.group_size}")
@@ -144,15 +155,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     print(f"  all-to-all shortcut: {plan.info.used_alltoall}")
     print(f"  predicted time     : {units.fmt_time(plan.predicted_time)}")
     if args.substrate:
-        # Dispatch through the registry; only the optical ring takes the
-        # configured system, other fabrics derive their own default.
-        from .core.substrates import get_substrate
-
-        extra = {"lookahead": True} if args.lookahead else {}
-        sub = get_substrate(args.substrate,
-                            system=system if args.substrate == "optical-ring"
-                            else None, **extra)
-        rep = sub.execute(plan.schedule, wl)
         print(f"  simulated on {rep.substrate:<7}: "
               f"{units.fmt_time(rep.total_time)} "
               f"({rep.num_steps} steps)")

@@ -9,7 +9,7 @@ constructed object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..topology.ring import Direction, RingTopology
 from .schedule import Schedule, Step, Transfer
@@ -24,56 +24,50 @@ def transfer_direction(ring: RingTopology, t: Transfer) -> Direction:
     return ring.shortest_direction(t.src, t.dst)
 
 
-def ring_link_loads(num_nodes: int, flows) -> tuple:
-    """Per-directed-link flow counts on a ring, via difference arrays.
+def ring_peak_load(num_nodes: int,
+                   flows: Iterable[Tuple[int, int, Direction]]) -> int:
+    """Most of ``flows`` on any one directed link of a ``num_nodes`` ring.
 
-    ``flows`` yields ``(src, dst, Direction)``.  Returns
-    ``(cw_loads, ccw_loads)`` lists indexed by link start node (cw link
-    ``i`` is ``i -> i+1``; ccw link ``i`` is ``i -> i-1``).  O(#flows +
-    N) instead of materialising arc link objects.
+    ``flows`` yields ``(src, dst, Direction)``; a flow covers every
+    link of its arc (cw link ``i`` is ``i -> i+1``, ccw link ``i`` is
+    ``i -> i-1``).  Each arc adds +1 at its first link index and -1
+    past its last, and one sorted sweep per direction over those
+    endpoints reads the peak: O(F log F) for ``F`` flows, whatever
+    ``num_nodes``.
     """
     n = num_nodes
-    cw_diff = [0] * (n + 1)
-    ccw_diff = [0] * (n + 1)
-
-    def mark(diff, start, length):
-        end = start + length
-        if end <= n:
-            diff[start] += 1
-            diff[end] -= 1
-        else:
-            diff[start] += 1
-            diff[n] -= 1
-            diff[0] += 1
-            diff[end - n] -= 1
-
+    cw: Dict[int, int] = {}
+    ccw: Dict[int, int] = {}
     for src, dst, direction in flows:
-        if direction is Direction.CW:
-            mark(cw_diff, src, (dst - src) % n)
-        else:
-            length = (src - dst) % n
-            mark(ccw_diff, (src - length + 1) % n, length)
-
-    def prefix(diff):
-        out = []
-        cur = 0
-        for d in diff[:n]:
-            cur += d
-            out.append(cur)
-        return out
-
-    return prefix(cw_diff), prefix(ccw_diff)
+        if direction is Direction.CW:  # cw links src, ..., dst-1
+            change, start, end = cw, src, dst
+        else:  # ccw links src, ..., dst+1: ascending from dst+1
+            change, start, end = ccw, (dst + 1) % n, (src + 1) % n
+        if end < start:  # wraps: [start, n) and [0, end)
+            change[0] = change.get(0, 0) + 1
+        change[start] = change.get(start, 0) + 1
+        change[end] = change.get(end, 0) - 1
+    peak = 0
+    for change in (cw, ccw):
+        load = 0
+        for link in sorted(change):
+            load += change[link]
+            if load > peak:
+                peak = load
+    return peak
 
 
 def step_wavelength_demand(ring: RingTopology, step: Step) -> int:
     """Max concurrent flows over any directed ring segment in ``step``.
 
     This is the minimum wavelengths-per-direction any conflict-free
-    assignment needs for the step (each flow on one wavelength).
+    assignment needs for the step (each flow on one wavelength): the
+    :func:`ring_peak_load` of its transfers, each routed by
+    :func:`transfer_direction`.
     """
-    flows = [(t.src, t.dst, transfer_direction(ring, t)) for t in step]
-    cw, ccw = ring_link_loads(ring.num_hosts, flows)
-    return max(max(cw, default=0), max(ccw, default=0))
+    return ring_peak_load(ring.num_hosts,
+                          [(t.src, t.dst, transfer_direction(ring, t))
+                           for t in step])
 
 
 def schedule_wavelength_demand(ring: RingTopology,

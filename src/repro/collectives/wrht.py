@@ -36,7 +36,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
+from ..topology.ring import Direction
 from .alltoall_wdm import alltoall_transfers, alltoall_wavelength_requirement
+from .analysis import ring_peak_load
 from .schedule import Schedule, Transfer, TransferOp
 
 
@@ -88,19 +90,32 @@ class WrhtParameters:
 
 @dataclass(frozen=True)
 class GroupLevel:
-    """One tree level: the groups (member lists) and their representatives."""
+    """One tree level: the groups (member lists) and their representatives.
+
+    Only :func:`wrht_structure` builds a level.  Its live nodes are
+    evenly spaced but for the last, so every group but the last has the
+    first one's shape: the first and last groups bound the level.
+    """
 
     groups: Tuple[Tuple[int, ...], ...]
     representatives: Tuple[int, ...]
 
+    def _bounding_groups(self) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+        """The first and the last ``(group, representative)``."""
+        return ((self.groups[0], self.representatives[0]),
+                (self.groups[-1], self.representatives[-1]))
+
     @property
     def max_side(self) -> int:
         """Worst one-side member count = per-direction wavelength demand."""
-        worst = 0
-        for g, rep in zip(self.groups, self.representatives):
-            rep_pos = g.index(rep)
-            worst = max(worst, rep_pos, len(g) - 1 - rep_pos)
-        return worst
+        return max(max(g.index(rep), len(g) - 1 - g.index(rep))
+                   for g, rep in self._bounding_groups())
+
+    @property
+    def max_hops(self) -> int:
+        """Longest member-to-representative arc, in ring hops."""
+        return max(max(rep - g[0], g[-1] - rep)
+                   for g, rep in self._bounding_groups())
 
 
 @dataclass
@@ -111,6 +126,9 @@ class WrhtScheduleInfo:
     levels: List[GroupLevel] = field(default_factory=list)
     alltoall_participants: Optional[Tuple[int, ...]] = None
     final_root: Optional[int] = None
+    #: :func:`alltoall_actual_demand` of the participants, as the walk
+    #: that accepted them counted it (``None`` without the shortcut).
+    alltoall_demand: Optional[int] = None
 
     @property
     def used_alltoall(self) -> bool:
@@ -132,55 +150,26 @@ class WrhtScheduleInfo:
 def alltoall_actual_demand(participants: Sequence[int], num_nodes: int) -> int:
     """Exact per-direction wavelength demand of a shortest-arc all-to-all.
 
-    Counts, for every ordered participant pair routed on its shortest arc
-    (antipodal ties split by ``src < dst``, matching
-    :meth:`RingTopology.shortest_direction`), how many flows cross each
-    directed ring link; returns the maximum.  The paper's ``⌈p²/8⌉`` is
-    the even-spread value of this quantity — representative positions are
-    not always evenly spread, so the generator checks both.
+    The :func:`~repro.collectives.analysis.ring_peak_load` of every
+    ordered participant pair routed on its shortest arc (antipodal ties
+    split by ``src < dst``, matching
+    :meth:`RingTopology.shortest_direction`): O(F log F) for the
+    ``F = p(p-1)`` flows of ``p`` participants.  The paper's ``⌈p²/8⌉``
+    is the even-spread value of this quantity — representative
+    positions are not always evenly spread, so the generator checks
+    both.
     """
     n = num_nodes
-    # Difference arrays over link indices: cw link i is i->i+1, ccw link i
-    # is i->i-1.  A flow covering a contiguous run of `length` links from
-    # `start` adds +1 at start and -1 past the end (split on wraparound).
-    cw_diff = [0] * (n + 1)
-    ccw_diff = [0] * (n + 1)
-
-    def mark(diff, start, length):
-        end = start + length
-        if end <= n:
-            diff[start] += 1
-            diff[end] -= 1
-        else:  # wraps: [start, n) and [0, end-n)
-            diff[start] += 1
-            diff[n] -= 1
-            diff[0] += 1
-            diff[end - n] -= 1
-
     parts = list(participants)
+    flows = []
     for src in parts:
         for dst in parts:
-            if src == dst:
-                continue
-            cw = (dst - src) % n
-            ccw = (src - dst) % n
-            if cw < ccw or (cw == ccw and src < dst):
-                mark(cw_diff, src, cw)  # cw links src, src+1, ...
-            else:
-                # ccw link index j covers hop j -> j-1; the flow uses
-                # j = src, src-1, ..., dst+1, i.e. a contiguous run of
-                # `ccw` indices *descending* from src: equivalently the
-                # ascending run starting at (src - ccw + 1) mod n.
-                mark(ccw_diff, (src - ccw + 1) % n, ccw)
-
-    def peak(diff):
-        worst = cur = 0
-        for d in diff[:n]:
-            cur += d
-            worst = max(worst, cur)
-        return worst
-
-    return max(peak(cw_diff), peak(ccw_diff))
+            if src != dst:
+                cw = (dst - src) % n
+                flows.append((src, dst, Direction.CW
+                              if cw < n - cw or (cw == n - cw and src < dst)
+                              else Direction.CCW))
+    return ring_peak_load(n, flows)
 
 
 def _middle_index(group_len: int) -> int:
@@ -220,8 +209,9 @@ def wrht_structure(params: WrhtParameters) -> WrhtScheduleInfo:
                 and alltoall_wavelength_requirement(p) <= w
                 and (params.alltoall_threshold is None
                      or p <= params.alltoall_threshold)
-                and alltoall_actual_demand(live, n) <= w):
+                and (demand := alltoall_actual_demand(live, n)) <= w):
             info.alltoall_participants = tuple(live)
+            info.alltoall_demand = demand
             return info
         groups = _partition(live, m)
         reps = [g[_middle_index(len(g))] for g in groups]
@@ -326,12 +316,16 @@ def wrht_theoretical_steps(num_nodes: int, group_size: int,
                            num_wavelengths: int,
                            allow_alltoall_shortcut: bool = True,
                            alltoall_threshold: Optional[int] = None) -> int:
-    """Step count, evaluated level-by-level like the generator.
+    """The paper's even-spread step count: each level keeps ``⌈p/m⌉``
+    of ``p`` live nodes, and the shortcut fires on ``⌈p²/8⌉ ≤ w``.
 
     With ``alltoall_threshold = group_size`` this reproduces the paper's
     closed forms ``2⌈log_m N⌉`` (no shortcut) and ``2⌈log_m N⌉ − 1``
     (shortcut at the last level); with ``None`` the shortcut may fire
-    earlier, which can only reduce the count further.
+    earlier, which can only reduce the count further.  The generator
+    can exceed it: its representatives are not always evenly spread,
+    and it also needs :func:`alltoall_actual_demand` ``≤ w`` (4 of the
+    276 default candidates on the paper grid take more steps).
     """
     if num_nodes <= 1:
         return 0

@@ -22,16 +22,15 @@ Conventions (matching the substrates):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..caching import CacheStats, LruCache
 from ..collectives import analysis as can
 from ..collectives.registry import STEP_COUNTS
 from ..collectives.schedule import Schedule
 from ..collectives.wrht import (WrhtParameters, WrhtScheduleInfo,
-                                alltoall_actual_demand, generate_wrht,
-                                wrht_step_order, wrht_structure,
-                                wrht_tree_levels)
+                                generate_wrht, wrht_step_order,
+                                wrht_structure, wrht_tree_levels)
 from ..config import (ElectricalSystem, HierarchicalSystem,
                       OpticalRingSystem, OpticalTorusSystem,
                       ReconfigurableOCSSystem, Workload)
@@ -344,11 +343,14 @@ class WrhtCostDetail:
 class WrhtStepSummary:
     """What pricing reads of a schedule on a ring, and nothing else.
 
-    Per step: the wavelength demand and the distinct
-    ``(chunks carried, hops)`` pairs of its transfers.  It depends on
-    the schedule and the ring's size and directions only, never on
-    rates, overheads or the payload, so one summary prices every
-    (system, workload) that shares them.
+    Per step: the wavelength demand and one ``(chunks, longest hops)``
+    pair per chunk count its transfers carry, in chunk order.  Only the
+    longest arc of a chunk count can set the step time, since
+    ``bytes/(k·rate) + hops·hop_delay`` never decreases as hops grow
+    (``hop_delay ≥ 0`` is validated; IEEE rounding is monotone).  It
+    depends on the schedule and the ring's size and directions only,
+    never on rates, overheads or the payload, so one summary prices
+    every (system, workload) that shares them.
     """
 
     num_chunks: int
@@ -361,10 +363,13 @@ def _summarize(schedule: Schedule, ring: RingTopology) -> WrhtStepSummary:
     loads: List[Tuple[Tuple[int, int], ...]] = []
     for step in schedule.steps:
         demands.append(can.step_wavelength_demand(ring, step))
-        loads.append(tuple(sorted({
-            (len(t.chunks),
-             ring.distance(t.src, t.dst, can.transfer_direction(ring, t)))
-            for t in step})))
+        longest: Dict[int, int] = {}
+        for t in step:
+            hops = ring.distance(t.src, t.dst,
+                                 can.transfer_direction(ring, t))
+            if hops > longest.get(len(t.chunks), -1):
+                longest[len(t.chunks)] = hops
+        loads.append(tuple(sorted(longest.items())))
     return WrhtStepSummary(num_chunks=schedule.num_chunks,
                            demands=tuple(demands), loads=tuple(loads))
 
@@ -375,10 +380,11 @@ def _structure_summary(params: WrhtParameters,
     structure alone; it raises :class:`TopologyError` where that does.
 
     A tree level's flows stay inside their groups' arcs, so its demand
-    is :attr:`GroupLevel.max_side` and its hops are each member's offset
-    from its representative; the broadcast mirror repeats both.  The
-    all-to-all takes the shortest arc on a two-way ring and the
-    clockwise arc on a one-way ring.
+    is :attr:`GroupLevel.max_side` and its longest arc
+    :attr:`GroupLevel.max_hops`; the broadcast mirror repeats both.
+    The all-to-all takes the shortest arc on a two-way ring, with the
+    demand the level walk counted, and the clockwise arc on a one-way
+    ring.
     """
     n = params.num_nodes
     if n < 2:
@@ -387,11 +393,7 @@ def _structure_summary(params: WrhtParameters,
     if info.levels and not bidirectional:
         # Each level's broadcast sends CCW to the members below a rep.
         raise TopologyError("ring is unidirectional; no CCW travel")
-    levels = [(level.max_side,
-               tuple(sorted({(1, abs(member - rep))
-                             for g, rep in zip(level.groups,
-                                               level.representatives)
-                             for member in g if member != rep})))
+    levels = [(level.max_side, ((1, level.max_hops),))
               for level in info.levels]
     middle = None
     if info.used_alltoall:
@@ -399,13 +401,13 @@ def _structure_summary(params: WrhtParameters,
         hops = {(b - a) % n for a in parts for b in parts if a != b}
         if bidirectional:
             hops = {min(h, n - h) for h in hops}
-            demand = alltoall_actual_demand(parts, n)
+            demand = info.alltoall_demand
         else:
             # All flows run clockwise, and the arcs a->b and b->a cover
             # each link once between them: every link carries one flow
             # per unordered pair.
             demand = len(parts) * (len(parts) - 1) // 2
-        middle = (demand, tuple(sorted((1, h) for h in hops)))
+        middle = (demand, ((1, max(hops)),))
     steps = [middle if i is None else levels[i]
              for i, _ in wrht_step_order(info)]
     return WrhtStepSummary(num_chunks=1,
@@ -427,7 +429,7 @@ def _price(summary: WrhtStepSummary, system: OpticalRingSystem,
         k = (max(1, system.num_wavelengths // demand)
              if system.allow_striping else 1)
         # slowest transfer: max of serialization+propagation over the
-        # step's distinct (chunks, hops)
+        # step's longest arc per chunk count
         slowest = 0.0
         for chunks, hops in loads:
             b = chunks * chunk_bytes

@@ -1,14 +1,19 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.cli import build_parser, main
+from repro.core.substrates import available_substrates
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -201,7 +206,37 @@ class TestErrorBoundary:
                               capture_output=True, text=True, env=env,
                               timeout=60)
         assert proc.returncode == 2
+        assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"repro {argv[0]}: ")
-        assert "Traceback" not in proc.stderr + proc.stdout
+        assert "Traceback" not in proc.stderr
+
+
+#: ``--bytes`` values: the rejected ones, then any valid payload.
+PLAN_BYTES = st.sampled_from([0.0, -1.0, -1e6, math.nan, math.inf]) \
+    | st.floats(min_value=1.0, max_value=1e9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nodes=st.integers(min_value=-2, max_value=64),
+       wavelengths=st.integers(min_value=-1, max_value=70),
+       nbytes=PLAN_BYTES,
+       substrate=st.none() | st.sampled_from(available_substrates()))
+def test_plan_runs_or_prints_one_error_line(nodes, wavelengths, nbytes,
+                                            substrate):
+    """``plan`` either succeeds, or prints nothing to stdout and one
+    ``repro plan:`` line to stderr and returns 2."""
+    argv = ["plan", "--nodes", str(nodes), "--wavelengths",
+            str(wavelengths), "--bytes", repr(nbytes)]
+    if substrate is not None:
+        argv += ["--substrate", substrate]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if rc == 0:
+        return
+    assert rc == 2, argv
+    assert out.getvalue() == "", argv
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("repro plan: "), argv

@@ -7,12 +7,13 @@ from repro.collectives import (WrhtParameters, generate_ring_allreduce,
 from repro.collectives.analysis import (describe_schedule,
                                         max_hops_per_step,
                                         peak_wavelength_demand,
-                                        ring_link_loads,
                                         schedule_wavelength_demand,
                                         step_wavelength_demand, summarize,
                                         transfer_direction)
 from repro.collectives.schedule import Schedule, Transfer, TransferOp
 from repro.topology.ring import Direction, RingTopology
+
+from wrht_references import ring_link_loads
 
 
 def ring(n=8):

@@ -9,11 +9,13 @@ from repro.collectives import (WrhtParameters, generate_wrht,
                                verify_allreduce)
 from repro.collectives.analysis import (peak_wavelength_demand,
                                         schedule_wavelength_demand)
+from repro.collectives.alltoall_wdm import alltoall_wavelength_requirement
 from repro.collectives.schedule import TransferOp
 from repro.collectives.wrht import (alltoall_actual_demand,
                                     wrht_last_level_survivors,
                                     wrht_theoretical_steps, wrht_tree_levels)
 from repro.core.cost_model import wrht_paper_step_bound
+from repro.core.planner import VARIANTS, _variant_params, default_group_sizes
 from repro.errors import ConfigurationError
 from repro.topology import RingTopology
 
@@ -243,3 +245,50 @@ class TestProperties:
         sched, _ = generate_wrht(params(n, m, alltoall_threshold=m))
         bound = 2 * math.ceil(math.log(n) / math.log(m)) if n > 1 else 0
         assert sched.num_steps <= max(bound, 1)
+
+
+#: The paper-grid candidates whose generated step count exceeds the
+#: even-spread count, ``(N, m, variant): (generated, theoretical)``.
+#: Each has 22 representatives after the first level, unevenly spread:
+#: their all-to-all needs 66 > 64 wavelengths although ⌈22²/8⌉ = 61,
+#: so the generator builds another tree level instead.
+UNEVEN_SHORTCUTS = {(128, 6, "paper"): (5, 3), (256, 12, "paper"): (5, 3),
+                    (512, 24, "paper"): (4, 3),
+                    (512, 24, "last-level"): (4, 3)}
+
+
+class TestPaperBoundsOnThePaperGrid:
+    """The §2 step and wavelength bounds on every default candidate at
+    N ∈ {128, 256, 512, 1024} with w = 64."""
+
+    @pytest.mark.parametrize("n", [128, 256, 512, 1024])
+    def test_step_demands_and_counts(self, n):
+        ring = ring_for(n)
+        for m in default_group_sizes(n, 64):
+            for variant in VARIANTS:
+                p = _variant_params(n, m, 64, variant)
+                sched, info = generate_wrht(p)
+                demands = schedule_wavelength_demand(ring, sched)
+                depth = info.num_tree_levels
+                for i, level in enumerate(info.levels):
+                    # reduce step i and its broadcast mirror
+                    assert demands[i] == demands[-1 - i] == level.max_side
+                    assert level.max_side <= m // 2
+                if info.used_alltoall:
+                    assert demands[depth] == alltoall_actual_demand(
+                        info.alltoall_participants, n) <= 64
+                expect = wrht_theoretical_steps(
+                    n, m, 64, p.allow_alltoall_shortcut,
+                    p.alltoall_threshold)
+                got = (sched.num_steps, expect)
+                assert got == UNEVEN_SHORTCUTS.get((n, m, variant),
+                                                   (expect, expect))
+                if (n, m, variant) in UNEVEN_SHORTCUTS:
+                    reps = info.levels[0].representatives
+                    assert len(reps) == 22
+                    assert alltoall_wavelength_requirement(22) == 61
+                    assert alltoall_actual_demand(reps, n) == 66
+
+    def test_the_grid_has_276_candidates(self):
+        assert sum(len(default_group_sizes(n, 64)) * len(VARIANTS)
+                   for n in (128, 256, 512, 1024)) == 276
