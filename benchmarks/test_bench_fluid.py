@@ -1,7 +1,7 @@
 """Fluid-engine performance benchmarks (the CI-gated speedup record).
 
 Three levels compare against the frozen pre-refactor engine
-(:mod:`repro.simulation._reference`) on the same inputs:
+(``tests/fluid_oracle.py``) on the same inputs:
 
 * **solver micro** — one cold 64-flow synchronous step through the
   batch-compiled event loop (compile + vectorized events, no cache);
@@ -41,11 +41,11 @@ import pytest
 
 from conftest import (best_time as _time, interleaved_best_times,
                       record_bench as _record)
+from fluid_oracle import ReferenceFluidSimulator
 from fluid_references import UncachedSimulator
 
 from repro import units
 from repro.simulation import flows as flows_mod
-from repro.simulation._reference import ReferenceFluidSimulator
 from repro.simulation.flows import have_sparse
 from repro.simulation.fluid import FluidNetworkSimulator
 from repro.topology.ring import RingTopology

@@ -45,6 +45,17 @@ def _require_ints(system: object, *names: str,
                  f"{name} must be an integer, got {value!r}")
 
 
+def _require_hop_delay(system: object, spacing: str) -> None:
+    """The hop delay, field ``spacing`` times
+    ``propagation_delay_per_meter``, must be a number: an infinite
+    spacing at zero delay per metre, or the reverse, is ``inf * 0``."""
+    distance = getattr(system, spacing)
+    per_meter = system.propagation_delay_per_meter
+    _require(not math.isnan(distance * per_meter),
+             f"{spacing}={distance!r} with propagation_delay_per_meter="
+             f"{per_meter!r} leaves the hop delay undefined (inf * 0)")
+
+
 @dataclass(frozen=True)
 class OpticalRingSystem:
     """A WDM optical ring interconnect (TeraRack-style).
@@ -102,6 +113,7 @@ class OpticalRingSystem:
         _require(self.node_spacing >= 0, "node_spacing must be >= 0")
         _require(self.propagation_delay_per_meter >= 0,
                  "propagation_delay_per_meter must be >= 0")
+        _require_hop_delay(self, "node_spacing")
 
     # -- derived quantities -------------------------------------------------
 
@@ -213,6 +225,7 @@ class OpticalTorusSystem:
         _require(self.node_spacing >= 0, "node_spacing must be >= 0")
         _require(self.propagation_delay_per_meter >= 0,
                  "propagation_delay_per_meter must be >= 0")
+        _require_hop_delay(self, "node_spacing")
         rows, cols = self.grid_shape
         _require(rows >= 2 and cols >= 2 and rows * cols == self.num_nodes,
                  f"cannot arrange {self.num_nodes} nodes as a "
@@ -390,6 +403,7 @@ class HierarchicalSystem:
         _require(self.rack_spacing >= 0, "rack_spacing must be >= 0")
         _require(self.propagation_delay_per_meter >= 0,
                  "propagation_delay_per_meter must be >= 0")
+        _require_hop_delay(self, "rack_spacing")
         _require(self.optical_step_overhead >= 0,
                  "optical_step_overhead must be >= 0")
         if self.leader_index is not None:

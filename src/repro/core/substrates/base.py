@@ -16,8 +16,9 @@ use.
 from __future__ import annotations
 
 import abc
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Deque, Iterable, List, Optional, Tuple
 
 from ...caching import CacheStats, LruCache
 from ...collectives.primitives import transfer_bytes
@@ -276,7 +277,8 @@ class Substrate(abc.ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-#: Bound on shared caches kept per substrate and cache kind (LRU).
+#: Bound on the caches a fluid substrate keeps per kind: shared compile
+#: caches (LRU) and the pattern caches its ``describe()`` sums.
 _SHARED_CACHES_MAX = 128
 
 
@@ -289,36 +291,35 @@ class FluidCacheMixin:
     in.  :meth:`_simulator` pools one simulator per system over the
     substrate's ``_build_topology(system)``, and every simulator is
     passed through :meth:`_register_fluid_simulator`, which shares one
-    pattern cache per *topology signature* across same-topology
-    simulators (two systems differing only in overheads build identical
-    topologies and their steps are interchangeable) and aggregates
-    counters for ``describe()``.  Substrates that time each step as one
-    fluid batch plus fixed charges (electrical, torus) run
-    :meth:`_fluid_run` for both ``execute`` and their fault replay.
+    compile cache per topology *shape* across simulators and records
+    each simulator's own pattern cache for the ``describe()``
+    counters.  Substrates that time each step as one fluid batch plus
+    fixed charges (electrical, torus) run :meth:`_fluid_run` for both
+    ``execute`` and their fault replay.
     """
 
-    def _fluid_pattern_caches(self) -> LruCache:
-        """Topology signature → shared pattern cache (LRU-bounded).
+    def _fluid_pattern_caches(self) -> Deque[LruCache]:
+        """The registered simulators' pattern caches, oldest first.
 
         Bounded so substrates that visit many distinct topologies (the
         OCS fabric builds one per circuit configuration) cannot pin an
-        unbounded set of pattern caches in memory; a signature evicted
-        here simply re-registers on next use.
+        unbounded set of pattern caches in memory; the oldest drops
+        out of the ``describe()`` sums first.
         """
         caches = getattr(self, "_fluid_caches", None)
         if caches is None:
-            caches = self._fluid_caches = LruCache(_SHARED_CACHES_MAX)
+            caches = self._fluid_caches = deque(maxlen=_SHARED_CACHES_MAX)
         return caches
 
     def _fluid_compile_caches(self) -> LruCache:
         """Shape signature → shared compiled-structure cache
         (LRU-bounded).
 
-        The same shape as :meth:`_fluid_pattern_caches`, but keyed by
-        topology *shape* signature (capacities excluded), so every
-        bandwidth variant of one topology — across sweep cells and
+        Keyed by topology *shape* signature (capacities excluded), so
+        every bandwidth variant of one topology — across sweep cells and
         substrate instances — shares one set of compiled
-        :class:`~repro.simulation.flows.FlowBatchStructure` objects.
+        :class:`~repro.simulation.flows.FlowBatchStructure` objects; a
+        signature evicted here simply re-registers on next use.
         """
         caches = getattr(self, "_compile_caches", None)
         if caches is None:
@@ -326,36 +327,20 @@ class FluidCacheMixin:
         return caches
 
     def _register_fluid_simulator(self, sim: Any) -> None:
-        """Adopt the shared caches for a new simulator.
+        """Adopt the shared compile cache for a new simulator and count
+        its pattern cache in the ``describe()`` sums.
 
-        Simulators over same-signature topologies (identical links
-        *and* routing class) share one pattern cache object, so
-        repeated configs reuse each other's solves.  Same-shape ones
-        share one compile cache.
+        Same-shape simulators share one compile cache object, so
+        bandwidth variants reuse each other's compiled structures.
         """
-        topology = sim.topology
-        self._share_cache(self._fluid_compile_caches(),
-                          topology.shape_signature(),
-                          sim.compile_cache, sim.use_compile_cache)
-        self._share_cache(self._fluid_pattern_caches(),
-                          topology.signature(),
-                          sim.pattern_cache, sim.use_pattern_cache)
-
-    @staticmethod
-    def _share_cache(caches: LruCache, signature: str, cache: LruCache,
-                     adopt: Any) -> None:
-        """Adopt one shared cache for :meth:`_register_fluid_simulator`.
-
-        If ``signature`` already has a shared cache object, ``adopt`` it
-        onto the new owner; otherwise the owner's own cache becomes the
-        shared object for ``signature``.
-        """
-        existing = caches.get(signature)
-        if existing is not None:
-            if existing is not cache:
-                adopt(existing)
-            return
-        caches.put(signature, cache)
+        shared = self._fluid_compile_caches()
+        shape = sim.topology.shape_signature()
+        existing = shared.get(shape)
+        if existing is None:
+            shared.put(shape, sim.compile_cache)
+        elif existing is not sim.compile_cache:
+            sim.use_compile_cache(existing)
+        self._fluid_pattern_caches().append(sim._pattern_cache)
 
     def _simulator(self, system: Any) -> FluidNetworkSimulator:
         """The pooled fluid simulator of ``system``, over
@@ -375,10 +360,9 @@ class FluidCacheMixin:
         """A pooled fluid simulator on the fault-masked topology.
 
         Keyed by ``(system, failed links, failed nodes)`` so repeated
-        steps under a stable fault state reuse one simulator — whose
-        pattern cache, keyed by the *degraded* topology's signature via
-        :meth:`_register_fluid_simulator`, can never leak solutions
-        across the failure boundary.
+        steps under a stable fault state reuse one simulator, whose own
+        pattern cache never sees a healthy step and so can never leak
+        solutions across the failure boundary.
         """
         pool = getattr(self, "_degraded_sim_pool", None)
         if pool is None:
@@ -439,9 +423,10 @@ class FluidCacheMixin:
         return report
 
     def fluid_cache_info(self) -> CacheStats:
-        """Pattern-cache counters aggregated over the shared caches."""
+        """Pattern-cache counters aggregated over the registered
+        simulators."""
         total = CacheStats()
-        for cache in self._fluid_pattern_caches().values():
+        for cache in self._fluid_pattern_caches():
             total = total + cache.stats()
         return total
 

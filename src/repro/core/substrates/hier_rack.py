@@ -29,11 +29,13 @@ fabrics (one rack; singleton racks) reproduce those substrates
 bit-for-bit, which the parity tests pin.
 
 Caching reuses both levels' existing machinery: the electrical level
-shares pattern caches through
-:class:`~repro.core.substrates.base.FluidCacheMixin` (keyed by the
-hierarchy topology's signature), and the optical level embeds an
+pools its fluid simulators through
+:class:`~repro.core.substrates.base.FluidCacheMixin` (each with its
+own pattern cache, sharing compiled structures by the hierarchy
+topology's shape signature), and the optical level embeds an
 :class:`~repro.core.substrates.optical_ring.OpticalRingSubstrate`
-whose RWA cache, admission bound and delta path are reused unchanged.
+whose RWA cache, admission bound, delta path and single MRR tuning
+state are reused unchanged.
 """
 
 from __future__ import annotations

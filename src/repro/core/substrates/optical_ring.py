@@ -339,11 +339,11 @@ class OpticalRingSubstrate(Substrate):
         plus its :meth:`_shape` — the MRR selection and per-transfer
         timing constants — which, like the assignment, are pure
         functions of (pattern, k, fault key) on a given system and
-        policy, i.e. of the cache key.  Banks are retuned only through
-        :meth:`OpticalRingNetwork.retune`, which diffs against the
-        selection it last installed, so a hit charges the tuning a
-        retune of every bank would and times the step from ``sizes``
-        alone.  :class:`TransferRequest`\\ s are built only on a miss
+        policy, i.e. of the cache key.  Tuning is charged only through
+        :meth:`OpticalRingNetwork.retune`, which compares the selection
+        with the one it last installed, so a hit charges the same
+        tuning a miss would and times the step from ``sizes`` alone.
+        :class:`TransferRequest`\\ s are built only on a miss
         of either memo: a hit is index and float work over the step's
         transfers.
         """
@@ -364,7 +364,7 @@ class OpticalRingSubstrate(Substrate):
         k, rwa, (selection, timing) = self._assign(
             net, system, policy, pattern, k)
 
-        # -- retuning: only the banks whose selection changes --------
+        # -- retuning: paid only when the selection changes ----------
         tuning = net.retune(selection)
 
         # -- timing: slowest transfer bounds the step ----------------

@@ -6,22 +6,19 @@ wavelengths per waveguide direction via micro-ring resonators (MRRs).
 
 This package provides the pieces the schedules interact with:
 
-* :mod:`~repro.optical.spectrum` — the wavelength grid;
-* :mod:`~repro.optical.mrr` — micro-ring resonator bank (tuning, power);
 * :mod:`~repro.optical.link` — per-(link, wavelength) occupancy;
-* :mod:`~repro.optical.ring_network` — the assembled ring network;
+* :mod:`~repro.optical.ring_network` — the assembled ring network and
+  its one MRR tuning state (the step's sparse channel selection);
 * :mod:`~repro.optical.rwa` — routing & wavelength assignment
   (First-Fit / Best-Fit) with optional striping;
 * :mod:`~repro.optical.transfer` — transfer descriptors and timing;
-* :mod:`~repro.optical.power` — energy accounting (extension).
+* :mod:`~repro.optical.power` — energy accounting, MRR heater power
+  included (extension).
 """
 
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
-    ".spectrum": ("WavelengthGrid",),
-    ".mrr": ("MicroRingBank",),
-    ".node": ("OpticalNode",),
     ".link": ("WaveguideLink",),
     ".ring_network": ("OpticalRingNetwork",),
     ".rwa": ("TransferRequest", "RwaResult", "AssignmentPolicy",

@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .mrr import DEFAULT_HEATER_POWER_W
 from .transfer import OpticalTransfer
 
+#: Typical thermal tuning power per micro-ring resonator, watts.
+DEFAULT_HEATER_POWER_W = 0.02
 #: Typical comb-laser wall-plug power attributable to one 25 Gb/s channel.
 DEFAULT_LASER_POWER_W = 0.15
 #: Typical silicon-photonic link energy, joules per bit (1 pJ/bit).

@@ -1,14 +1,14 @@
 """The assembled TeraRack-style optical ring network.
 
 Combines a :class:`~repro.topology.ring.RingTopology` (arc routing) with
-per-segment :class:`~repro.optical.link.WaveguideLink` occupancy and
-per-node :class:`~repro.optical.node.OpticalNode` state.  This is the
-object the schedule executor and RWA operate on.
+per-segment :class:`~repro.optical.link.WaveguideLink` occupancy.  This
+is the object the schedule executor and RWA operate on.
 
-MRR tuning state is driven through :meth:`OpticalRingNetwork.retune`
-with a sparse *selection* — ``{bank id: channel set}`` for the banks
-that carry channels in a step (see :meth:`OpticalRingNetwork.selection`)
-— so a step retunes only the banks whose selection actually changes.
+The ring's MRR tuning state is one sparse *selection* — ``{bank id:
+channel set}`` for the add/drop banks that carry channels in a step
+(see :meth:`OpticalRingNetwork.selection`).  A step pays the tuning
+time only when its selection differs from the installed one
+(:meth:`OpticalRingNetwork.retune`); no per-node object is built.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from ..config import OpticalRingSystem
 from ..errors import TopologyError, WavelengthAllocationError
 from ..topology.ring import Direction, RingTopology
 from .link import WaveguideLink
-from .mrr import MicroRingBank
-from .node import OpticalNode
-from .spectrum import WavelengthGrid
 
 #: A sparse MRR selection: ``{bank id: channel set}``, listing only the
 #: banks that carry channels (every other bank is detuned).
@@ -34,28 +31,16 @@ class OpticalRingNetwork:
 
     def __init__(self, system: OpticalRingSystem) -> None:
         self.system = system
-        self.grid = WavelengthGrid(system.num_wavelengths,
-                                   system.wavelength_rate)
         self.topology = RingTopology(
             system.num_nodes,
             capacity=system.node_injection_rate,
             latency=system.hop_propagation_delay,
             bidirectional=system.bidirectional,
         )
-        directions = ("cw", "ccw") if system.bidirectional else ("cw",)
-        self.nodes: List[OpticalNode] = [
-            OpticalNode(i, system.num_wavelengths, system.wavelength_rate,
-                        system.tuning_time, directions=directions)
-            for i in range(system.num_nodes)]
-        #: Every MRR bank by bank id: node ``i``'s add banks, then its
-        #: drop banks, one per direction (see :meth:`selection`).
-        self._banks: List[MicroRingBank] = [
-            bank for node in self.nodes
-            for banks in (node.add_banks, node.drop_banks)
-            for bank in banks.values()]
-        self._direction_index = {Direction(d): i
-                                 for i, d in enumerate(directions)}
-        #: The selection the banks are tuned to (see :meth:`retune`).
+        directions = ((Direction.CW, Direction.CCW) if system.bidirectional
+                      else (Direction.CW,))
+        self._direction_index = {d: i for i, d in enumerate(directions)}
+        #: The installed selection (see :meth:`retune`).
         self._selection: Selection = {}
         #: One shared object per distinct channel set selected here.
         self._channel_sets: Dict[FrozenSet[int], FrozenSet[int]] = {}
@@ -122,7 +107,9 @@ class OpticalRingNetwork:
         ``arcs`` yields ``(src, dst, direction, channels)`` per transfer:
         the source's add bank and the destination's drop bank in
         ``direction`` tune to the union of the channels of every
-        transfer they serve.  Banks that carry nothing are left out,
+        transfer they serve.  Node ``i`` owns bank ids ``i * 2D + d``
+        (add) and ``i * 2D + D + d`` (drop) for its ``D`` directions,
+        ``d`` indexing them.  Banks that carry nothing are left out,
         and equal channel sets are shared, so memoized selections stay
         small.
         """
@@ -142,28 +129,19 @@ class OpticalRingNetwork:
         return out
 
     def retune(self, selection: Selection) -> float:
-        """Tune the MRR banks to ``selection``; returns the tuning time.
+        """Install ``selection``; returns the tuning time this costs.
 
-        Returns 0.0 when ``selection`` equals the one last installed
-        (:meth:`reset` restores the empty one).  Otherwise only the
-        banks whose selection changes are retuned
-        (:meth:`MicroRingBank.retune`, with its range and ring-count
-        checks) and the cost is the max over them, exactly what
-        retuning every bank would charge, since unchanged banks cost 0.
+        0.0 when ``selection`` equals the installed one (:meth:`reset`
+        installs the empty one); otherwise the system's
+        ``tuning_time`` (a ``-0.0`` setting reads as 0.0), paid once
+        for the step however many banks change.  A selection only
+        names channels the RWA assigned, so every bank stays within
+        its ring count and the grid.
         """
-        last = self._selection
-        if selection == last:
+        if selection == self._selection:
             return 0.0
-        cost = 0.0
-        banks = self._banks
-        for bank in last:
-            if bank not in selection:
-                cost = max(cost, banks[bank].retune(frozenset()))
-        for bank, channels in selection.items():
-            if last.get(bank) != channels:
-                cost = max(cost, banks[bank].retune(channels))
         self._selection = selection
-        return cost
+        return max(0.0, self.system.tuning_time)
 
     # -- fault masks -----------------------------------------------------------
 
@@ -256,11 +234,9 @@ class OpticalRingNetwork:
             link.clear()
 
     def reset(self) -> None:
-        """Clear occupancy, masks and node tuning (between schedules)."""
+        """Clear occupancy, masks and MRR tuning (between schedules)."""
         self.clear()
         self.clear_faults()
-        for node in self.nodes:
-            node.reset()
         self._selection = {}
 
     # -- capacity summaries ----------------------------------------------------

@@ -40,7 +40,7 @@ backends agree bit-for-bit (and the property suite pins exactly that).
 
 :func:`max_min_fair_rates` keeps the historical one-shot API on top
 (and the property suite pins it bit-for-bit against the frozen
-pre-refactor implementation in ``repro.simulation._reference``).
+pre-refactor implementation in ``tests/fluid_oracle.py``).
 """
 
 from __future__ import annotations

@@ -25,8 +25,9 @@ The engine avoids repeated work on two levels:
   pattern exactly once.
 
 Results are bit-for-bit identical to the historical per-event
-implementation (pinned against :mod:`repro.simulation._reference` by
-the property suite), with one documented exception: loopback flows
+implementation (pinned against the frozen oracle in
+``tests/fluid_oracle.py`` by the property suite), with one documented
+exception: loopback flows
 (``src == dst``, empty path) are delivered instantly at admission
 instead of hanging the old loop.
 
@@ -37,9 +38,8 @@ flows' *relative* sizes, and collective schedules repeat a handful of
 patterns across dozens of steps, so the solved rate schedule is
 memoized under a normalized key and rescaled per call.  Cached entries
 are pure functions of their key — a hit returns exactly what the miss
-path would compute — so warm and cold runs are byte-identical, which is
-what lets substrates share one cache between same-topology simulators.
-An *admission policy* keeps enormous steps from bloating the cache:
+path would compute — so warm and cold runs are byte-identical.  Each
+simulator keeps its own pattern cache.  An *admission policy* keeps enormous steps from bloating the cache:
 patterns above :data:`DEFAULT_PATTERN_CACHE_MAX_FLOWS` flows are solved
 but not stored (counted in the cache's ``skipped`` statistic).
 
@@ -210,9 +210,9 @@ class FluidNetworkSimulator:
     objects (same admission bound), the route memo, and the incidence
     backend, which
     :func:`~repro.simulation.flows.resolve_backend` picks per batch.
-    None of them changes a result.  Substrates share the pattern and
-    compile caches across simulators (:meth:`use_pattern_cache`,
-    :meth:`use_compile_cache`).
+    None of them changes a result.  Substrates share the compile cache
+    across same-shape simulators (:meth:`use_compile_cache`); the
+    pattern cache is each simulator's own.
     """
 
     def __init__(self, topology: Topology, keep_trace: bool = False) -> None:
@@ -634,21 +634,6 @@ class FluidNetworkSimulator:
         (the bind step applies each simulator's own capacities).
         """
         self._compile_cache = cache
-
-    @property
-    def pattern_cache(self) -> LruCache:
-        """The live pattern cache."""
-        return self._pattern_cache
-
-    def use_pattern_cache(self, cache: LruCache) -> None:
-        """Adopt ``cache`` as this simulator's pattern cache.
-
-        Substrates share one cache object between simulators whose
-        topologies have the same
-        :meth:`~repro.topology.base.Topology.signature` — entries are
-        interchangeable there by construction.
-        """
-        self._pattern_cache = cache
 
     # -- conveniences -------------------------------------------------------------
 

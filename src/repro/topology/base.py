@@ -98,34 +98,20 @@ class Topology:
         """
         raise NotImplementedError
 
-    def signature(self) -> str:
-        """Stable digest of this topology's link structure.
-
-        Two topology instances of the same class with identical links
-        (same endpoints, keys, capacities and latencies) share a
-        signature — the key substrates use to share fluid pattern
-        caches between same-topology simulators.  The class is part of
-        the digest because routing (:meth:`path`) is defined by the
-        subclass: identical link sets routed differently must not share
-        cached rate schedules.
-        """
-        canon = repr((type(self).__qualname__, self._num_hosts,
-                      tuple(sorted((l.src, l.dst, l.key, l.capacity,
-                                    l.latency)
-                                   for l in self._links.values()))))
-        return hashlib.sha1(canon.encode("utf-8")).hexdigest()[:16]
-
     def shape_signature(self) -> str:
         """Stable digest of this topology's link *shape*.
 
-        Like :meth:`signature` but with capacities and latencies
-        excluded: routing (:meth:`path`) in every topology class here
-        depends only on which links exist, never on their rates, so two
-        same-class topologies differing only in capacities/latencies
-        route — and therefore compile flow-batch structures —
-        identically.  This is the key of the fluid engine's cross-cell
-        compile cache; anything rate-dependent (solved rate
-        schedules) must key on :meth:`signature` instead.
+        The class, the host count and the link endpoints and keys;
+        capacities and latencies are excluded.  Routing (:meth:`path`)
+        in every topology class here depends only on which links exist,
+        never on their rates, so two same-class topologies differing
+        only in capacities/latencies route — and therefore compile
+        flow-batch structures — identically.  The class is part of the
+        digest because routing is defined by the subclass: identical
+        link sets routed differently must not share compiled
+        structures.  This is the key of the fluid engine's cross-cell
+        compile cache; solved rate schedules stay in each simulator's
+        own pattern cache.
         """
         canon = repr(("shape", type(self).__qualname__, self._num_hosts,
                       tuple(sorted((l.src, l.dst, l.key)
@@ -139,13 +125,13 @@ class Topology:
         """This topology minus the given failures, BFS-rerouted.
 
         With nothing failed the topology itself is returned — the
-        healthy view keeps its identity (and its signature, so every
-        cache keyed on it stays warm).  Otherwise a
+        healthy view keeps its identity (and its shape signature, so
+        every cache keyed on it stays warm).  Otherwise a
         :class:`~repro.topology.degraded.DegradedTopology` wraps the
         surviving links; being a distinct class with a distinct link
-        set, its :meth:`signature`/:meth:`shape_signature` differ from
-        the healthy ones and compiled-batch / pattern caches can never
-        serve stale routes across the failure boundary.
+        set, its :meth:`shape_signature` differs from the healthy one
+        and the shared compile cache can never serve stale routes
+        across the failure boundary.
         """
         failed_links = tuple(tuple(p) for p in failed_links)
         failed_nodes = tuple(failed_nodes)

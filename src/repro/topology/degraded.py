@@ -5,11 +5,10 @@ a fault state has taken out — undirected host pairs for failed links,
 whole nodes (every incident link plus the endpoint itself) for failed
 nodes — and reroutes with deterministic BFS over what survives.  It is
 a *separate class* on purpose: :meth:`~repro.topology.base.Topology.
-signature` and ``shape_signature`` fold the class qualname and the
-surviving link set into their digests, so every compiled-batch, path
-and pattern cache in the stack keys degraded views apart from healthy
-ones (and apart from each other) with no extra bookkeeping — a cache
-can never serve a route over a dead link.
+shape_signature` folds the class qualname and the surviving link set
+into its digest, so the shared compile cache keys degraded views apart
+from healthy ones (and apart from each other) with no extra
+bookkeeping — a cache can never serve a route over a dead link.
 
 When the surviving links cannot connect a queried pair the view raises
 :class:`~repro.errors.DegradedError` — the fabric is partitioned and no
@@ -48,7 +47,6 @@ class DegradedTopology(Topology):
         super().__init__(base.num_hosts)
         self.failed_links = normalize_link_pairs(failed_links)
         self.failed_nodes = frozenset(int(n) for n in failed_nodes)
-        self.base_signature = base.signature()
         for link in base.links:
             ends = (link.src, link.dst) if link.src < link.dst \
                 else (link.dst, link.src)

@@ -15,7 +15,8 @@ Keeping all racks in one topology (rather than one topology per rack)
 lets the fluid simulator solve a whole local phase — one concurrent
 transfer per rack, each contending only inside its own star — in a
 single fused batch, and gives the level a single :meth:`Topology.
-signature` so pattern caches are shared across same-shape fabrics.
+shape_signature` so compiled flow batches are shared across
+same-shape fabrics.
 """
 
 from __future__ import annotations

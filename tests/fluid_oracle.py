@@ -16,7 +16,7 @@ It exists for two reasons and must not be "improved":
   speedup against it, which is the number recorded in
   ``BENCH_fluid.json`` and gated by CI.
 
-Do not use it from production code paths.
+It lives with the other test-side references, outside the library.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import SimulationError
-from ..topology.base import Topology
-from .flows import Flow, LinkId
+from repro.errors import SimulationError
+from repro.simulation.flows import Flow, LinkId
+from repro.topology.base import Topology
 
 #: Bytes of slack below which a flow counts as finished (guards float error).
 _EPS_BYTES = 1e-9

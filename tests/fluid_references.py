@@ -4,7 +4,8 @@
 solved steps in its pattern cache, which never changes a result.  The
 subclass here takes that shortcut away from outside the library, so
 tests can pin the cache against the solve it replaces and the
-benchmarks can time both.
+benchmarks can time both.  The frozen pre-refactor engine the fluid
+parity suite pins is ``fluid_oracle.py`` beside it.
 """
 
 from repro.caching import LruCache
@@ -18,4 +19,4 @@ class UncachedSimulator(FluidNetworkSimulator):
 
     def __init__(self, topology) -> None:
         super().__init__(topology)
-        self.use_pattern_cache(LruCache(1, admit_cost_bound=-1))
+        self._pattern_cache = LruCache(1, admit_cost_bound=-1)

@@ -1,5 +1,7 @@
 """Tests for validated system configuration dataclasses."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,39 @@ _INTEGER_FIELDS = [
                               num_wavelengths=4),
      ("num_nodes", "group_size", "leader_index", "num_wavelengths")),
 ]
+
+
+#: (system class, valid keyword arguments, the field the hop delay
+#: multiplies by ``propagation_delay_per_meter``).
+_SPACED = [
+    (OpticalRingSystem, dict(num_nodes=8), "node_spacing"),
+    (OpticalTorusSystem, dict(num_nodes=8), "node_spacing"),
+    (HierarchicalSystem, dict(num_nodes=8, group_size=2), "rack_spacing"),
+]
+
+
+class TestHopDelay:
+    """An infinite spacing paired with a zero per-metre delay, or the
+    reverse, leaves the hop delay ``inf * 0`` undefined."""
+
+    @pytest.mark.parametrize("distance,per_meter", [(math.inf, 0.0),
+                                                    (0.0, math.inf)])
+    @pytest.mark.parametrize("cls,kwargs,spacing", _SPACED,
+                             ids=["ring", "torus", "hierarchy"])
+    def test_undefined_hop_delay_rejected(self, cls, kwargs, spacing,
+                                          distance, per_meter):
+        with pytest.raises(ConfigurationError,
+                           match=f"{spacing}=.* propagation_delay_per_meter="):
+            cls(**kwargs, **{spacing: distance},
+                propagation_delay_per_meter=per_meter)
+
+    @pytest.mark.parametrize("cls,kwargs,spacing", _SPACED,
+                             ids=["ring", "torus", "hierarchy"])
+    def test_infinite_or_zero_alone_is_accepted(self, cls, kwargs, spacing):
+        for distance, per_meter in ((math.inf, 5e-9), (0.0, 0.0),
+                                    (math.inf, math.inf), (2.0, math.inf)):
+            cls(**kwargs, **{spacing: distance},
+                propagation_delay_per_meter=per_meter)
 
 
 class TestIntegerCounts:

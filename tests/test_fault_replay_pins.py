@@ -209,9 +209,9 @@ RUNS = {
 DESCRIBES = {
     'electrical-ring': (
         ('topology', 'ring'),
-        ('fluid_cache_hits', 126),
-        ('fluid_cache_misses', 11),
-        ('fluid_cache_hit_rate', 0.9197),
+        ('fluid_cache_hits', 124),
+        ('fluid_cache_misses', 13),
+        ('fluid_cache_hit_rate', 0.9051),
         ('fluid_cache_skipped', 0),
         ('compile_cache_hits', 2),
         ('compile_cache_misses', 12),
@@ -224,9 +224,9 @@ DESCRIBES = {
     ),
     'electrical-switch': (
         ('topology', 'switch'),
-        ('fluid_cache_hits', 130),
-        ('fluid_cache_misses', 7),
-        ('fluid_cache_hit_rate', 0.9489),
+        ('fluid_cache_hits', 124),
+        ('fluid_cache_misses', 13),
+        ('fluid_cache_hit_rate', 0.9051),
         ('fluid_cache_skipped', 0),
         ('compile_cache_hits', 6),
         ('compile_cache_misses', 8),
@@ -264,9 +264,9 @@ DESCRIBES = {
         ('rwa_cache_skipped', 0),
         ('rwa_delta_patched', 0),
         ('rwa_delta_fallbacks', 6),
-        ('fluid_cache_hits', 449),
-        ('fluid_cache_misses', 8),
-        ('fluid_cache_hit_rate', 0.9825),
+        ('fluid_cache_hits', 436),
+        ('fluid_cache_misses', 21),
+        ('fluid_cache_hit_rate', 0.954),
         ('fluid_cache_skipped', 0),
         ('compile_cache_hits', 13),
         ('compile_cache_misses', 9),

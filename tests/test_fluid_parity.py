@@ -2,7 +2,7 @@
 
 The incremental engine (compiled batch + vectorized event loop) must
 reproduce the pre-refactor per-event implementation
-(:mod:`repro.simulation._reference`) **bit-for-bit** — same delivery
+(``tests/fluid_oracle.py``) **bit-for-bit** — same delivery
 times, same result order — on randomized flow sets with overlapping
 paths, staggered starts, and congested links; and every intermediate
 allocation it computes must be a feasible max-min allocation
@@ -28,8 +28,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.simulation._reference import (ReferenceFluidSimulator,
-                                         reference_max_min_fair_rates)
 from repro.simulation import flows as flows_mod
 from repro.simulation.flows import (Flow, compile_flows, compile_paths,
                                     have_sparse, max_min_fair_rates,
@@ -38,6 +36,7 @@ from repro.simulation.flows import (Flow, compile_flows, compile_paths,
 from repro.simulation.fluid import FluidNetworkSimulator
 from repro.topology.ring import RingTopology
 from repro.topology.switched import FatTree, SwitchedStar
+from fluid_oracle import ReferenceFluidSimulator, reference_max_min_fair_rates
 
 needs_scipy = pytest.mark.skipif(not have_sparse(),
                                  reason="scipy not installed")
@@ -157,7 +156,7 @@ class TestAdmissionWarmStartParity:
     The staircase admission schedule and randomized staggered starts
     each admit flows while others are in flight; the final results
     must equal the pre-refactor oracle's
-    (:mod:`repro.simulation._reference`) exactly.
+    (``tests/fluid_oracle.py``) exactly.
     """
 
     def _hosts(self, specs):

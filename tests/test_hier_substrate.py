@@ -3,7 +3,7 @@
 Covers the acceptance criteria of the hierarchical substrate:
 
 * :class:`~repro.topology.hierarchy.HierarchicalTopology` routes
-  rack-locally, rejects cross-rack pairs, and shares signatures;
+  rack-locally, rejects cross-rack pairs, and shares shape signatures;
 * the substrate maps steps to the correct level, relays cross-rack
   transfers through rack leaders, and reports per-level counters;
 * **degenerate parity, bit for bit**: one rack (``G == 1``) matches
@@ -71,8 +71,8 @@ class TestHierarchicalTopology:
         a = HierarchicalTopology(8, 4, capacity=1.0)
         b = HierarchicalTopology(8, 4, capacity=1.0)
         c = HierarchicalTopology(8, 2, capacity=1.0)
-        assert a.signature() == b.signature()
-        assert a.signature() != c.signature()
+        assert a.shape_signature() == b.shape_signature()
+        assert a.shape_signature() != c.shape_signature()
 
     def test_bad_group_size(self):
         with pytest.raises(TopologyError):

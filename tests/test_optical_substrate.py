@@ -1,4 +1,6 @@
-"""Tests for the optical substrate: spectrum, MRR, links, nodes, network."""
+"""Tests for the optical substrate: links, network, transfers."""
+
+import math
 
 import pytest
 
@@ -6,63 +8,9 @@ from repro import units
 from repro.config import OpticalRingSystem
 from repro.errors import (ConfigurationError, TopologyError,
                           WavelengthAllocationError)
-from repro.optical import (MicroRingBank, OpticalNode, OpticalRingNetwork,
-                           WaveguideLink, WavelengthGrid)
+from repro.optical import OpticalRingNetwork, WaveguideLink
 from repro.optical.transfer import OpticalTransfer, transfer_time
 from repro.topology.ring import Direction
-
-
-class TestWavelengthGrid:
-    def test_aggregate_rate(self):
-        g = WavelengthGrid(64, 25 * units.GBPS)
-        assert g.aggregate_rate == pytest.approx(1.6 * units.TBPS)
-
-    def test_frequencies_ascend(self):
-        g = WavelengthGrid(4, 25 * units.GBPS)
-        freqs = [g.frequency_hz(c) for c in g.channels()]
-        assert freqs == sorted(freqs)
-        assert freqs[1] - freqs[0] == pytest.approx(100e9)
-
-    def test_wavelength_nm_in_c_band(self):
-        g = WavelengthGrid(64, 25 * units.GBPS)
-        nm = g.wavelength_nm(0)
-        assert 1500 < nm < 1600
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            WavelengthGrid(0, 1.0)
-        g = WavelengthGrid(4, 1.0)
-        with pytest.raises(ConfigurationError):
-            g.frequency_hz(4)
-
-
-class TestMicroRingBank:
-    def test_retune_costs_once(self):
-        bank = MicroRingBank(4, 64, tuning_time=25e-6)
-        assert bank.retune({1, 2}) == pytest.approx(25e-6)
-        assert bank.retune({1, 2}) == 0.0  # unchanged
-        assert bank.retune({3}) == pytest.approx(25e-6)
-
-    def test_ring_budget_enforced(self):
-        bank = MicroRingBank(2, 64, tuning_time=0.0)
-        with pytest.raises(ConfigurationError):
-            bank.retune({0, 1, 2})
-
-    def test_channel_range_enforced(self):
-        bank = MicroRingBank(4, 4, tuning_time=0.0)
-        with pytest.raises(ConfigurationError):
-            bank.retune({4})
-
-    def test_static_power(self):
-        bank = MicroRingBank(4, 64, tuning_time=0.0, heater_power_w=0.02)
-        bank.retune({0, 1, 2})
-        assert bank.static_power_w() == pytest.approx(0.06)
-
-    def test_reset(self):
-        bank = MicroRingBank(4, 64, tuning_time=1.0)
-        bank.retune({0})
-        bank.reset()
-        assert bank.selected == frozenset()
 
 
 class TestWaveguideLink:
@@ -104,27 +52,27 @@ class TestWaveguideLink:
             link.occupy(4, "t")
 
 
-class TestOpticalNode:
-    def test_injection_rate(self):
-        node = OpticalNode(0, 64, 25 * units.GBPS, tuning_time=0.0)
-        assert node.injection_rate == pytest.approx(1.6 * units.TBPS)
-
-
 class TestOpticalRingNetwork:
     def make(self, n=8, w=4, bidir=True):
         return OpticalRingNetwork(OpticalRingSystem(
             num_nodes=n, num_wavelengths=w, bidirectional=bidir))
 
-    def test_retune_max_across_banks(self):
+    @pytest.mark.parametrize("tuning", [25e-6, 0.0, -0.0])
+    def test_retune_pays_once_per_changed_selection(self, tuning):
         net = OpticalRingNetwork(OpticalRingSystem(
-            num_nodes=4, num_wavelengths=4, tuning_time=25e-6))
+            num_nodes=4, num_wavelengths=4, tuning_time=tuning))
         # Node 0 adds {0, 1} clockwise and drops {2} counter-clockwise.
-        selection = net.selection([(0, 1, Direction.CW, (0, 1)),
-                                   (3, 0, Direction.CCW, (2,))])
-        cost = net.retune(selection)
-        assert cost == pytest.approx(25e-6)
-        # Same selection again: free.
-        assert net.retune(selection) == 0.0
+        both = net.selection([(0, 1, Direction.CW, (0, 1)),
+                              (3, 0, Direction.CCW, (2,))])
+        one = net.selection([(0, 1, Direction.CW, (0, 1))])
+        paid = max(0.0, tuning)
+        costs = [net.retune(s) for s in (both, both, one, {}, {})]
+        assert costs == [paid, 0.0, paid, paid, 0.0]
+        # A -0.0 setting is charged as +0.0.
+        assert all(math.copysign(1.0, c) == 1.0 for c in costs)
+        net.retune(one)
+        net.reset()
+        assert net.retune(one) == paid
 
     def test_segments_built(self):
         net = self.make()

@@ -37,12 +37,12 @@ from repro.core.substrates.optical_ring import (OpticalRingSubstrate,
 from repro.errors import (ConfigurationError, ReproError,
                           WavelengthAllocationError)
 from repro.faults import FaultEvent, FaultKind, FaultPlan
-from repro.optical.mrr import MicroRingBank
-from repro.optical.node import OpticalNode
+from repro.optical.link import WaveguideLink
 from repro.optical.ring_network import OpticalRingNetwork
 from repro.optical.rwa import (AssignmentPolicy, RwaDelta, TransferRequest,
                                assign_wavelengths, assign_wavelengths_delta,
                                compute_striping_factor)
+from ring_references import BankedTuning
 
 
 # ---------------------------------------------------------------------------
@@ -50,29 +50,30 @@ from repro.optical.rwa import (AssignmentPolicy, RwaDelta, TransferRequest,
 # ---------------------------------------------------------------------------
 
 
-def _reference_retune_for_step(node: OpticalNode, tx: Dict[str, Set[int]],
-                               rx: Dict[str, Set[int]]) -> float:
-    """Retune add banks to ``tx`` and drop banks to ``rx``.
-
-    Returns the retuning time this node needs before the step can
-    start (0 when nothing changes); the executor takes the max across
-    nodes.
-    """
-    cost = 0.0
-    for direction, bank in node.add_banks.items():
-        cost = max(cost, bank.retune(tx.get(direction, set())))
-    for direction, bank in node.drop_banks.items():
-        cost = max(cost, bank.retune(rx.get(direction, set())))
-    return cost
-
-
 class ReferenceRingSubstrate(OpticalRingSubstrate):
     """The ring substrate with the pre-memo ``run_step``/``_assign``.
 
     It takes the step as ``run_step`` does, as ``(src, dst, hint)``
     hints and byte sizes, and turns them into the per-transfer requests
-    the pre-memo path worked on.
+    the pre-memo path worked on.  It tunes a per-bank model of each
+    network (:class:`BankedTuning`) instead of the network's own
+    selection.
     """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.tuning: Dict[OpticalRingNetwork, BankedTuning] = {}
+
+    def _network(self, system: OpticalRingSystem) -> OpticalRingNetwork:
+        # Every caller resets the network it fetches before the first
+        # step, so the per-bank model starts detuned here too.
+        net = super()._network(system)
+        self.tuning[net] = BankedTuning(system)
+        return net
+
+    def tuning_state(self, net: OpticalRingNetwork) -> Dict:
+        """The per-bank model's tuned banks."""
+        return self.tuning[net].state()
 
     def run_step(self, net: OpticalRingNetwork, system: OpticalRingSystem,
                  policy: AssignmentPolicy, striping,
@@ -121,10 +122,7 @@ class ReferenceRingSubstrate(OpticalRingSubstrate):
                                                   set()).update(chans)
             rx.setdefault(req.dst, {}).setdefault(dkey,
                                                   set()).update(chans)
-        tuning = 0.0
-        for node in net.nodes:
-            tuning = max(tuning, _reference_retune_for_step(
-                node, tx.get(node.node_id, {}), rx.get(node.node_id, {})))
+        tuning = self.tuning[net].retune(tx, rx)
 
         # -- timing: slowest transfer bounds the step ----------------
         serialization = 0.0
@@ -235,15 +233,8 @@ class ReferenceRingSubstrate(OpticalRingSubstrate):
 # ---------------------------------------------------------------------------
 
 
-def _bank_state(net: OpticalRingNetwork) -> Tuple:
-    """Every bank's channel selection, node by node."""
-    return tuple(bank.selected for node in net.nodes
-                 for banks in (node.add_banks, node.drop_banks)
-                 for bank in banks.values())
-
-
 class _Recording:
-    """Records each step's outcome and the banks' selections after it."""
+    """Records each step's outcome and the tuning state after it."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -251,12 +242,15 @@ class _Recording:
 
     def run_step(self, net, system, policy, striping, hints, sizes):
         out = super().run_step(net, system, policy, striping, hints, sizes)
-        self.trace.append((out, _bank_state(net)))
+        self.trace.append((out, self.tuning_state(net)))
         return out
 
 
 class MemoRing(_Recording, OpticalRingSubstrate):
-    pass
+    @staticmethod
+    def tuning_state(net: OpticalRingNetwork) -> Dict:
+        """The network's installed selection."""
+        return dict(net._selection)
 
 
 class RefRing(_Recording, ReferenceRingSubstrate):
@@ -516,25 +510,51 @@ def test_pattern_memo_keys_on_the_ring():
 @pytest.mark.parametrize("generator", [generate_ring_allreduce,
                                        generate_recursive_doubling],
                          ids=["ring", "recursive-doubling"])
-def test_warm_step_retunes_scale_with_transfers(monkeypatch, generator):
-    """A warm 4-rank collective on a 1024-node ring retunes at most
-    4 banks per transfer (the full per-bank sweep made 4 x 1024 calls
-    per step)."""
+def test_warm_step_retunes_once_and_touches_no_per_node_state(
+        monkeypatch, generator):
+    """A warm step of a 4-rank collective on a 1024-node ring makes one
+    :meth:`OpticalRingNetwork.retune` call and touches no waveguide
+    segment, the only state the network keeps per node."""
     n = 1024
     sched = place_schedule(generator(4), (100, 101, 102, 103), n)
     wl = Workload(data_bytes=1e6)
-    sub = OpticalRingSubstrate(default_optical(n, num_wavelengths=64))
+    system = default_optical(n, num_wavelengths=64)
+    sub = OpticalRingSubstrate(system)
     cold = sub.execute(sched, wl)
+    net = sub._network(system)
+    ring_sized = {name for name, value in vars(net).items()
+                  if isinstance(value, (dict, list, tuple, set, frozenset))
+                  and len(value) >= n}
+    assert ring_sized == {"_links"}
 
-    calls = [0]
-    retune = MicroRingBank.retune
+    calls = {"retune": 0, "segment": 0}
+    in_step = [False]
+    run_step = OpticalRingSubstrate.run_step
+    retune = OpticalRingNetwork.retune
 
-    def counted(self, channels):
-        calls[0] += 1
-        return retune(self, channels)
+    def step(self, *args):
+        in_step[0] = True
+        try:
+            return run_step(self, *args)
+        finally:
+            in_step[0] = False
 
-    monkeypatch.setattr(MicroRingBank, "retune", counted)
+    def counted_retune(self, selection):
+        calls["retune"] += 1
+        return retune(self, selection)
+
+    def segment_method(method):
+        def counted(self, *args):
+            calls["segment"] += in_step[0]
+            return method(self, *args)
+        return counted
+
+    monkeypatch.setattr(OpticalRingSubstrate, "run_step", step)
+    monkeypatch.setattr(OpticalRingNetwork, "retune", counted_retune)
+    for name in ("is_free", "free_wavelengths", "occupied_count", "occupy",
+                 "release", "release_owner", "clear", "owners"):
+        monkeypatch.setattr(WaveguideLink, name,
+                            segment_method(getattr(WaveguideLink, name)))
     warm = sub.execute(sched, wl)
-    transfers = sum(len(step) for step in sched.steps)
     assert warm == cold
-    assert 0 < calls[0] <= 4 * transfers
+    assert calls == {"retune": len(sched.steps), "segment": 0}

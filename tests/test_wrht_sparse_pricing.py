@@ -8,7 +8,8 @@ reference in ``tests/wrht_references.py`` exactly (``==``), errors
 included: the sweep on random participant sets and random hinted
 steps, the structure summary under hypothesis up to N = 10⁵ and on
 fixed cases at N = 10⁶, and the reduced pricing on random valid
-systems, zero and infinite node spacing included.
+systems, zero and infinite node spacing included (paired only with a
+per-metre delay that keeps the hop delay defined).
 """
 
 import math
@@ -148,8 +149,17 @@ DELAYS = (st.sampled_from([0.0, math.inf])
           | st.floats(min_value=0.0, max_value=1e-3))
 
 
+#: ``(node_spacing, propagation_delay_per_meter)`` pairs the system
+#: accepts: an infinite one times a zero one is rejected.
+SPACINGS = st.tuples(
+    st.sampled_from([0.0, math.inf]) | st.floats(min_value=0.0,
+                                                 max_value=1e4),
+    DELAYS).filter(lambda pair: not math.isnan(pair[0] * pair[1]))
+
+
 @st.composite
 def systems(draw, n):
+    spacing, per_meter = draw(SPACINGS)
     return OpticalRingSystem(
         num_nodes=n,
         num_wavelengths=draw(st.integers(min_value=1, max_value=64)),
@@ -157,9 +167,8 @@ def systems(draw, n):
                              | st.floats(min_value=1e-3, max_value=1e12)),
         bidirectional=draw(st.booleans()),
         tuning_time=draw(DELAYS),
-        node_spacing=draw(st.sampled_from([0.0, math.inf])
-                          | st.floats(min_value=0.0, max_value=1e4)),
-        propagation_delay_per_meter=draw(DELAYS),
+        node_spacing=spacing,
+        propagation_delay_per_meter=per_meter,
         allow_striping=draw(st.booleans()),
         step_overhead=draw(DELAYS))
 
@@ -223,10 +232,12 @@ def test_longest_arc_pricing_matches_every_pair(data):
     check_price(schedule, system, workload)
 
 
-@pytest.mark.parametrize("node_spacing", [0.0, math.inf])
-@pytest.mark.parametrize("per_meter", [0.0, 5e-9, math.inf])
+@pytest.mark.parametrize("per_meter,node_spacing", [
+    (0.0, 0.0), (5e-9, 0.0), (5e-9, math.inf), (math.inf, math.inf)])
 def test_longest_arc_pricing_at_zero_and_infinite_spacing(node_spacing,
                                                           per_meter):
+    """Every accepted pair; an infinite spacing or delay paired with a
+    zero one is rejected (``tests/test_config.py``)."""
     system = OpticalRingSystem(num_nodes=64, num_wavelengths=8,
                                node_spacing=node_spacing,
                                propagation_delay_per_meter=per_meter)
